@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .errors import DomainError, FormatError, NonUniformError
 from .signvec import MAX_GROUND_SET, _mask_from_elements
@@ -68,7 +71,7 @@ class Chirotope:
             raise DomainError(
                 f"expected {comb(self.n, self.r)} signs, got {len(self.signs)}"
             )
-        if any(s not in (1, -1) for s in self.signs):
+        if not set(self.signs) <= {1, -1}:
             raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
 
     # -- evaluation ----------------------------------------------------
@@ -167,15 +170,13 @@ def alternating_chirotope(r: int, n: int) -> Chirotope:
     return Chirotope(n, r, (1,) * comb(n, r))
 
 
-def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:
-    """Parse a +/- chirotope string of length C(n,r).
+# bytes.translate table: '+' -> 1 and '-' -> -1 as int8
+_INT8_OF_CHAR = bytes((1 if c == ord("+") else 255 if c == ord("-") else 0) for c in range(256))
 
-    ``base_order`` selects how text positions map to sorted r-subsets:
-    "lex" (our native order) or "colex" for databases using colexicographic
-    subset order.
-    """
-    if base_order not in ("lex", "colex"):
-        raise DomainError(f"unknown base order {base_order!r}")
+
+def parse_signs(text: str, r: int, n: int) -> bytes:
+    """Validate a +/- chirotope string of length C(n,r) and return its signs
+    in text order, one int8 (1 or -1) per byte."""
     expected = comb(n, r)
     if len(text) != expected:
         raise FormatError(f"expected {expected} characters for (r={r}, n={n}), got {len(text)}")
@@ -184,16 +185,37 @@ def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chiro
     bad = set(text) - {"+", "-"}
     if bad:
         raise FormatError(f"invalid characters {sorted(bad)!r} in chirotope text")
-    values = tuple(1 if ch == "+" else -1 for ch in text)
+    return text.encode("ascii").translate(_INT8_OF_CHAR)
+
+
+@lru_cache(maxsize=32)
+def _colex_of_lex(r: int, n: int) -> np.ndarray:
+    """Entry i is the colex position of the i-th r-subset in lex order."""
+    subsets = list(combinations(range(n), r))
+    colex = sorted(range(len(subsets)), key=lambda i: subsets[i][::-1])
+    table = np.argsort(np.array(colex, dtype=np.intp))
+    table.flags.writeable = False
+    return table
+
+
+def lex_signs(signs: bytes, r: int, n: int, base_order: str) -> tuple[int, ...]:
+    """Signs from ``parse_signs`` (text order) as a tuple in lex order."""
+    values = np.frombuffer(signs, dtype=np.int8)
     if base_order == "colex":
-        subsets = sorted(
-            combinations(range(1, n + 1), r), key=lambda s: tuple(reversed(s))
-        )
-        reordered = [0] * expected
-        for pos, subset in enumerate(subsets):
-            reordered[lex_rank(subset, n)] = values[pos]
-        values = tuple(reordered)
-    return Chirotope(n, r, values)
+        values = values[_colex_of_lex(r, n)]
+    elif base_order != "lex":
+        raise DomainError(f"unknown base order {base_order!r}")
+    return tuple(values.tolist())
+
+
+def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:
+    """Parse a +/- chirotope string of length C(n,r).
+
+    ``base_order`` selects how text positions map to sorted r-subsets:
+    "lex" (our native order) or "colex" for databases using colexicographic
+    subset order.
+    """
+    return Chirotope(n, r, lex_signs(parse_signs(text, r, n), r, n, base_order))
 
 
 def from_points(coords: list[list[int]]) -> Chirotope:

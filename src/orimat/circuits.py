@@ -9,29 +9,52 @@ supports are exactly the (r+1)-subsets of [n].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .chirotope import Chirotope
 from .errors import DomainError, EmptyCircuitSetError
 from .signvec import SignVector, orthogonality_degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitSet:
-    """Normalized circuits of a uniform matroid (one per antipodal pair)."""
+    """Normalized circuits of a uniform matroid (one per antipodal pair), as
+    read-only uint64 ``plus``/``minus`` mask arrays, one entry per support in
+    lex order."""
 
     n: int
     r: int
-    members: tuple[SignVector, ...]
+    plus: np.ndarray
+    minus: np.ndarray
 
     def __post_init__(self):
-        if len(self.members) != (comb(self.n, self.r + 1) if self.n > self.r else 0):
+        if len(self.plus) != (comb(self.n, self.r + 1) if self.n > self.r else 0):
             raise DomainError("wrong number of circuits for a uniform matroid")
+        if len(self.minus) != len(self.plus):
+            raise DomainError("plus and minus mask arrays differ in length")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CircuitSet)
+            and (self.n, self.r) == (other.n, other.r)
+            and np.array_equal(self.plus, other.plus)
+            and np.array_equal(self.minus, other.minus)
+        )
+
+    @cached_property
+    def members(self) -> tuple[SignVector, ...]:
+        return tuple(
+            SignVector(self.n, p, m)
+            for p, m in zip(self.plus.tolist(), self.minus.tolist())
+        )
 
     @property
     def empty(self) -> bool:
-        return not self.members
+        return not len(self.plus)
 
     def require_nonempty(self):
         if self.empty:
@@ -44,28 +67,44 @@ class CircuitSet:
         return self.members + tuple(-x for x in self.members)
 
 
-def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
-    """Derive the circuit signs on every (r+1)-subset via the chirotope
-    recurrence chi(B) = -X_{b_i} * X_{b_{i+1}} * chi(B'), seeding X_{b_1} = +.
+@lru_cache(maxsize=32)
+def _facet_table(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For each (r+1)-support of [n] in lex order: the lex ranks of its r+1
+    facets (the support minus its i-th element), the bit of each element and
+    the support mask; plus the alternating signs (-1)^i of the positions."""
+    rank = {s: i for i, s in enumerate(combinations(range(n), r))}
+    supports = list(combinations(range(n), r + 1))
+    facets = np.array(
+        [[rank[s[:i] + s[i + 1 :]] for i in range(r + 1)] for s in supports],
+        dtype=np.intp,
+    )
+    bits = np.array([[1 << e for e in s] for s in supports], dtype=np.uint64)
+    alternating = np.array([(-1) ** i for i in range(r + 1)], dtype=np.int8)
+    table = facets, bits, bits.sum(axis=1, dtype=np.uint64), alternating
+    for array in table:
+        array.flags.writeable = False
+    return table
 
-    Removing one element from a sorted tuple keeps it sorted, so only stored
-    signs are consumed (no permutation bookkeeping).
+
+def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
+    """Derive the circuit signs on every (r+1)-subset B = b_1 < ... < b_{r+1}
+    from the chirotope recurrence X_{b_{i+1}} = -X_{b_i} * chi(B - b_i) *
+    chi(B - b_{i+1}), seeding X_{b_1} = +.
+
+    The recurrence telescopes to X_{b_i} = (-1)^(i-1) * chi(B - b_1) *
+    chi(B - b_i).  Removing one element from a sorted tuple keeps it sorted,
+    so only stored signs are consumed: one gather through the cached facet
+    table gives every circuit at once.
     """
-    members = []
-    for support in combinations(range(1, chi.n + 1), chi.r + 1):
-        signs = [1]
-        for i in range(chi.r):
-            b = chi.sign_of_sorted(support[:i] + support[i + 1 :])
-            b_next = chi.sign_of_sorted(support[: i + 1] + support[i + 2 :])
-            signs.append(-signs[-1] * b * b_next)
-        plus = minus = 0
-        for e, s in zip(support, signs):
-            if s > 0:
-                plus |= 1 << (e - 1)
-            else:
-                minus |= 1 << (e - 1)
-        members.append(SignVector(chi.n, plus, minus))
-    return CircuitSet(chi.n, chi.r, tuple(members))
+    if chi.n == chi.r:
+        none = np.zeros(0, dtype=np.uint64)
+        return CircuitSet(chi.n, chi.r, none, none)
+    facets, bits, support, alternating = _facet_table(chi.r, chi.n)
+    h = np.array(chi.signs, dtype=np.int8)[facets] * alternating
+    minus = np.where(h != h[:, :1], bits, 0).sum(axis=1, dtype=np.uint64)
+    plus = support - minus
+    plus.flags.writeable = minus.flags.writeable = False
+    return CircuitSet(chi.n, chi.r, plus, minus)
 
 
 def cocircuits(chi: Chirotope) -> CircuitSet:

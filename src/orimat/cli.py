@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 = success / verdict holds, 1 = counterexample found,
-2 = usage or format error.
+2 = usage error, bad input, unreadable file or refused size.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import harness
 from .chirotope import alternating_chirotope, parse_chirotope
@@ -40,14 +41,16 @@ def _add_common(p: argparse.ArgumentParser, db: bool = False):
 def _read_chirotope(args):
     if args.file is None:
         return alternating_chirotope(args.rank, args.elements)
-    text = (
-        sys.stdin.read() if args.file == "-" else open(args.file).read()
-    ).strip().split()[0]
-    return parse_chirotope(text, args.rank, args.elements, base_order=args.base_order)
+    with _open(args.file) as fh:
+        words = fh.read().split()
+    if not words:
+        raise FormatError(f"no chirotope in {args.file}")
+    return parse_chirotope(words[0], args.rank, args.elements, base_order=args.base_order)
 
 
-def _db_lines(args):
-    return sys.stdin if args.file == "-" else open(args.file)
+def _open(path: str):
+    """The named text file, or stdin (left open on exit) for '-'."""
+    return nullcontext(sys.stdin) if path == "-" else open(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ovector", help="o-vector and m-values as JSON")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tope-graph", metavar="PATH", help="also write the tope graph edge list")
 
     p = sub.add_parser("mvalue", help="number of k-neighborly reorientations")
@@ -98,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p, db=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--checkpoint", metavar="PATH")
 
@@ -129,7 +130,7 @@ def _cmd_circuits(args) -> int:
 
 def _cmd_ovector(args) -> int:
     cs = circuits_from_chirotope(_read_chirotope(args))
-    ov = o_vector(cs, workers=args.threads)
+    ov = o_vector(cs)
     print(
         json.dumps(
             {"r": ov.r, "n": ov.n, "ovector": list(ov.entries), "m": list(ov.m_values())}
@@ -155,7 +156,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_minor(args) -> int:
     chi = _read_chirotope(args)
-    chi = chi.delete(args.delete) if args.delete else chi.contract(args.contract)
+    chi = chi.delete(args.delete) if args.delete is not None else chi.contract(args.contract)
     print(chi.serialize())
     return 0
 
@@ -206,14 +207,13 @@ def _cmd_reports(args) -> int:
             )
             for d in prior
         ]
-    records = list(
-        harness.parse_database(_db_lines(args), args.rank, args.elements)
-    )
+    with _open(args.file) as fh:
+        records = list(harness.parse_database(fh, args.rank, args.elements))
+    if not records:
+        raise DomainError(f"empty database: no chirotope lines in {args.file}")
     table = CValueTable()
     new_rows = []
-    for row in harness.compute_rows(
-        (rec for rec in records), args.base_order, table, args.threads, skip_ids_upto=skip
-    ):
+    for row in harness.compute_rows(records, args.base_order, table, skip_ids_upto=skip):
         new_rows.append(row)
         if args.checkpoint:
             harness.append_checkpoint(args.checkpoint, row)
@@ -277,11 +277,13 @@ def _cmd_audit(args) -> int:
 def _cmd_reduce(args) -> int:
     db_map = {}
     for db_arg in args.db:
-        rank_s, n_s, path = db_arg.split(":", 2)
-        r_prime, n_prime = int(rank_s), int(n_s)
-        db_map[(r_prime, n_prime)] = list(
-            harness.parse_database(open(path), r_prime, n_prime)
-        )
+        try:
+            rank_s, n_s, path = db_arg.split(":", 2)
+            r_prime, n_prime = int(rank_s), int(n_s)
+        except ValueError:
+            raise FormatError(f"--db expects RANK:N:PATH, got {db_arg!r}") from None
+        with open(path) as fh:
+            db_map[(r_prime, n_prime)] = list(harness.parse_database(fh, r_prime, n_prime))
     verdict = harness.finite_reduction_check(
         args.rank, args.k, db_map, base_order=args.base_order
     )
@@ -318,10 +320,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrimatError as exc:
+    except (OrimatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

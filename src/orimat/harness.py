@@ -10,27 +10,33 @@ JSON-lines; an optional checkpoint file makes interrupted runs resumable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .chirotope import Chirotope, parse_chirotope
+from .chirotope import Chirotope, lex_signs, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import CValueTable, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
 from .neighborly import o_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatabaseRecord:
+    """One validated database line; ``signs`` holds its parsed signs in text
+    order (``parse_signs``), so the record is never parsed again."""
+
     id: int
     r: int
     n: int
-    text: str
+    signs: bytes
+
+    @property
+    def text(self) -> str:
+        return "".join("+" if s == 1 else "-" for s in self.signs)
 
     def chirotope(self, base_order: str = "lex") -> Chirotope:
-        return parse_chirotope(self.text, self.r, self.n, base_order=base_order)
+        return Chirotope(self.n, self.r, lex_signs(self.signs, self.r, self.n, base_order))
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,18 @@ def parse_database(lines: Iterable[str], r: int, n: int) -> Iterator[DatabaseRec
         if not line or line.startswith("#"):
             continue
         try:
-            parse_chirotope(line, r, n)
+            signs = parse_signs(line, r, n)
         except NonUniformError as exc:
             raise NonUniformError(f"line {lineno}: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        yield DatabaseRecord(lineno, r, n, line)
+        yield DatabaseRecord(lineno, r, n, signs)
 
 
 def _compute_row(
     record: DatabaseRecord, base_order: str, table: CValueTable
 ) -> ReportRow:
-    chi = record.chirotope(base_order)
-    cs = circuits_from_chirotope(chi)
-    ov = o_vector(cs)
+    ov = o_vector(circuits_from_chirotope(record.chirotope(base_order)))
     # cheap corruption check before trusting the expensive pass
     expected = tope_count_uniform(record.r, record.n)
     if ov.tope_count != expected:
@@ -91,19 +95,13 @@ def compute_rows(
     records: Iterable[DatabaseRecord],
     base_order: str = "lex",
     table: CValueTable | None = None,
-    threads: int = 1,
     skip_ids_upto: int = 0,
 ) -> Iterator[ReportRow]:
-    """Per-record rows in id order; record order and thread count do not
-    change any row."""
+    """Per-record rows in record order; record order does not change any row."""
     table = table if table is not None else CValueTable()
-    todo = (rec for rec in records if rec.id > skip_ids_upto)
-    if threads <= 1:
-        for rec in todo:
+    for rec in records:
+        if rec.id > skip_ids_upto:
             yield _compute_row(rec, base_order, table)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(lambda rec: _compute_row(rec, base_order, table), todo)
 
 
 @dataclass
@@ -143,11 +141,10 @@ def roudneff_report(
     k: int,
     base_order: str = "lex",
     table: CValueTable | None = None,
-    threads: int = 1,
 ) -> RoudneffAggregate:
     """Max m(M,k) over the database against the bound c_r(n,k)."""
     table = table if table is not None else CValueTable()
-    rows, (r, n) = _collect(records, base_order, table, threads)
+    rows, (r, n) = _collect(records, base_order, table)
     c_bound = table.c_value(r, n, k)
     _check_k(r, k)
     max_m = max((row.m[k] for row in rows), default=0)
@@ -161,11 +158,10 @@ def mcmullen_report(
     k: int,
     base_order: str = "lex",
     table: CValueTable | None = None,
-    threads: int = 1,
 ) -> McMullenAggregate:
     """Min m(M,k) over the database; zero-m records bound nu(r,k) from above."""
     table = table if table is not None else CValueTable()
-    rows, (r, n) = _collect(records, base_order, table, threads)
+    rows, (r, n) = _collect(records, base_order, table)
     _check_k(r, k)
     min_m = min((row.m[k] for row in rows), default=0)
     zero_ids = tuple(row.id for row in rows if row.m[k] == 0)
@@ -177,14 +173,14 @@ def _check_k(r: int, k: int):
         raise DomainError(f"k={k} outside [0, {(r - 1) // 2}]")
 
 
-def _collect(records, base_order, table, threads):
+def _collect(records, base_order, table):
     records = list(records)
     shapes = {(rec.r, rec.n) for rec in records}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     if not records:
         raise DomainError("empty database")
-    rows = list(compute_rows(records, base_order, table, threads))
+    rows = list(compute_rows(records, base_order, table))
     return rows, shapes.pop()
 
 

@@ -2,9 +2,9 @@
 criterion, and tope-graph export.
 
 The o-vector pass iterates the 2^(n-1) sign vectors with element 1 fixed to +
-(antipodal symmetry is exact, so every count is doubled) and is vectorized
-over candidate topes with numpy bit operations: for each circuit, separation
-and agreement masks are combined with AND/OR and counted with bitwise_count.
+(antipodal symmetry is exact, so every count is doubled).  ``_ort_array`` is
+the one vectorized kernel: it broadcasts circuit masks against candidate
+topes tile by tile and counts separations with bitwise_count.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .errors import DimensionError, DomainError
 from .signvec import SignVector, orthogonality_degree
 
 TOPE_GRAPH_MAX_N = 16
+# Kernel limits: entries per circuits x candidates tile, and the largest
+# enumeration accepted (checked before anything is allocated).
+BLOCK_ELEMENTS = 1 << 13
+PAIR_BUDGET = 1 << 32
+CANDIDATE_BUDGET = 1 << 27
 
 
 def ort(cs: CircuitSet, t: SignVector) -> int:
@@ -52,27 +57,40 @@ def is_tope(cs: CircuitSet, t: SignVector) -> bool:
     return True
 
 
-def _ort_array(cs: CircuitSet, workers: int = 1) -> np.ndarray:
-    """ort value for every sign vector with element 1 fixed to +, indexed by
-    the minus-mask over elements 2..n (shifted down by one bit)."""
+def _ort_array(cs: CircuitSet) -> np.ndarray:
+    """ort value (uint8) for every sign vector with element 1 fixed to +,
+    indexed by the minus-mask over elements 2..n (shifted down by one bit).
+
+    For a full sign vector T with minus-mask M, the separation of a circuit
+    X is |supp(X) & (X^- xor M)| and its agreement is |supp(X)| minus that.
+    Both are evaluated on tiles of circuits x candidates holding about
+    BLOCK_ELEMENTS entries, folded into a running minimum per candidate.
+    """
     n = cs.n
     total = 1 << (n - 1)
-    full = np.uint64((1 << n) - 1)
-    circuit_masks = [(np.uint64(x.plus), np.uint64(x.minus)) for x in cs.members]
-
-    def run_chunk(start: int, stop: int) -> np.ndarray:
-        minus = np.arange(start, stop, dtype=np.uint64) << np.uint64(1)
-        plus = full & ~minus
-        best = np.full(stop - start, n + 1, dtype=np.int64)
-        for xp, xm in circuit_masks:
-            sep = np.bitwise_count((xp & minus) | (xm & plus)).astype(np.int64)
-            agr = np.bitwise_count((xp & plus) | (xm & minus)).astype(np.int64)
-            np.minimum(best, np.minimum(sep, agr), out=best)
-        return best
-
-    chunk = max(1 << 16, total // max(workers, 1))
-    parts = [run_chunk(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    return np.concatenate(parts)
+    count = len(cs.plus)
+    if total > CANDIDATE_BUDGET or count * total > PAIR_BUDGET:
+        raise DomainError(
+            f"{count} circuits x 2^{n - 1} candidates exceeds the enumeration "
+            f"budget of {PAIR_BUDGET} pairs and {CANDIDATE_BUDGET} candidates"
+        )
+    support = (cs.plus | cs.minus)[:, None]
+    xminus = cs.minus[:, None]
+    size = np.bitwise_count(support)
+    cols = min(total, BLOCK_ELEMENTS)
+    rows = max(1, BLOCK_ELEMENTS // cols)
+    best = np.empty(total, dtype=np.uint8)
+    for start in range(0, total, cols):
+        minus = np.arange(start, min(start + cols, total), dtype=np.uint64) << np.uint64(1)
+        run = None
+        for lo in range(0, count, rows):
+            tile = slice(lo, lo + rows)
+            sep = np.bitwise_count(support[tile] & (xminus[tile] ^ minus))
+            np.minimum(sep, size[tile] - sep, out=sep)
+            low = sep.min(axis=0)
+            run = low if run is None else np.minimum(run, low, out=run)
+        best[start : start + len(minus)] = run
+    return best
 
 
 @dataclass(frozen=True)
@@ -101,12 +119,11 @@ class OVector:
         return tuple(self.m(k) for k in range(len(self.entries)))
 
 
-def o_vector(cs: CircuitSet, workers: int = 1) -> OVector:
+def o_vector(cs: CircuitSet) -> OVector:
     """Count topes by exact ort over the halved enumeration space; entries are
-    doubled for the antipodal half.  Deterministic for any worker split."""
+    doubled for the antipodal half."""
     cs.require_nonempty()
-    orts = _ort_array(cs, workers=workers)
-    counts = np.bincount(orts[orts > 0], minlength=cs.n + 2)
+    counts = np.bincount(_ort_array(cs), minlength=cs.n + 2)
     kmax = (cs.r - 1) // 2
     entries = [2 * int(counts[k + 1]) for k in range(kmax + 1)]
     # ort is capped at floor((r+1)/2) = kmax + 1, so nothing overflows the

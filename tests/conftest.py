@@ -30,6 +30,35 @@ def o_vector_oracle(cs):
     return tuple(entries)
 
 
+def circuit_masks_oracle(chi):
+    """(plus, minus) mask pairs of the normalized circuits, one support at a
+    time through per-subset lex ranks: the reference for the table-driven
+    derivation."""
+    masks = []
+    for support in itertools.combinations(range(1, chi.n + 1), chi.r + 1):
+        signs = [1]
+        for i in range(chi.r):
+            b = chi.sign_of_sorted(support[:i] + support[i + 1 :])
+            b_next = chi.sign_of_sorted(support[: i + 1] + support[i + 2 :])
+            signs.append(-signs[-1] * b * b_next)
+        plus = minus = 0
+        for e, s in zip(support, signs):
+            if s > 0:
+                plus |= 1 << (e - 1)
+            else:
+                minus |= 1 << (e - 1)
+        masks.append((plus, minus))
+    return masks
+
+
+def serialize_colex(chi):
+    """Chirotope text with r-subsets in colexicographic order."""
+    subsets = sorted(
+        itertools.combinations(range(1, chi.n + 1), chi.r), key=lambda s: s[::-1]
+    )
+    return "".join("+" if chi.sign_of_sorted(s) > 0 else "-" for s in subsets)
+
+
 @pytest.fixture(scope="session")
 def circuit_cache():
     from orimat.cyclic import alternating_circuits

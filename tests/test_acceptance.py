@@ -278,18 +278,18 @@ def test_criterion_12_database_counts():
         recs = _db_records(r, n)
         if recs is None:
             skip_line(12, f"database r{r}_n{n}.txt not present in ORIMAT_DB_DIR")
-        agg = roudneff_report(recs, k, threads=4)
+        agg = roudneff_report(recs, k)
         ok = ok and agg.holds and agg.attaining == expected
     for r, n, baseline, expected in [(6, 9, None, 91), (7, 10, None, 312336)]:
         recs = _db_records(r, n)
         if recs is None:
             skip_line(12, f"database r{r}_n{n}.txt not present in ORIMAT_DB_DIR")
         cutoff = o_vector_brute(r, n).entries[1]
-        agg = roudneff_report(recs, 1, threads=4)
+        agg = roudneff_report(recs, 1)
         exceeding = sum(1 for row in agg.rows if row.ovector[1] > cutoff)
         ok = ok and exceeding == expected
     recs = _db_records(7, 10)
-    agg = mcmullen_report(recs, 2, threads=4)
+    agg = mcmullen_report(recs, 2)
     ok = ok and agg.holds
     report(12, ok, "database-scale attainment and exceedance counts match the published values")
 
@@ -313,5 +313,5 @@ def test_criterion_13_nu_values():
         recs = _db_records(r, n)
         if recs is None:
             continue
-        agg = mcmullen_report(recs, k, threads=4)
+        agg = mcmullen_report(recs, k)
         assert not agg.holds, f"expected a zero-m witness at (r={r}, n={n}, k={k})"

@@ -13,11 +13,26 @@ from orimat import (
     cocircuits,
     is_face,
     ort,
+    parse_chirotope,
     random_realizable,
 )
 
+from conftest import circuit_masks_oracle, serialize_colex
+
 
 class TestCircuitsFromChirotope:
+    @pytest.mark.parametrize("r,n", [(3, 6), (4, 8), (5, 9), (6, 12)])
+    @pytest.mark.parametrize("order", ["lex", "colex"])
+    def test_table_matches_per_subset_oracle(self, r, n, order):
+        for seed in range(3):
+            chi = random_realizable(r, n, seed=seed)
+            text = chi.serialize() if order == "lex" else serialize_colex(chi)
+            parsed = parse_chirotope(text, r, n, base_order=order)
+            assert parsed == chi
+            cs = circuits_from_chirotope(parsed)
+            assert list(zip(cs.plus.tolist(), cs.minus.tolist())) == circuit_masks_oracle(chi)
+            assert [(x.plus, x.minus) for x in cs.members] == circuit_masks_oracle(chi)
+
     def test_alternating_single_circuit(self):
         cs = circuits_from_chirotope(alternating_chirotope(3, 4))
         assert [str(x) for x in cs.members] == ["+-+-"]

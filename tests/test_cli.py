@@ -32,6 +32,19 @@ class TestCircuits:
         assert code == 2
         assert "error" in err
 
+    def test_empty_file(self, capsys, tmp_path):
+        path = tmp_path / "chi.txt"
+        path.write_text("\n")
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_missing_file(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.txt")
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", absent)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestOVector:
     def test_json_shape(self, capsys):
@@ -40,10 +53,15 @@ class TestOVector:
         payload = json.loads(out)
         assert payload == {"r": 3, "n": 5, "ovector": [20, 2], "m": [22, 2]}
 
-    def test_threads_equivalent(self, capsys):
-        _, out1, _ = run(capsys, "ovector", "-r", "4", "-n", "7")
-        _, out4, _ = run(capsys, "ovector", "-r", "4", "-n", "7", "--threads", "4")
-        assert out1 == out4
+    def test_threads_flag_rejected(self, capsys):
+        code, _, _ = run(capsys, "ovector", "-r", "4", "-n", "7", "--threads", "4")
+        assert code == 2
+
+    def test_infeasible_size_refused(self, capsys):
+        # 91390 circuits x 2^39 candidates: refused before the kernel allocates
+        code, out, err = run(capsys, "ovector", "-r", "3", "-n", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err
 
     def test_tope_graph_export(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
@@ -79,6 +97,11 @@ class TestMinorsAndReorient:
         code, out, _ = run(capsys, "minor", "-r", "3", "-n", "5", "--contract", "1")
         assert code == 0
         assert out.strip() == alternating_chirotope(2, 4).serialize()
+
+    def test_minor_delete_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "minor", "-r", "3", "-n", "5", "--delete", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_minor_requires_choice(self, capsys):
         code, _, _ = run(capsys, "minor", "-r", "3", "-n", "5")
@@ -226,6 +249,25 @@ class TestReports:
             capsys, "roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(path)
         )
         assert code == 2 and "line 2" in err
+
+    @pytest.mark.parametrize("text", ["", "# comment only\n\n"])
+    def test_empty_database(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_missing_database_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "roudneff", "-r", "3", "-n", "6", "--k", "1",
+            "--file", str(tmp_path / "absent.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestAuditAndReduce:

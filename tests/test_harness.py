@@ -13,6 +13,7 @@ from orimat import (
     compute_rows,
     deletion_contraction_audit,
     finite_reduction_check,
+    harness,
     load_checkpoint,
     m_value,
     mcmullen_report,
@@ -21,6 +22,8 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
+
+from conftest import serialize_colex
 
 
 def db_lines(r, n, seeds, with_alternating=True):
@@ -65,11 +68,26 @@ class TestComputeRows:
         with pytest.raises(FormatError, match="tope count"):
             list(compute_rows(recs))
 
-    def test_thread_determinism(self):
+    def test_record_order_independent(self):
         recs = list(parse_database(db_lines(3, 6, range(5)), 3, 6))
-        serial = list(compute_rows(recs, threads=1))
-        parallel = list(compute_rows(recs, threads=3))
-        assert serial == parallel
+        forward = list(compute_rows(recs))
+        backward = list(compute_rows(reversed(recs)))
+        assert backward == forward[::-1]
+
+    def test_colex_database_rows(self):
+        chis = [random_realizable(4, 7, seed=s) for s in range(4)]
+        lex = parse_database([chi.serialize() for chi in chis], 4, 7)
+        colex = parse_database([serialize_colex(chi) for chi in chis], 4, 7)
+        assert list(compute_rows(colex, base_order="colex")) == list(compute_rows(lex))
+
+    def test_records_parsed_once(self, monkeypatch):
+        recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
+
+        def parse_again(*args):
+            raise AssertionError("record parsed a second time")
+
+        monkeypatch.setattr(harness, "parse_signs", parse_again)
+        assert [row.id for row in compute_rows(recs)] == [rec.id for rec in recs]
 
     def test_skip_ids(self):
         recs = list(parse_database(db_lines(3, 5, [0, 1]), 3, 5))

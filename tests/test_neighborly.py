@@ -13,6 +13,7 @@ from orimat import (
     enumerate_topes,
     is_tope,
     m_value,
+    neighborly,
     o_vector,
     ort,
     random_realizable,
@@ -95,9 +96,26 @@ class TestOVector:
         cs = alt(r, n)
         assert o_vector(cs).entries == o_vector_oracle(cs)
 
-    def test_worker_split_deterministic(self):
-        cs = alt(5, 9)
-        assert o_vector(cs, workers=1) == o_vector(cs, workers=4)
+    def test_block_split_deterministic(self, monkeypatch):
+        cs = circuits_from_chirotope(random_realizable(5, 9, seed=3))
+        expected = o_vector(cs)
+        for block in (1, 7, 64, 1 << 20):
+            monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
+            assert o_vector(cs) == expected, block
+
+    @pytest.mark.parametrize(
+        "r,n,seed", [(3, 6, 0), (3, 7, 1), (4, 7, 2), (4, 8, 3), (5, 8, 4), (6, 9, 5)]
+    )
+    def test_random_matches_oracle(self, monkeypatch, r, n, seed):
+        cs = circuits_from_chirotope(random_realizable(r, n, seed=seed))
+        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", 32)  # several tiles
+        assert o_vector(cs).entries == o_vector_oracle(cs)
+
+    def test_infeasible_size_refused(self):
+        # one circuit, but 2^39 candidates: refused before anything is allocated
+        cs = alt(39, 40)
+        with pytest.raises(DomainError, match="budget"):
+            o_vector(cs)
 
     def test_entries_even_and_monotone_m(self):
         ov = o_vector(alt(5, 8))
