@@ -75,5 +75,71 @@ from .signvec import (
     orthogonality_degree,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # chirotope
+    "Chirotope",
+    "alternating_chirotope",
+    "from_points",
+    "parse_chirotope",
+    "random_realizable",
+    # circuits
+    "AxiomReport",
+    "CircuitSet",
+    "check_circuit_axioms",
+    "circuits_from_chirotope",
+    "cocircuits",
+    "is_face",
+    # constructions
+    "ReorientationWitness",
+    "composite_construction",
+    "disjoint_cocircuit_construction",
+    "search_k_neighborly",
+    # cyclic
+    "CValueTable",
+    "big_O",
+    "c_value",
+    "is_cyclic_tope",
+    "o_vector_closed",
+    "o_vector_small",
+    "ort_cyclic",
+    "tope_count_uniform",
+    # harness
+    "AuditTriple",
+    "DatabaseRecord",
+    "McMullenAggregate",
+    "ReductionVerdict",
+    "ReportRow",
+    "RoudneffAggregate",
+    "append_checkpoint",
+    "compute_rows",
+    "deletion_contraction_audit",
+    "finite_reduction_check",
+    "load_checkpoint",
+    "mcmullen_report",
+    "parse_database",
+    "roudneff_report",
+    # errors
+    "DimensionError",
+    "DomainError",
+    "EmptyCircuitSetError",
+    "FormatError",
+    "NonUniformError",
+    "OrimatError",
+    # neighborly
+    "OVector",
+    "ball_k_neighborly",
+    "enumerate_topes",
+    "is_tope",
+    "m_value",
+    "o_vector",
+    "ort",
+    "tope_count",
+    "tope_graph_edges",
+    # signvec
+    "BlockProfile",
+    "OrthogonalityDegree",
+    "SignVector",
+    "block_profile",
+    "orthogonality_degree",
+]
 __version__ = "0.1.0"

@@ -99,52 +99,62 @@ class Chirotope:
 
     # -- structural operations -----------------------------------------
 
+    def _gather(self, n: int, r: int, index, factor) -> "Chirotope":
+        """Minor or relabeling whose i-th sign is signs[index[i]] * factor[i]."""
+        signs = np.array(self.signs, dtype=np.int8)[index] * factor
+        return Chirotope(n, r, tuple(signs.tolist()))
+
     def reorient(self, r_set) -> "Chirotope":
         """Multiply each basis sign by (-1)^{|basis ∩ R|}."""
-        mask = _mask_from_elements(r_set, self.n)
-        signs = []
-        for subset in combinations(range(1, self.n + 1), self.r):
-            flips = sum(1 for e in subset if mask >> (e - 1) & 1)
-            signs.append(self.sign_of_sorted(subset) * (-1 if flips % 2 else 1))
-        return Chirotope(self.n, self.r, tuple(signs))
+        mask = np.uint64(_mask_from_elements(r_set, self.n))
+        masks = _subset_masks(self.r, self.n)
+        return self._gather(self.n, self.r, slice(None), _parity_sign(masks & mask))
 
     def dual(self) -> "Chirotope":
-        """Rank n-r chirotope with chi*(S) = chi(comp(S)) * sign(S, comp(S))."""
+        """Rank n-r chirotope with chi*(S) = chi(comp(S)) * sign(S, comp(S)).
+
+        Complementation reverses lex order, so comp(S) of the i-th
+        (n-r)-subset is the i-th r-subset from the end.  sign(S, comp(S)) is
+        (-1)^(sum over a in S of (a-1), minus C(|S|, 2)), and the sum is
+        odd iff S holds an odd number of even elements.
+        """
         if self.r == self.n:
             raise DomainError("dual of a rank-n chirotope on n elements is degenerate")
-        ground = set(range(1, self.n + 1))
-        signs = []
-        for subset in combinations(range(1, self.n + 1), self.n - self.r):
-            complement = tuple(sorted(ground - set(subset)))
-            # parity of (subset..., complement...) relative to identity
-            inversions = sum(1 for a in subset for b in complement if a > b)
-            parity = -1 if inversions % 2 else 1
-            signs.append(self.sign_of_sorted(complement) * parity)
-        return Chirotope(self.n, self.n - self.r, tuple(signs))
+        m = self.n - self.r
+        even = np.uint64(_EVEN_ELEMENTS & ((1 << self.n) - 1))
+        factor = _parity_sign(_subset_masks(m, self.n) & even) * (-1) ** (m * (m - 1) // 2)
+        return self._gather(self.n, m, slice(None, None, -1), factor)
 
     def delete(self, e: int) -> "Chirotope":
-        """Restrict to [n] \\ e; elements above e renumbered down by one."""
+        """Restrict to [n] \\ e; elements above e renumbered down by one.
+
+        The r-subsets avoiding e, in lex order, are the r-subsets of the
+        renumbered ground set in lex order.
+        """
         if not 1 <= e <= self.n:
             raise DomainError(f"element {e} outside ground set [1..{self.n}]")
         if self.n - 1 < self.r:
             raise DomainError("deletion would collapse the rank")
-        signs = []
-        for subset in combinations(range(1, self.n), self.r):
-            old = tuple(x if x < e else x + 1 for x in subset)
-            signs.append(self.sign_of_sorted(old))
-        return Chirotope(self.n - 1, self.r, tuple(signs))
+        bit = np.uint64(1 << (e - 1))
+        avoid = np.flatnonzero((_subset_masks(self.r, self.n) & bit) == 0)
+        return self._gather(self.n - 1, self.r, avoid, 1)
 
     def contract(self, e: int) -> "Chirotope":
-        """Contract e: new sign of S is chi(e, S) on original labels."""
+        """Contract e: new sign of S is chi(e, S) on original labels.
+
+        The r-subsets holding e, in lex order, are e joined to the
+        (r-1)-subsets of the renumbered ground set in lex order; moving e to
+        the front of one passes the elements below e.
+        """
         if not 1 <= e <= self.n:
             raise DomainError(f"element {e} outside ground set [1..{self.n}]")
         if self.r < 2:
             raise DomainError("contraction would collapse the rank")
-        signs = []
-        for subset in combinations(range(1, self.n), self.r - 1):
-            old = tuple(x if x < e else x + 1 for x in subset)
-            signs.append(self.eval_basis((e,) + old))
-        return Chirotope(self.n - 1, self.r - 1, tuple(signs))
+        bit = np.uint64(1 << (e - 1))
+        masks = _subset_masks(self.r, self.n)
+        hold = np.flatnonzero(masks & bit)
+        below = masks[hold] & (bit - np.uint64(1))
+        return self._gather(self.n - 1, self.r - 1, hold, _parity_sign(below))
 
     def contract_set(self, elements) -> tuple["Chirotope", tuple[int, ...]]:
         """Contract several elements; returns the minor and the surviving
@@ -168,6 +178,25 @@ def alternating_chirotope(r: int, n: int) -> Chirotope:
     if not 1 <= r <= n:
         raise DomainError(f"invalid rank/size ({r}, {n})")
     return Chirotope(n, r, (1,) * comb(n, r))
+
+
+# bit i set for i odd: the masks of the even elements 2, 4, ...
+_EVEN_ELEMENTS = int("10" * (MAX_GROUND_SET // 2), 2)
+
+
+@lru_cache(maxsize=32)
+def _subset_masks(r: int, n: int) -> np.ndarray:
+    """Bit mask of each sorted r-subset of [n], in lex order."""
+    masks = np.array(
+        [sum(1 << e for e in s) for s in combinations(range(n), r)], dtype=np.uint64
+    )
+    masks.flags.writeable = False
+    return masks
+
+
+def _parity_sign(masks: np.ndarray) -> np.ndarray:
+    """+1 (int8) where a mask has an even number of bits, -1 where odd."""
+    return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int8)
 
 
 # bytes.translate table: '+' -> 1 and '-' -> -1 as int8

@@ -197,23 +197,21 @@ def _cmd_cvalue(args) -> int:
 
 
 def _cmd_reports(args) -> int:
-    skip = 0
-    prior_rows = []
-    if args.checkpoint:
-        skip, prior = harness.load_checkpoint(args.checkpoint)
-        prior_rows = [
-            harness.ReportRow(
-                d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
-            )
-            for d in prior
-        ]
+    prior_rows = harness.load_checkpoint(args.checkpoint) if args.checkpoint else []
     with _open(args.file) as fh:
         records = list(harness.parse_database(fh, args.rank, args.elements))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
+    done = {row.id for row in prior_rows}
+    unknown = done.difference(rec.id for rec in records)
+    if unknown:
+        raise FormatError(
+            f"checkpoint {args.checkpoint} holds ids {sorted(unknown)} "
+            f"that are not records of {args.file}"
+        )
     table = CValueTable()
     new_rows = []
-    for row in harness.compute_rows(records, args.base_order, table, skip_ids_upto=skip):
+    for row in harness.compute_rows(records, args.base_order, table, done_ids=done):
         new_rows.append(row)
         if args.checkpoint:
             harness.append_checkpoint(args.checkpoint, row)

@@ -1,7 +1,7 @@
 """Procedures producing k-neighborly reorientations: exhaustive search, the
 disjoint-cocircuit construction, and the composite (partition + contraction)
-construction.  Every witness is re-verified by the brute-force ort, never by
-trusting the construction.
+construction.  Every witness is re-verified by the exact ort kernel, itself
+tested against the scalar oracle, never by trusting the construction.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .chirotope import Chirotope
 from .circuits import circuits_from_chirotope, cocircuits
 from .errors import DomainError
-from .neighborly import ort
-from .signvec import SignVector
+from .neighborly import first_index_at_least, ort
+from .signvec import SignVector, _elements_from_mask
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,10 @@ def search_k_neighborly(chi: Chirotope, k: int) -> ReorientationWitness | None:
     """First tope (in enumeration order, element 1 positive) with ort >= k+1,
     reported as R = T^-; None iff m(chi, k) = 0."""
     _check_k(chi, k)
-    cs = circuits_from_chirotope(chi)
-    full = (1 << chi.n) - 1
-    for t in range(1 << (chi.n - 1)):
-        minus = t << 1
-        tope = SignVector(chi.n, full & ~minus, minus)
-        if ort(cs, tope) >= k + 1:
-            return _verify(chi, tope.minus_elements, "search")
-    return None
+    index = first_index_at_least(circuits_from_chirotope(chi), k + 1)
+    if index is None:
+        return None
+    return _verify(chi, _elements_from_mask(index << 1), "search")
 
 
 def disjoint_cocircuit_construction(chi: Chirotope, k: int) -> ReorientationWitness:

@@ -10,9 +10,10 @@ JSON-lines; an optional checkpoint file makes interrupted runs resumable.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .chirotope import Chirotope, lex_signs, parse_signs
 from .circuits import circuits_from_chirotope
@@ -95,12 +96,13 @@ def compute_rows(
     records: Iterable[DatabaseRecord],
     base_order: str = "lex",
     table: CValueTable | None = None,
-    skip_ids_upto: int = 0,
+    done_ids: Collection[int] = (),
 ) -> Iterator[ReportRow]:
-    """Per-record rows in record order; record order does not change any row."""
+    """Per-record rows in record order, skipping the records whose id is in
+    ``done_ids``; record order does not change any row."""
     table = table if table is not None else CValueTable()
     for rec in records:
-        if rec.id > skip_ids_upto:
+        if rec.id not in done_ids:
             yield _compute_row(rec, base_order, table)
 
 
@@ -285,14 +287,40 @@ def finite_reduction_check(
 # -- checkpointing -----------------------------------------------------
 
 
-def load_checkpoint(path: str | Path) -> tuple[int, list[dict]]:
-    """Returns (last completed id, stored rows)."""
+def load_checkpoint(path: str | Path) -> list[ReportRow]:
+    """Stored rows of an interrupted run, in file order; none if the file
+    does not exist.
+
+    Each append writes one whole line, so a final line without its newline
+    was cut short: it is dropped, and cut from the file so the next append
+    starts a fresh line.  Its record is simply computed again.  Any other
+    line that is not a complete row, or repeats an id, raises
+    ``FormatError`` with its line number.
+    """
     p = Path(path)
     if not p.exists():
-        return 0, []
-    rows = [json.loads(line) for line in p.read_text().splitlines() if line.strip()]
-    last = max((row["id"] for row in rows), default=0)
-    return last, rows
+        return []
+    data = p.read_bytes()
+    *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
+    if tail:
+        os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
+    rows: list[ReportRow] = []
+    seen: set[int] = set()
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            row = ReportRow(
+                int(d["id"]), tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
+            )
+        except (ValueError, TypeError, KeyError) as exc:
+            raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
+        if row.id in seen:
+            raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
+        seen.add(row.id)
+        rows.append(row)
+    return rows
 
 
 def append_checkpoint(path: str | Path, row: ReportRow):

@@ -2,21 +2,22 @@
 criterion, and tope-graph export.
 
 The o-vector pass iterates the 2^(n-1) sign vectors with element 1 fixed to +
-(antipodal symmetry is exact, so every count is doubled).  ``_ort_array`` is
-the one vectorized kernel: it broadcasts circuit masks against candidate
-topes tile by tile and counts separations with bitwise_count.
+(antipodal symmetry is exact, so every count is doubled).  ``_ort_of`` is the
+one vectorized kernel: it broadcasts circuit masks against candidate topes
+tile by tile and counts separations with bitwise_count.  Every ort query, from
+one sign vector to the whole enumeration, goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .circuits import CircuitSet
 from .errors import DimensionError, DomainError
-from .signvec import SignVector, orthogonality_degree
+from .signvec import SignVector
 
 TOPE_GRAPH_MAX_N = 16
 # Kernel limits: entries per circuits x candidates tile, and the largest
@@ -36,54 +37,35 @@ def ort(cs: CircuitSet, t: SignVector) -> int:
         raise DimensionError(f"length mismatch: {t.n} != {cs.n}")
     if not t.is_full():
         raise DomainError("ort requires a full-support sign vector")
-    best = cs.n + 1
-    for x in cs.members:
-        deg = orthogonality_degree(x, t).degree
-        if deg < best:
-            best = deg
-            if best == 0:
-                break
-    return best
+    return int(_ort_of(cs, np.array([t.minus], dtype=np.uint64))[0])
 
 
 def is_tope(cs: CircuitSet, t: SignVector) -> bool:
-    """True iff t is orthogonal to every circuit (early exit on degree 0)."""
+    """True iff t is full and orthogonal to every circuit."""
     cs.require_nonempty()
-    if not t.is_full():
-        return False
-    for x in cs.members:
-        if orthogonality_degree(x, t).degree == 0:
-            return False
-    return True
+    return t.is_full() and ort(cs, t) > 0
 
 
-def _ort_array(cs: CircuitSet) -> np.ndarray:
-    """ort value (uint8) for every sign vector with element 1 fixed to +,
-    indexed by the minus-mask over elements 2..n (shifted down by one bit).
+def _ort_of(cs: CircuitSet, minus_masks: np.ndarray) -> np.ndarray:
+    """ort value (uint8) of each full sign vector, given by its uint64
+    minus-mask (any mask over the n elements, element 1 included).
 
     For a full sign vector T with minus-mask M, the separation of a circuit
     X is |supp(X) & (X^- xor M)| and its agreement is |supp(X)| minus that.
     Both are evaluated on tiles of circuits x candidates holding about
     BLOCK_ELEMENTS entries, folded into a running minimum per candidate.
     """
-    n = cs.n
-    total = 1 << (n - 1)
-    count = len(cs.plus)
-    if total > CANDIDATE_BUDGET or count * total > PAIR_BUDGET:
-        raise DomainError(
-            f"{count} circuits x 2^{n - 1} candidates exceeds the enumeration "
-            f"budget of {PAIR_BUDGET} pairs and {CANDIDATE_BUDGET} candidates"
-        )
     support = (cs.plus | cs.minus)[:, None]
     xminus = cs.minus[:, None]
     size = np.bitwise_count(support)
-    cols = min(total, BLOCK_ELEMENTS)
+    total = len(minus_masks)
+    cols = max(1, min(total, BLOCK_ELEMENTS))
     rows = max(1, BLOCK_ELEMENTS // cols)
     best = np.empty(total, dtype=np.uint8)
     for start in range(0, total, cols):
-        minus = np.arange(start, min(start + cols, total), dtype=np.uint64) << np.uint64(1)
+        minus = minus_masks[start : start + cols]
         run = None
-        for lo in range(0, count, rows):
+        for lo in range(0, len(cs.plus), rows):
             tile = slice(lo, lo + rows)
             sep = np.bitwise_count(support[tile] & (xminus[tile] ^ minus))
             np.minimum(sep, size[tile] - sep, out=sep)
@@ -91,6 +73,51 @@ def _ort_array(cs: CircuitSet) -> np.ndarray:
             run = low if run is None else np.minimum(run, low, out=run)
         best[start : start + len(minus)] = run
     return best
+
+
+def _check_budget(count: int, candidates: int):
+    """Refuse, before anything is allocated, an evaluation of ``count``
+    circuits against ``candidates`` sign vectors beyond the kernel limits."""
+    if candidates > CANDIDATE_BUDGET or count * candidates > PAIR_BUDGET:
+        raise DomainError(
+            f"{count} circuits x {candidates} sign vectors exceeds the enumeration "
+            f"budget of {PAIR_BUDGET} pairs and {CANDIDATE_BUDGET} candidates"
+        )
+
+
+def _candidates(start: int, stop: int) -> np.ndarray:
+    """Minus-masks of enumeration indices start..stop-1 (index i is the
+    minus-mask over elements 2..n, shifted down by one bit)."""
+    return np.arange(start, stop, dtype=np.uint64) << np.uint64(1)
+
+
+def _ort_array(cs: CircuitSet) -> np.ndarray:
+    """ort value (uint8) for every sign vector with element 1 fixed to +,
+    in enumeration order."""
+    total = 1 << (cs.n - 1)
+    _check_budget(len(cs.plus), total)
+    if total <= BLOCK_ELEMENTS:  # a single tile needs no staging buffer
+        return _ort_of(cs, _candidates(0, total))
+    best = np.empty(total, dtype=np.uint8)
+    for start in range(0, total, BLOCK_ELEMENTS):
+        stop = min(start + BLOCK_ELEMENTS, total)
+        best[start:stop] = _ort_of(cs, _candidates(start, stop))
+    return best
+
+
+def first_index_at_least(cs: CircuitSet, level: int) -> int | None:
+    """Enumeration index of the first sign vector with element 1 fixed to +
+    whose ort is at least ``level``; None if there is none.  Tiles are
+    evaluated in order and the walk stops at the first tile with a hit."""
+    cs.require_nonempty()
+    total = 1 << (cs.n - 1)
+    _check_budget(len(cs.plus), total)
+    for start in range(0, total, BLOCK_ELEMENTS):
+        stop = min(start + BLOCK_ELEMENTS, total)
+        hits = np.flatnonzero(_ort_of(cs, _candidates(start, stop)) >= level)
+        if hits.size:
+            return start + int(hits[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -166,14 +193,21 @@ def ball_k_neighborly(cs: CircuitSet, t: SignVector, k: int) -> bool:
     # k beyond floor((r-1)/2) is allowed and simply comes out False
     if not 0 <= k <= cs.n:
         raise DomainError(f"k={k} outside [0, {cs.n}]")
-    for d in range(1, k + 1):
-        for flip in combinations(range(cs.n), d):
-            mask = 0
-            for i in flip:
-                mask |= 1 << i
-            if not is_tope(cs, t.reorient_mask(mask)):
-                return False
-    return True
+    flips = sum(comb(cs.n, d) for d in range(1, k + 1))
+    _check_budget(len(cs.plus), flips)
+    return bool((_ort_of(cs, np.uint64(t.minus) ^ _flip_masks(cs.n, k)) > 0).all())
+
+
+def _flip_masks(n: int, k: int) -> np.ndarray:
+    """Every mask over n elements with 1..k bits set (uint64), built one
+    bit count at a time by adding a bit above the highest one."""
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    level = np.zeros(1, dtype=np.uint64)
+    levels = [np.zeros(0, dtype=np.uint64)]
+    for _ in range(k):
+        level = np.concatenate([level[level < bit] | bit for bit in bits])
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def tope_graph_edges(cs: CircuitSet) -> list[tuple[SignVector, SignVector]]:

@@ -51,6 +51,61 @@ def circuit_masks_oracle(chi):
     return masks
 
 
+def first_index_oracle(cs, level):
+    """Enumeration index of the first sign vector with element 1 positive
+    whose scalar ort is at least ``level``, one candidate at a time."""
+    full = (1 << cs.n) - 1
+    for index in range(1 << (cs.n - 1)):
+        minus = index << 1
+        if ort_oracle(cs.members, SignVector(cs.n, full & ~minus, minus)) >= level:
+            return index
+    return None
+
+
+def ball_oracle(cs, t, k):
+    """Every flip of 1..k coordinates of t is a tope, by the scalar ort."""
+    return all(
+        ort_oracle(cs.members, t.reorient(flip)) > 0
+        for d in range(1, k + 1)
+        for flip in itertools.combinations(range(1, cs.n + 1), d)
+    )
+
+
+# Per-subset minors and reorientation: the references for the table-driven
+# Chirotope methods.  Each returns the signs in lex order.
+
+
+def reorient_oracle(chi, r_set):
+    return tuple(
+        chi.sign_of_sorted(s) * (-1) ** sum(1 for e in s if e in r_set)
+        for s in itertools.combinations(range(1, chi.n + 1), chi.r)
+    )
+
+
+def dual_oracle(chi):
+    ground = set(range(1, chi.n + 1))
+    signs = []
+    for subset in itertools.combinations(range(1, chi.n + 1), chi.n - chi.r):
+        complement = tuple(sorted(ground - set(subset)))
+        inversions = sum(1 for a in subset for b in complement if a > b)
+        signs.append(chi.sign_of_sorted(complement) * (-1) ** inversions)
+    return tuple(signs)
+
+
+def delete_oracle(chi, e):
+    return tuple(
+        chi.sign_of_sorted(tuple(x if x < e else x + 1 for x in subset))
+        for subset in itertools.combinations(range(1, chi.n), chi.r)
+    )
+
+
+def contract_oracle(chi, e):
+    return tuple(
+        chi.eval_basis((e,) + tuple(x if x < e else x + 1 for x in subset))
+        for subset in itertools.combinations(range(1, chi.n), chi.r - 1)
+    )
+
+
 def serialize_colex(chi):
     """Chirotope text with r-subsets in colexicographic order."""
     subsets = sorted(

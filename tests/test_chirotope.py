@@ -17,6 +17,8 @@ from orimat import (
     random_realizable,
 )
 
+from conftest import contract_oracle, delete_oracle, dual_oracle, reorient_oracle
+
 
 class TestAlternating:
     def test_sizes(self):
@@ -122,6 +124,18 @@ class TestDual:
             for x in (c, -c)
         }
         assert lhs == rhs
+
+
+class TestTableDrivenAgainstOracles:
+    @pytest.mark.parametrize("r,n", [(4, 8), (5, 9), (6, 12), (7, 11)])
+    def test_minors_and_reorientation(self, r, n):
+        chi = random_realizable(r, n, seed=r * n)
+        assert chi.dual().signs == dual_oracle(chi)
+        for e in range(1, n + 1):
+            assert chi.delete(e).signs == delete_oracle(chi, e), e
+            assert chi.contract(e).signs == contract_oracle(chi, e), e
+        for r_set in [(), (1,), (2, 5), (1, 3, n), tuple(range(1, n + 1))]:
+            assert chi.reorient(r_set).signs == reorient_oracle(chi, r_set), r_set
 
 
 class TestMinors:

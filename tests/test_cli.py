@@ -242,6 +242,50 @@ class TestReports:
         )
         assert code == 0 and out == full_out
 
+    def test_checkpoint_with_gap_computes_missing_records(self, capsys, tmp_path):
+        db = tmp_path / "db.txt"
+        db.write_text(
+            "\n".join(random_realizable(3, 6, seed=s).serialize() for s in range(3)) + "\n"
+        )
+        argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db)]
+        _, full_out, full_err = run(capsys, *argv)
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text(full_out.splitlines()[1] + "\n")  # only id 2
+        code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+        assert (code, out, err) == (0, full_out, full_err)
+        ids = sorted(json.loads(line)["id"] for line in ckpt.read_text().splitlines())
+        assert ids == [1, 2, 3]
+
+    def test_checkpoint_id_not_in_database(self, capsys, db36, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text('{"id": 99, "ovector": [1, 1], "m": [2, 1], "attains": [true, false]}\n')
+        code, out, err = run(
+            capsys,
+            "roudneff", "-r", "3", "-n", "6", "--k", "1",
+            "--file", str(db36), "--checkpoint", str(ckpt),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "[99]" in err and len(err.splitlines()) == 1
+
+    def test_torn_final_checkpoint_line_recomputed(self, capsys, db36, tmp_path):
+        argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db36)]
+        _, full_out, _ = run(capsys, *argv)
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text(full_out.splitlines()[0] + "\n" + '{"id": 2, "ovector": [3')
+        code, out, _ = run(capsys, *argv, "--checkpoint", str(ckpt))
+        assert code == 0 and out == full_out
+
+    def test_malformed_checkpoint_line(self, capsys, db36, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text('{"id": 1, "ovector": [3\n{"id": 2}\n')
+        code, out, err = run(
+            capsys,
+            "roudneff", "-r", "3", "-n", "6", "--k", "1",
+            "--file", str(db36), "--checkpoint", str(ckpt),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "line 1" in err and len(err.splitlines()) == 1
+
     def test_malformed_database(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("++++++++++++++++++++\n++0+\n")

@@ -11,9 +11,11 @@ from orimat import (
     random_realizable,
     search_k_neighborly,
 )
+from orimat import neighborly
 from orimat.constructions import _witness_tope
+from orimat.signvec import _elements_from_mask
 
-from conftest import ort_oracle
+from conftest import first_index_oracle, ort_oracle
 
 
 def recheck(chi, witness):
@@ -51,6 +53,32 @@ class TestSearch:
         chi = random_realizable(4, 6, seed=seed)
         w = search_k_neighborly(chi, 1)
         assert w is not None and recheck(chi, w) >= 1
+
+    def test_infeasible_size_refused(self, monkeypatch):
+        # one circuit, but 2^39 candidates: refused before any tile is built
+        def allocate(*args):
+            raise AssertionError("tile built before the budget check")
+
+        monkeypatch.setattr(neighborly, "_ort_of", allocate)
+        with pytest.raises(DomainError, match="budget"):
+            search_k_neighborly(alternating_chirotope(39, 40), 0)
+
+    @pytest.mark.parametrize("block", [8, neighborly.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("r,n", [(3, 6), (4, 7), (5, 8), (6, 9)])
+    def test_first_witness_matches_scan_oracle(self, monkeypatch, r, n, block):
+        # with 8, the walk crosses tiles before most first hits
+        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
+        for seed in range(3):
+            chi = random_realizable(r, n, seed=seed)
+            cs = circuits_from_chirotope(chi)
+            for k in range((r - 1) // 2 + 1):
+                index = first_index_oracle(cs, k + 1)
+                w = search_k_neighborly(chi, k)
+                if index is None:
+                    assert w is None, (seed, k)
+                else:
+                    assert w.r_set == _elements_from_mask(index << 1), (seed, k)
+                    assert w.k >= k and w.verified
 
 
 class TestDisjointCocircuits:

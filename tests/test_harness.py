@@ -91,8 +91,8 @@ class TestComputeRows:
 
     def test_skip_ids(self):
         recs = list(parse_database(db_lines(3, 5, [0, 1]), 3, 5))
-        rows = list(compute_rows(recs, skip_ids_upto=recs[0].id))
-        assert [row.id for row in rows] == [rec.id for rec in recs[1:]]
+        rows = list(compute_rows(recs, done_ids={recs[1].id}))
+        assert [row.id for row in rows] == [recs[0].id, recs[2].id]
 
     def test_json_round_trip(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
@@ -202,7 +202,7 @@ class TestFiniteReduction:
 
 class TestCheckpoint:
     def test_missing_file(self, tmp_path):
-        assert load_checkpoint(tmp_path / "none.jsonl") == (0, [])
+        assert load_checkpoint(tmp_path / "none.jsonl") == []
 
     def test_append_and_resume(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -210,13 +210,42 @@ class TestCheckpoint:
         rows = list(compute_rows(recs))
         for row in rows[:2]:
             append_checkpoint(path, row)
-        last, stored = load_checkpoint(path)
-        assert last == rows[1].id
-        assert len(stored) == 2
-        resumed = list(compute_rows(recs, skip_ids_upto=last))
+        stored = load_checkpoint(path)
+        assert stored == rows[:2]
+        resumed = list(compute_rows(recs, done_ids={row.id for row in stored}))
         assert [r.id for r in resumed] == [r.id for r in rows[2:]]
-        combined = stored + [json.loads(r.to_json()) for r in resumed]
-        assert [c["m"] for c in combined] == [list(r.m) for r in rows]
+        assert stored + resumed == rows
+
+    def test_torn_final_line_dropped_and_cut(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
+        rows = list(compute_rows(recs))
+        append_checkpoint(path, rows[0])
+        whole = path.read_bytes()
+        path.write_bytes(whole + rows[1].to_json()[:9].encode())
+        assert load_checkpoint(path) == rows[:1]
+        assert path.read_bytes() == whole  # the next append starts a fresh line
+        append_checkpoint(path, rows[1])
+        assert load_checkpoint(path) == rows[:2]
+
+    @pytest.mark.parametrize(
+        "bad", ['{"id": 1, "ovector": [3', '{"id": 1}', "[1, 2]", "\xff"]
+    )
+    def test_malformed_line_raises_with_line_number(self, tmp_path, bad):
+        path = tmp_path / "ckpt.jsonl"
+        recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
+        row = next(compute_rows(recs[1:]))
+        path.write_bytes(bad.encode("latin-1") + b"\n" + row.to_json().encode() + b"\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_checkpoint(path)
+
+    def test_duplicate_id_raises(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        row = next(compute_rows(parse_database(db_lines(3, 6, range(1)), 3, 6)))
+        append_checkpoint(path, row)
+        append_checkpoint(path, row)
+        with pytest.raises(FormatError, match="line 2: duplicate id"):
+            load_checkpoint(path)
 
     def test_o_vector_consistency_with_direct(self):
         recs = list(parse_database(db_lines(4, 6, [0, 1]), 4, 6))

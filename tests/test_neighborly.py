@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from orimat import (
+    DimensionError,
     DomainError,
     EmptyCircuitSetError,
     OVector,
@@ -22,7 +23,7 @@ from orimat import (
     tope_graph_edges,
 )
 
-from conftest import all_full_vectors, o_vector_oracle, ort_oracle
+from conftest import all_full_vectors, ball_oracle, o_vector_oracle, ort_oracle
 
 
 def alt(r, n):
@@ -60,6 +61,21 @@ class TestOrt:
     def test_partial_support_rejected(self):
         with pytest.raises(DomainError):
             ort(alt(3, 5), sv("+++0+"))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            ort(alt(3, 5), sv("++++"))
+        with pytest.raises(DimensionError):
+            is_tope(alt(3, 5), sv("++++"))
+
+    @pytest.mark.parametrize("r,n", [(3, 6), (4, 8), (5, 9)])
+    def test_matches_oracle_on_every_full_vector(self, r, n):
+        # includes the half with element 1 negative
+        cs = circuits_from_chirotope(random_realizable(r, n, seed=n))
+        for t in all_full_vectors(n):
+            expected = ort_oracle(cs.members, t)
+            assert ort(cs, t) == expected, str(t)
+            assert is_tope(cs, t) == (expected > 0), str(t)
 
 
 class TestTopes:
@@ -168,6 +184,22 @@ class TestBallCriterion:
             o = ort(cs, t)
             for k in range((r - 1) // 2 + 1):
                 assert ball_k_neighborly(cs, t, k) == (o >= k + 1)
+
+    @pytest.mark.parametrize("r,n,seed", [(3, 6, 0), (4, 7, 1)])
+    def test_matches_per_flip_oracle(self, r, n, seed):
+        cs = circuits_from_chirotope(random_realizable(r, n, seed=seed))
+        for t in enumerate_topes(cs):
+            for k in range(4):
+                assert ball_k_neighborly(cs, t, k) == ball_oracle(cs, t, k), (str(t), k)
+
+    def test_ball_size_refused_before_allocation(self, monkeypatch):
+        # one circuit on 40 elements; the radius-20 ball holds about 2^39 flips
+        def allocate(*args):
+            raise AssertionError("flip array built before the budget check")
+
+        monkeypatch.setattr(neighborly, "_flip_masks", allocate)
+        with pytest.raises(DomainError, match="budget"):
+            ball_k_neighborly(alt(39, 40), sv("+" * 40), 20)
 
 
 class TestTopeGraph:
