@@ -17,7 +17,7 @@ import numpy as np
 
 from .chirotope import Chirotope
 from .errors import DomainError, EmptyCircuitSetError
-from .signvec import SignVector, orthogonality_degree
+from .signvec import SignVector, _mask_from_elements, orthogonality_degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +164,7 @@ def check_circuit_axioms(members: tuple[SignVector, ...]) -> AxiomReport:
 def is_face(cs: CircuitSet, f_set) -> bool:
     """Las Vergnas face test: the vector positive off F and zero on F must be
     orthogonal to every circuit (S and H both empty or both nonempty)."""
-    f_mask = 0
-    for e in f_set:
-        if not 1 <= e <= cs.n:
-            raise DomainError(f"element {e} outside ground set [1..{cs.n}]")
-        f_mask |= 1 << (e - 1)
+    f_mask = _mask_from_elements(f_set, cs.n)
     y = SignVector(cs.n, ((1 << cs.n) - 1) & ~f_mask, 0)
     for x in cs.members:
         sep, agr, _ = orthogonality_degree(x, y)

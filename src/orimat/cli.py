@@ -21,7 +21,7 @@ from .constructions import (
 )
 from .cyclic import CValueTable
 from .errors import DomainError, FormatError, OrimatError
-from .neighborly import o_vector, tope_graph_edges
+from .neighborly import check_enumeration_size, o_vector, tope_graph_edges
 from .signvec import SignVector
 
 
@@ -129,6 +129,7 @@ def _cmd_circuits(args) -> int:
 
 
 def _cmd_ovector(args) -> int:
+    check_enumeration_size(args.rank, args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
     ov = o_vector(cs)
     print(
@@ -144,6 +145,7 @@ def _cmd_ovector(args) -> int:
 
 
 def _cmd_mvalue(args) -> int:
+    check_enumeration_size(args.rank, args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
     print(o_vector(cs).m(args.k))
     return 0
@@ -162,12 +164,17 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_reorient(args) -> int:
-    r_set = [int(x) for x in args.set.split(",") if x]
+    try:
+        r_set = [int(x) for x in args.set.split(",") if x]
+    except ValueError:
+        raise FormatError(f"--set expects comma-separated elements, got {args.set!r}") from None
     print(_read_chirotope(args).reorient(r_set).serialize())
     return 0
 
 
 def _cmd_construct(args) -> int:
+    if args.method == "search":
+        check_enumeration_size(args.rank, args.elements)
     chi = _read_chirotope(args)
     if args.method == "search":
         witness = search_k_neighborly(chi, args.k)
@@ -197,69 +204,35 @@ def _cmd_cvalue(args) -> int:
 
 
 def _cmd_reports(args) -> int:
+    table = CValueTable()
+    agg = harness.new_aggregate(args.command, args.rank, args.elements, args.k, table)
     prior_rows = harness.load_checkpoint(args.checkpoint) if args.checkpoint else []
+    prior = {row.id: row for row in prior_rows}
     with _open(args.file) as fh:
         records = list(harness.parse_database(fh, args.rank, args.elements))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
-    done = {row.id for row in prior_rows}
-    unknown = done.difference(rec.id for rec in records)
+    unknown = prior.keys() - {rec.id for rec in records}
     if unknown:
         raise FormatError(
             f"checkpoint {args.checkpoint} holds ids {sorted(unknown)} "
             f"that are not records of {args.file}"
         )
-    table = CValueTable()
-    new_rows = []
-    for row in harness.compute_rows(records, args.base_order, table, done_ids=done):
-        new_rows.append(row)
-        if args.checkpoint:
-            harness.append_checkpoint(args.checkpoint, row)
-    rows = sorted(prior_rows + new_rows, key=lambda row: row.id)
-    for row in rows:
-        if args.format == "json":
-            print(row.to_json())
-        else:
-            print(
-                f"{row.id},{' '.join(map(str, row.ovector))},"
-                f"{' '.join(map(str, row.m))},{' '.join(str(int(a)) for a in row.attains)}"
-            )
-    k = args.k
-    c_bound = table.c_value(args.rank, args.elements, k)
-    ms = [row.m[k] for row in rows]
-    if args.command == "roudneff":
-        max_m = max(ms)
-        attaining = sum(1 for v in ms if v == c_bound)
-        holds = max_m <= c_bound
-        print(
-            json.dumps(
-                {
-                    "verdict": "holds" if holds else "counterexample",
-                    "max_m": max_m,
-                    "c": c_bound,
-                    "attaining": attaining,
-                    "argmax_ids": [row.id for row in rows if row.m[k] == max_m],
-                }
-            ),
-            file=sys.stderr,
-        )
-        return 0 if holds else 1
-    min_m = min(ms)
-    zero_ids = [row.id for row in rows if row.m[k] == 0]
-    print(
-        json.dumps(
-            {
-                "verdict": "all-have-witness" if min_m > 0 else "zero-m-witnesses",
-                "min_m": min_m,
-                "zero_ids": zero_ids,
-            }
-        ),
-        file=sys.stderr,
-    )
-    return 0 if min_m > 0 else 1
+    new_rows = harness.compute_rows(records, args.base_order, table, done_ids=prior.keys())
+    for rec in records:
+        row = prior.get(rec.id)
+        if row is None:
+            row = next(new_rows)
+            if args.checkpoint:
+                harness.append_checkpoint(args.checkpoint, row)
+        print(row.to_json() if args.format == "json" else row.to_csv())
+        agg.add(row)
+    print(json.dumps(agg.summary()), file=sys.stderr)
+    return 0 if agg.holds else 1
 
 
 def _cmd_audit(args) -> int:
+    check_enumeration_size(args.rank, args.elements)
     chi = _read_chirotope(args)
     triples = harness.deletion_contraction_audit(chi, args.k)
     ok = True
@@ -320,6 +293,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (OrimatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .chirotope import Chirotope
 from .circuits import circuits_from_chirotope, cocircuits
 from .errors import DomainError
-from .neighborly import first_index_at_least, ort
-from .signvec import SignVector, _elements_from_mask
+from .neighborly import check_k, first_index_at_least, ort
+from .signvec import SignVector, _elements_from_mask, _mask_from_elements
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,7 @@ class ReorientationWitness:
 
 def _witness_tope(n: int, r_set) -> SignVector:
     """The tope that is negative exactly on R."""
-    minus = 0
-    for e in r_set:
-        minus |= 1 << (e - 1)
+    minus = _mask_from_elements(r_set, n)
     return SignVector(n, ((1 << n) - 1) & ~minus, minus)
 
 
@@ -41,8 +39,7 @@ def _verify(chi: Chirotope, r_set, method: str) -> ReorientationWitness:
 def _check_k(chi: Chirotope, k: int, lo: int = 0):
     if chi.n < chi.r + 1:
         raise DomainError(f"need n >= r+1, got (r={chi.r}, n={chi.n})")
-    if not lo <= k <= (chi.r - 1) // 2:
-        raise DomainError(f"k={k} outside [{lo}, {(chi.r - 1) // 2}]")
+    check_k(chi.r, k, lo)
 
 
 def search_k_neighborly(chi: Chirotope, k: int) -> ReorientationWitness | None:

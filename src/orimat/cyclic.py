@@ -13,7 +13,7 @@ from pathlib import Path
 from .chirotope import alternating_chirotope
 from .circuits import CircuitSet, circuits_from_chirotope
 from .errors import DomainError, FormatError
-from .neighborly import OVector, o_vector, ort
+from .neighborly import OVector, check_enumeration_size, check_k, o_vector, ort
 from .signvec import SignVector, block_profile
 
 
@@ -58,8 +58,7 @@ def o_vector_closed(r: int, n: int, k: int) -> tuple[int, ...]:
 
     Valid only under n >= 2(r-k)+1 >= r+2; the threshold is sharp.
     """
-    if not 0 <= k <= (r - 1) // 2:
-        raise DomainError(f"k={k} outside [0, {(r - 1) // 2}]")
+    check_k(r, k)
     if not (n >= 2 * (r - k) + 1 and 2 * (r - k) + 1 >= r + 2):
         raise DomainError(
             f"closed form needs n >= 2(r-k)+1 >= r+2; got (r={r}, n={n}, k={k})"
@@ -83,6 +82,7 @@ def o_vector_small(r: int) -> OVector:
 def o_vector_brute(r: int, n: int) -> OVector:
     """Full enumeration on the alternating matroid (independent of the
     closed forms; the authority when formulas disagree)."""
+    check_enumeration_size(r, n)
     return o_vector(alternating_circuits(r, n))
 
 
@@ -130,8 +130,7 @@ class CValueTable:
     def entry(self, r: int, n: int, k: int) -> CEntry:
         if n < r + 1:
             raise DomainError(f"need n >= r+1, got (r={r}, n={n})")
-        if not 0 <= k <= (r - 1) // 2:
-            raise DomainError(f"k={k} outside [0, {(r - 1) // 2}]")
+        check_k(r, k)
         key = (r, n, k)
         if key not in self._memo:
             self._memo[key] = self._compute(r, n, k)
@@ -179,7 +178,10 @@ class CValueTable:
             parts = line.split()
             if len(parts) != 5:
                 raise FormatError(f"cache line {lineno}: expected 5 fields")
-            r, n, k, value = map(int, parts[:4])
+            try:
+                r, n, k, value = map(int, parts[:4])
+            except ValueError:
+                raise FormatError(f"cache line {lineno}: non-integer field") from None
             self._memo[(r, n, k)] = CEntry(value, parts[4])
 
 

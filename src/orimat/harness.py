@@ -3,15 +3,16 @@ record, Roudneff- and McMullen-style aggregates, the deletion/contraction
 audit, and the finite reduction check.
 
 Databases are plain text: one +/- chirotope string per line, '#' comments and
-blank lines skipped; line numbers double as record ids.  Reports stream as
-JSON-lines; an optional checkpoint file makes interrupted runs resumable.
+blank lines skipped; line numbers double as record ids.  Rows stream into one
+aggregate per verdict, shared by the library and the CLI, and an optional
+checkpoint file makes interrupted runs resumable.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
 
@@ -19,7 +20,7 @@ from .chirotope import Chirotope, lex_signs, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import CValueTable, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
-from .neighborly import o_vector
+from .neighborly import check_k, o_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,14 +49,11 @@ class ReportRow:
     attains: tuple[bool, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "ovector": list(self.ovector),
-                "m": list(self.m),
-                "attains": list(self.attains),
-            }
-        )
+        return json.dumps(vars(self))  # the fields in order, tuples as arrays
+
+    def to_csv(self) -> str:
+        fields = (self.ovector, self.m, map(int, self.attains))
+        return ",".join([str(self.id)] + [" ".join(map(str, values)) for values in fields])
 
 
 def parse_database(lines: Iterable[str], r: int, n: int) -> Iterator[DatabaseRecord]:
@@ -112,14 +110,30 @@ class RoudneffAggregate:
     n: int
     k: int
     c_bound: int
-    max_m: int
-    argmax_ids: tuple[int, ...]
-    attaining: int
-    rows: tuple[ReportRow, ...]
+    max_m: int = 0
+    argmax_ids: list[int] = field(default_factory=list)
+    attaining: int = 0
+
+    def add(self, row: ReportRow):
+        m = row.m[self.k]
+        if m > self.max_m:
+            self.max_m, self.argmax_ids = m, []
+        if m == self.max_m:
+            self.argmax_ids.append(row.id)
+        self.attaining += m == self.c_bound
 
     @property
     def holds(self) -> bool:
         return self.max_m <= self.c_bound
+
+    def summary(self) -> dict:
+        return {
+            "verdict": "holds" if self.holds else "counterexample",
+            "max_m": self.max_m,
+            "c": self.c_bound,
+            "attaining": self.attaining,
+            "argmax_ids": self.argmax_ids,
+        }
 
 
 @dataclass
@@ -127,15 +141,36 @@ class McMullenAggregate:
     r: int
     n: int
     k: int
-    min_m: int
-    zero_ids: tuple[int, ...]
-    rows: tuple[ReportRow, ...]
+    min_m: int | None = None  # None until the first row
+    zero_ids: list[int] = field(default_factory=list)
+
+    def add(self, row: ReportRow):
+        m = row.m[self.k]
+        self.min_m = m if self.min_m is None else min(self.min_m, m)
+        if m == 0:
+            self.zero_ids.append(row.id)
 
     @property
     def holds(self) -> bool:
         """True iff every record has a k-neighborly reorientation (evidence
         that n <= nu(r,k)); each zero id witnesses nu(r,k) < n."""
-        return self.min_m > 0
+        return self.min_m is not None and self.min_m > 0
+
+    def summary(self) -> dict:
+        return {
+            "verdict": "all-have-witness" if self.holds else "zero-m-witnesses",
+            "min_m": self.min_m,
+            "zero_ids": self.zero_ids,
+        }
+
+
+def new_aggregate(kind: str, r: int, n: int, k: int, table: CValueTable):
+    """The empty "roudneff" or "mcmullen" aggregate at (r, n); k, and the
+    roudneff bound c_r(n,k), are checked here, before any row is computed."""
+    check_k(r, k)
+    if kind == "roudneff":
+        return RoudneffAggregate(r, n, k, table.c_value(r, n, k))
+    return McMullenAggregate(r, n, k)
 
 
 def roudneff_report(
@@ -145,14 +180,7 @@ def roudneff_report(
     table: CValueTable | None = None,
 ) -> RoudneffAggregate:
     """Max m(M,k) over the database against the bound c_r(n,k)."""
-    table = table if table is not None else CValueTable()
-    rows, (r, n) = _collect(records, base_order, table)
-    c_bound = table.c_value(r, n, k)
-    _check_k(r, k)
-    max_m = max((row.m[k] for row in rows), default=0)
-    argmax = tuple(row.id for row in rows if row.m[k] == max_m)
-    attaining = sum(1 for row in rows if row.m[k] == c_bound)
-    return RoudneffAggregate(r, n, k, c_bound, max_m, argmax, attaining, tuple(rows))
+    return _report("roudneff", records, k, base_order, table)
 
 
 def mcmullen_report(
@@ -162,28 +190,21 @@ def mcmullen_report(
     table: CValueTable | None = None,
 ) -> McMullenAggregate:
     """Min m(M,k) over the database; zero-m records bound nu(r,k) from above."""
+    return _report("mcmullen", records, k, base_order, table)
+
+
+def _report(kind, records, k, base_order, table):
     table = table if table is not None else CValueTable()
-    rows, (r, n) = _collect(records, base_order, table)
-    _check_k(r, k)
-    min_m = min((row.m[k] for row in rows), default=0)
-    zero_ids = tuple(row.id for row in rows if row.m[k] == 0)
-    return McMullenAggregate(r, n, k, min_m, zero_ids, tuple(rows))
-
-
-def _check_k(r: int, k: int):
-    if not 0 <= k <= (r - 1) // 2:
-        raise DomainError(f"k={k} outside [0, {(r - 1) // 2}]")
-
-
-def _collect(records, base_order, table):
     records = list(records)
     shapes = {(rec.r, rec.n) for rec in records}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     if not records:
         raise DomainError("empty database")
-    rows = list(compute_rows(records, base_order, table))
-    return rows, shapes.pop()
+    agg = new_aggregate(kind, *shapes.pop(), k, table)
+    for row in compute_rows(records, base_order, table):
+        agg.add(row)
+    return agg
 
 
 @dataclass(frozen=True)
@@ -205,7 +226,7 @@ def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     """
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")
-    _check_k(chi.r, k)
+    check_k(chi.r, k)
     m_full = o_vector(circuits_from_chirotope(chi)).m(k)
     out = []
     for e in range(1, chi.n + 1):
@@ -246,7 +267,7 @@ def finite_reduction_check(
     argument; ranks with k inadmissible contribute nothing.  Remaining base
     cases need a supplied database and are checked record by record.
     """
-    _check_k(r, k)
+    check_k(r, k)
     table = table if table is not None else CValueTable()
     db_map = db_map or {}
     detail: list[str] = []
@@ -276,12 +297,10 @@ def finite_reduction_check(
             detail.append(
                 f"rank {r_prime}, n={n_prime}: COUNTEREXAMPLE max m = {agg.max_m} > {agg.c_bound}"
             )
-    if missing:
-        confirmed = False
     # the inductive step itself: recurrence on brute-force-accessible cells
     for n in range(2 * (r - k) + 2, 2 * (r - k) + 4):
         table.seed_recurrence(r, n, k)
-    return ReductionVerdict(r, k, confirmed, detail, missing)
+    return ReductionVerdict(r, k, confirmed and not missing, detail, missing)
 
 
 # -- checkpointing -----------------------------------------------------

@@ -75,6 +75,19 @@ def _ort_of(cs: CircuitSet, minus_masks: np.ndarray) -> np.ndarray:
     return best
 
 
+def check_k(r: int, k: int, lo: int = 0):
+    """Refuse a level k outside [lo, floor((r-1)/2)], the range at rank r."""
+    if not lo <= k <= (r - 1) // 2:
+        raise DomainError(f"k={k} outside [{lo}, {(r - 1) // 2}]")
+
+
+def check_enumeration_size(r: int, n: int):
+    """Refuse an over-budget full enumeration at (r, n) before any chirotope
+    is built; an invalid (r, n) is left to the constructors."""
+    if 1 <= r < n:
+        _check_budget(comb(n, r + 1), 1 << (n - 1))
+
+
 def _check_budget(count: int, candidates: int):
     """Refuse, before anything is allocated, an evaluation of ``count``
     circuits against ``candidates`` sign vectors beyond the kernel limits."""
@@ -94,6 +107,7 @@ def _candidates(start: int, stop: int) -> np.ndarray:
 def _ort_array(cs: CircuitSet) -> np.ndarray:
     """ort value (uint8) for every sign vector with element 1 fixed to +,
     in enumeration order."""
+    cs.require_nonempty()
     total = 1 << (cs.n - 1)
     _check_budget(len(cs.plus), total)
     if total <= BLOCK_ELEMENTS:  # a single tile needs no staging buffer
@@ -134,8 +148,7 @@ class OVector:
 
     def m(self, k: int) -> int:
         """Number of at-least-k-neighborly reorientations (tail sum)."""
-        if not 0 <= k <= (self.r - 1) // 2:
-            raise DomainError(f"k={k} outside [0, {(self.r - 1) // 2}]")
+        check_k(self.r, k)
         return sum(self.entries[k:])
 
     @property
@@ -149,7 +162,6 @@ class OVector:
 def o_vector(cs: CircuitSet) -> OVector:
     """Count topes by exact ort over the halved enumeration space; entries are
     doubled for the antipodal half."""
-    cs.require_nonempty()
     counts = np.bincount(_ort_array(cs), minlength=cs.n + 2)
     kmax = (cs.r - 1) // 2
     entries = [2 * int(counts[k + 1]) for k in range(kmax + 1)]
@@ -162,7 +174,6 @@ def o_vector(cs: CircuitSet) -> OVector:
 
 def enumerate_topes(cs: CircuitSet):
     """Yield every tope (both antipodes), element-1-positive ones first."""
-    cs.require_nonempty()
     orts = _ort_array(cs)
     full = (1 << cs.n) - 1
     positives = [
@@ -174,14 +185,12 @@ def enumerate_topes(cs: CircuitSet):
 
 
 def tope_count(cs: CircuitSet) -> int:
-    cs.require_nonempty()
     return 2 * int((_ort_array(cs) > 0).sum())
 
 
 def m_value(cs: CircuitSet, k: int) -> int:
     """Number of k-neighborly reorientations, m(M,k)."""
-    if not 0 <= k <= (cs.r - 1) // 2:
-        raise DomainError(f"k={k} outside [0, {(cs.r - 1) // 2}]")
+    check_k(cs.r, k)
     return o_vector(cs).m(k)
 
 

@@ -21,6 +21,7 @@ from orimat import (
     check_circuit_axioms,
     circuits_from_chirotope,
     composite_construction,
+    compute_rows,
     deletion_contraction_audit,
     disjoint_cocircuit_construction,
     is_face,
@@ -285,8 +286,7 @@ def test_criterion_12_database_counts():
         if recs is None:
             skip_line(12, f"database r{r}_n{n}.txt not present in ORIMAT_DB_DIR")
         cutoff = o_vector_brute(r, n).entries[1]
-        agg = roudneff_report(recs, 1)
-        exceeding = sum(1 for row in agg.rows if row.ovector[1] > cutoff)
+        exceeding = sum(1 for row in compute_rows(recs) if row.ovector[1] > cutoff)
         ok = ok and exceeding == expected
     recs = _db_records(7, 10)
     agg = mcmullen_report(recs, 2)

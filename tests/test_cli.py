@@ -1,9 +1,26 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orimat import alternating_chirotope, random_realizable
+from orimat import (
+    alternating_chirotope,
+    c_value,
+    circuits_from_chirotope,
+    mcmullen_report,
+    parse_database,
+    random_realizable,
+    roudneff_report,
+)
+from orimat import cli
 from orimat.cli import main
+
+from conftest import o_vector_oracle
 
 
 def run(capsys, *argv):
@@ -63,6 +80,12 @@ class TestOVector:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "budget" in err
 
+    def test_huge_alternating_refused_before_building(self, capsys):
+        # C(40, 20) signs: the chirotope itself would not fit in memory
+        code, out, err = run(capsys, "ovector", "-r", "20", "-n", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
+
     def test_tope_graph_export(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run(
@@ -110,6 +133,11 @@ class TestMinorsAndReorient:
     def test_reorient(self, capsys):
         code, out, _ = run(capsys, "reorient", "-r", "3", "-n", "4", "--set", "1")
         assert code == 0 and out.strip() == "---+"
+
+    def test_reorient_bad_set_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "reorient", "-r", "3", "-n", "4", "--set", "a")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--set" in err and len(err.splitlines()) == 1
 
     def test_reorient_involution(self, capsys):
         _, once, _ = run(capsys, "reorient", "-r", "3", "-n", "6", "--set", "2,5")
@@ -181,6 +209,21 @@ class TestCValue:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "cvalue", "-r", "3", "-n", "3", "--k", "0")
         assert code == 2 and "error" in err
+
+    def test_cache_non_integer_field(self, capsys, tmp_path):
+        path = tmp_path / "cvalues.cache"
+        path.write_text("3 5 1 x closed-form\n")
+        code, out, err = run(
+            capsys, "cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "line 1" in err and len(err.splitlines()) == 1
+
+    def test_brute_force_size_refused_before_building(self, capsys):
+        # (20, 38, k=1) has no closed form; C(38, 20) signs would not fit in memory
+        code, out, err = run(capsys, "cvalue", "-r", "20", "-n", "38", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
 
 
 @pytest.fixture
@@ -314,6 +357,72 @@ class TestReports:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("command", ["roudneff", "mcmullen"])
+    def test_bad_k_refused_before_any_row(self, capsys, tmp_path, command):
+        db = tmp_path / "db.txt"
+        db.write_text(
+            "\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(2)) + "\n"
+        )
+        ckpt = tmp_path / "ckpt.jsonl"
+        code, out, err = run(
+            capsys,
+            command, "-r", "4", "-n", "8", "--k", "5",
+            "--file", str(db), "--checkpoint", str(ckpt),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not ckpt.exists()
+
+    def test_rows_stream_before_a_failing_record(self, capsys, tmp_path):
+        # record 2 has valid syntax but the wrong tope count
+        db = tmp_path / "db.txt"
+        db.write_text(alternating_chirotope(3, 5).serialize() + "\n-+---+---+\n")
+        ckpt = tmp_path / "ckpt.jsonl"
+        code, out, err = run(
+            capsys,
+            "roudneff", "-r", "3", "-n", "5", "--k", "1",
+            "--file", str(db), "--checkpoint", str(ckpt),
+        )
+        assert code == 2
+        assert [json.loads(line)["id"] for line in out.splitlines()] == [1]
+        assert ckpt.read_text() == out
+        assert err.startswith("error:") and "record 2" in err and len(err.splitlines()) == 1
+
+
+@st.composite
+def report_cases(draw):
+    r, n = draw(st.sampled_from([(3, 6), (4, 7)]))
+    k = draw(st.integers(0, (r - 1) // 2))
+    seeds = draw(st.lists(st.integers(0, 200), min_size=1, max_size=4))
+    return draw(st.sampled_from(["roudneff", "mcmullen"])), r, n, k, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_cases())
+def test_exit_one_only_on_verified_counterexample(case):
+    """The CLI's verdict is the library aggregate's, and exit code 1 happens
+    exactly when the scalar o-vector oracle finds a counterexample."""
+    command, r, n, k, seeds = case
+    lines = [random_realizable(r, n, seed=s).serialize() for s in seeds]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp) / "db.txt"
+        db.write_text("\n".join(lines) + "\n")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "-r", str(r), "-n", str(n), "--k", str(k), "--file", str(db)])
+    records = list(parse_database(lines, r, n))
+    agg = (roudneff_report if command == "roudneff" else mcmullen_report)(records, k)
+    assert json.loads(err.getvalue()) == agg.summary()
+    assert code == (0 if agg.holds else 1)
+    assert len(out.getvalue().splitlines()) == len(records)
+    ms = [sum(o_vector_oracle(circuits_from_chirotope(rec.chirotope()))[k:]) for rec in records]
+    if command == "roudneff":
+        counterexample = max(ms) > c_value(r, n, k)
+    else:
+        counterexample = min(ms) == 0
+    assert (code == 1) == counterexample
+
+
 class TestAuditAndReduce:
     def test_audit_holds(self, capsys):
         code, out, _ = run(capsys, "audit", "-r", "4", "-n", "6", "--k", "0")
@@ -349,6 +458,15 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["ovector", "-r", "3", "-n", "5", "--nope"]) == 2
+
+    def test_stray_memory_error_is_one_line(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "circuits", exhausted)
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_missing_required(self, capsys):
         assert main(["ovector", "-r", "3"]) == 2

@@ -222,6 +222,11 @@ class TestCValue:
         with pytest.raises(DomainError):
             table.c_value(3, 5, 2)
 
+    def test_brute_force_refused_before_building(self):
+        # no closed form at (20, 38, k=1); C(38, 20) signs would not fit in memory
+        with pytest.raises(DomainError, match="budget"):
+            CValueTable().c_value(20, 38, 1)
+
     def test_cache_round_trip(self, tmp_path):
         table = CValueTable()
         table.c_value(6, 9, 2)

@@ -22,6 +22,8 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
+from orimat.cyclic import CValueTable
+from orimat.harness import ReportRow, new_aggregate
 
 from conftest import serialize_colex
 
@@ -147,7 +149,68 @@ class TestMcMullenReport:
     def test_holds_when_all_positive(self):
         recs = list(parse_database(db_lines(3, 5, [0, 1, 2]), 3, 5))
         agg = mcmullen_report(recs, 1)
-        assert agg.holds and agg.min_m >= 2 and agg.zero_ids == ()
+        assert agg.holds and agg.min_m >= 2 and agg.zero_ids == []
+
+
+def hand_row(row_id, m):
+    """A report row whose only meaningful fields are its id and m-values."""
+    return ReportRow(row_id, (0,) * len(m), tuple(m), (False,) * len(m))
+
+
+class TestAggregateFold:
+    def test_roudneff_add_counts_ties_and_exceedance(self):
+        agg = new_aggregate("roudneff", 3, 6, 1, CValueTable())
+        assert agg.c_bound == c_value(3, 6, 1) == 2
+        assert agg.holds and agg.summary()["argmax_ids"] == []
+        for row_id, m1 in [(1, 2), (2, 1), (3, 3), (4, 2), (5, 3)]:
+            agg.add(hand_row(row_id, (22, m1)))
+        assert not agg.holds
+        assert agg.summary() == {
+            "verdict": "counterexample",
+            "max_m": 3,
+            "c": 2,
+            "attaining": 2,
+            "argmax_ids": [3, 5],
+        }
+        assert list(agg.summary()) == ["verdict", "max_m", "c", "attaining", "argmax_ids"]
+
+    def test_roudneff_all_zero_rows_tie(self):
+        agg = new_aggregate("roudneff", 3, 6, 1, CValueTable())
+        agg.add(hand_row(7, (22, 0)))
+        agg.add(hand_row(9, (22, 0)))
+        assert agg.holds and (agg.max_m, agg.argmax_ids, agg.attaining) == (0, [7, 9], 0)
+
+    def test_mcmullen_add(self):
+        agg = new_aggregate("mcmullen", 3, 6, 1, CValueTable())
+        assert agg.min_m is None and not agg.holds
+        agg.add(hand_row(1, (22, 2)))
+        agg.add(hand_row(2, (22, 1)))
+        assert agg.holds and agg.summary() == {
+            "verdict": "all-have-witness",
+            "min_m": 1,
+            "zero_ids": [],
+        }
+        agg.add(hand_row(3, (22, 0)))
+        agg.add(hand_row(4, (22, 4)))
+        agg.add(hand_row(5, (22, 0)))
+        assert not agg.holds
+        assert agg.summary() == {"verdict": "zero-m-witnesses", "min_m": 0, "zero_ids": [3, 5]}
+
+    @pytest.mark.parametrize("verdict", ["roudneff", "mcmullen"])
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_factory_checks_k(self, verdict, k):
+        with pytest.raises(DomainError, match=f"k={k} outside \\[0, 1\\]"):
+            new_aggregate(verdict, 3, 6, k, CValueTable())
+
+    def test_report_checks_k_before_any_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(harness, "_compute_row", no_rows)
+        recs = list(parse_database(db_lines(3, 5, [0]), 3, 5))
+        for report in (roudneff_report, mcmullen_report):
+            with pytest.raises(DomainError, match="k=2"):
+                report(recs, 2)
 
 
 class TestAudit:
