@@ -65,8 +65,7 @@ class Chirotope:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.r <= self.n or self.n > MAX_GROUND_SET:
-            raise DomainError(f"invalid rank/size ({self.r}, {self.n})")
+        check_shape(self.r, self.n)
         if len(self.signs) != comb(self.n, self.r):
             raise DomainError(
                 f"expected {comb(self.n, self.r)} signs, got {len(self.signs)}"
@@ -173,10 +172,16 @@ class Chirotope:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
+def check_shape(r: int, n: int):
+    """Refuse a rank/size outside 1 <= r <= n <= MAX_GROUND_SET, before any
+    sign is counted or allocated."""
+    if not 1 <= r <= n <= MAX_GROUND_SET:
+        raise DomainError(f"invalid rank/size ({r}, {n})")
+
+
 def alternating_chirotope(r: int, n: int) -> Chirotope:
     """The alternating (cyclic) matroid: + on every sorted r-subset."""
-    if not 1 <= r <= n:
-        raise DomainError(f"invalid rank/size ({r}, {n})")
+    check_shape(r, n)
     return Chirotope(n, r, (1,) * comb(n, r))
 
 
@@ -203,20 +208,6 @@ def _parity_sign(masks: np.ndarray) -> np.ndarray:
 _INT8_OF_CHAR = bytes((1 if c == ord("+") else 255 if c == ord("-") else 0) for c in range(256))
 
 
-def parse_signs(text: str, r: int, n: int) -> bytes:
-    """Validate a +/- chirotope string of length C(n,r) and return its signs
-    in text order, one int8 (1 or -1) per byte."""
-    expected = comb(n, r)
-    if len(text) != expected:
-        raise FormatError(f"expected {expected} characters for (r={r}, n={n}), got {len(text)}")
-    if "0" in text:
-        raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
-    bad = set(text) - {"+", "-"}
-    if bad:
-        raise FormatError(f"invalid characters {sorted(bad)!r} in chirotope text")
-    return text.encode("ascii").translate(_INT8_OF_CHAR)
-
-
 @lru_cache(maxsize=32)
 def _colex_of_lex(r: int, n: int) -> np.ndarray:
     """Entry i is the colex position of the i-th r-subset in lex order."""
@@ -227,24 +218,34 @@ def _colex_of_lex(r: int, n: int) -> np.ndarray:
     return table
 
 
-def lex_signs(signs: bytes, r: int, n: int, base_order: str) -> tuple[int, ...]:
-    """Signs from ``parse_signs`` (text order) as a tuple in lex order."""
-    values = np.frombuffer(signs, dtype=np.int8)
-    if base_order == "colex":
-        values = values[_colex_of_lex(r, n)]
-    elif base_order != "lex":
+def parse_signs(text: str, r: int, n: int, base_order: str = "lex") -> bytes:
+    """Validate a +/- chirotope string of length C(n,r) and return its signs
+    in lex order, one int8 (1 or -1) per byte.
+
+    ``base_order`` names the subset order of the text: "lex" (our native
+    order) or "colex" for databases using colexicographic subset order.
+    """
+    check_shape(r, n)
+    if base_order not in ("lex", "colex"):
         raise DomainError(f"unknown base order {base_order!r}")
-    return tuple(values.tolist())
+    expected = comb(n, r)
+    if len(text) != expected:
+        raise FormatError(f"expected {expected} characters for (r={r}, n={n}), got {len(text)}")
+    if "0" in text:
+        raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
+    bad = set(text) - {"+", "-"}
+    if bad:
+        raise FormatError(f"invalid characters {sorted(bad)!r} in chirotope text")
+    signs = text.encode("ascii").translate(_INT8_OF_CHAR)
+    if base_order == "colex":
+        signs = np.frombuffer(signs, dtype=np.int8)[_colex_of_lex(r, n)].tobytes()
+    return signs
 
 
 def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:
-    """Parse a +/- chirotope string of length C(n,r).
-
-    ``base_order`` selects how text positions map to sorted r-subsets:
-    "lex" (our native order) or "colex" for databases using colexicographic
-    subset order.
-    """
-    return Chirotope(n, r, lex_signs(parse_signs(text, r, n), r, n, base_order))
+    """Parse a +/- chirotope string of length C(n,r) whose positions follow
+    ``base_order`` (see ``parse_signs``)."""
+    return Chirotope(n, r, tuple(memoryview(parse_signs(text, r, n, base_order)).cast("b")))
 
 
 def from_points(coords: list[list[int]]) -> Chirotope:

@@ -204,12 +204,11 @@ def _cmd_cvalue(args) -> int:
 
 
 def _cmd_reports(args) -> int:
-    table = CValueTable()
-    agg = harness.new_aggregate(args.command, args.rank, args.elements, args.k, table)
+    agg = harness.new_aggregate(args.command, args.rank, args.elements, args.k)
     prior_rows = harness.load_checkpoint(args.checkpoint) if args.checkpoint else []
     prior = {row.id: row for row in prior_rows}
     with _open(args.file) as fh:
-        records = list(harness.parse_database(fh, args.rank, args.elements))
+        records = list(harness.parse_database(fh, args.rank, args.elements, args.base_order))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
     unknown = prior.keys() - {rec.id for rec in records}
@@ -218,7 +217,7 @@ def _cmd_reports(args) -> int:
             f"checkpoint {args.checkpoint} holds ids {sorted(unknown)} "
             f"that are not records of {args.file}"
         )
-    new_rows = harness.compute_rows(records, args.base_order, table, done_ids=prior.keys())
+    new_rows = harness.compute_rows(rec for rec in records if rec.id not in prior)
     for rec in records:
         row = prior.get(rec.id)
         if row is None:
@@ -254,10 +253,10 @@ def _cmd_reduce(args) -> int:
         except ValueError:
             raise FormatError(f"--db expects RANK:N:PATH, got {db_arg!r}") from None
         with open(path) as fh:
-            db_map[(r_prime, n_prime)] = list(harness.parse_database(fh, r_prime, n_prime))
-    verdict = harness.finite_reduction_check(
-        args.rank, args.k, db_map, base_order=args.base_order
-    )
+            db_map[(r_prime, n_prime)] = list(
+                harness.parse_database(fh, r_prime, n_prime, args.base_order)
+            )
+    verdict = harness.finite_reduction_check(args.rank, args.k, db_map)
     for line in verdict.detail:
         print(line)
     if verdict.confirmed:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chirotope import Chirotope
-from .circuits import circuits_from_chirotope, cocircuits
+from .circuits import CircuitSet, circuits_from_chirotope, cocircuits
 from .errors import DomainError
 from .neighborly import check_k, first_index_at_least, ort
 from .signvec import SignVector, _elements_from_mask, _mask_from_elements
@@ -34,6 +36,13 @@ def _witness_tope(n: int, r_set) -> SignVector:
 def _verify(chi: Chirotope, r_set, method: str) -> ReorientationWitness:
     level = ort(circuits_from_chirotope(chi), _witness_tope(chi.n, r_set)) - 1
     return ReorientationWitness(tuple(sorted(r_set)), level, method, level >= 0)
+
+
+def _minus_on_support(cs: CircuitSet, support) -> tuple[int, ...]:
+    """Negative elements of the member of ``cs`` with the given support."""
+    mask = np.uint64(_mask_from_elements(support, cs.n))
+    (index,) = np.flatnonzero((cs.plus | cs.minus) == mask)
+    return _elements_from_mask(int(cs.minus[index]))
 
 
 def _check_k(chi: Chirotope, k: int, lo: int = 0):
@@ -66,11 +75,10 @@ def disjoint_cocircuit_construction(chi: Chirotope, k: int) -> ReorientationWitn
         raise DomainError(
             f"construction needs n = r-1+floor((r-1)/k) = {chi.r - 1 + s}, got n={chi.n}"
         )
-    by_support = {c.support: c for c in cocircuits(chi).members}
+    cs = cocircuits(chi)
     r_set: set[int] = set()
     for i in range(k + 1):
-        chunk = tuple(range(i * s + 1, (i + 1) * s + 1))
-        r_set.update(by_support[chunk].minus_elements)
+        r_set.update(_minus_on_support(cs, range(i * s + 1, (i + 1) * s + 1)))
     witness = _verify(chi, r_set, "disjoint-cocircuits")
     if witness.k < k:
         raise AssertionError(f"construction failed verification: got level {witness.k} < {k}")
@@ -117,8 +125,7 @@ def composite_construction(chi: Chirotope, k: int) -> ReorientationWitness:
         r_set.update(labels[e - 1] for e in inner.r_set)
     if k % 2 == 0:
         d_last = a_parts[k] + (b_part[k // 2],)
-        by_support = {c.support: c for c in cocircuits(chi).members}
-        r_set.update(by_support[tuple(sorted(d_last))].minus_elements)
+        r_set.update(_minus_on_support(cocircuits(chi), d_last))
     witness = _verify(chi, r_set, "composite")
     if witness.k < k:
         raise AssertionError(f"construction failed verification: got level {witness.k} < {k}")

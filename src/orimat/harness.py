@@ -3,9 +3,12 @@ record, Roudneff- and McMullen-style aggregates, the deletion/contraction
 audit, and the finite reduction check.
 
 Databases are plain text: one +/- chirotope string per line, '#' comments and
-blank lines skipped; line numbers double as record ids.  Rows stream into one
-aggregate per verdict, shared by the library and the CLI, and an optional
-checkpoint file makes interrupted runs resumable.
+blank lines skipped; line numbers double as record ids.  The base order of the
+text is settled when a line is parsed: ``DatabaseRecord.signs`` is in lex
+order, and nothing after ``parse_database`` takes an order.  Rows stream into
+one aggregate per verdict, shared by the library and the CLI, with c-values
+from the module memo ``cyclic.c_value``; an optional checkpoint file makes
+interrupted runs resumable.
 """
 
 from __future__ import annotations
@@ -14,18 +17,18 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .chirotope import Chirotope, lex_signs, parse_signs
+from .chirotope import Chirotope, parse_signs
 from .circuits import circuits_from_chirotope
-from .cyclic import CValueTable, tope_count_uniform
+from .cyclic import CValueTable, c_value, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
 from .neighborly import check_k, o_vector
 
 
 @dataclass(frozen=True, slots=True)
 class DatabaseRecord:
-    """One validated database line; ``signs`` holds its parsed signs in text
+    """One validated database line; ``signs`` holds its parsed signs in lex
     order (``parse_signs``), so the record is never parsed again."""
 
     id: int
@@ -33,12 +36,8 @@ class DatabaseRecord:
     n: int
     signs: bytes
 
-    @property
-    def text(self) -> str:
-        return "".join("+" if s == 1 else "-" for s in self.signs)
-
-    def chirotope(self, base_order: str = "lex") -> Chirotope:
-        return Chirotope(self.n, self.r, lex_signs(self.signs, self.r, self.n, base_order))
+    def chirotope(self) -> Chirotope:
+        return Chirotope(self.n, self.r, tuple(memoryview(self.signs).cast("b")))
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,17 @@ class ReportRow:
         return ",".join([str(self.id)] + [" ".join(map(str, values)) for values in fields])
 
 
-def parse_database(lines: Iterable[str], r: int, n: int) -> Iterator[DatabaseRecord]:
-    """Stream records from chirotope lines; malformed lines raise with the
-    offending line number."""
+def parse_database(
+    lines: Iterable[str], r: int, n: int, base_order: str = "lex"
+) -> Iterator[DatabaseRecord]:
+    """Stream records from chirotope lines whose positions follow
+    ``base_order``; malformed lines raise with the offending line number."""
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            signs = parse_signs(line, r, n)
+            signs = parse_signs(line, r, n, base_order)
         except NonUniformError as exc:
             raise NonUniformError(f"line {lineno}: {exc}") from exc
         except FormatError as exc:
@@ -72,10 +73,8 @@ def parse_database(lines: Iterable[str], r: int, n: int) -> Iterator[DatabaseRec
         yield DatabaseRecord(lineno, r, n, signs)
 
 
-def _compute_row(
-    record: DatabaseRecord, base_order: str, table: CValueTable
-) -> ReportRow:
-    ov = o_vector(circuits_from_chirotope(record.chirotope(base_order)))
+def _compute_row(record: DatabaseRecord) -> ReportRow:
+    ov = o_vector(circuits_from_chirotope(record.chirotope()))
     # cheap corruption check before trusting the expensive pass
     expected = tope_count_uniform(record.r, record.n)
     if ov.tope_count != expected:
@@ -84,24 +83,14 @@ def _compute_row(
             "wrong base order or corrupt data"
         )
     m = ov.m_values()
-    attains = tuple(
-        m[k] == table.c_value(record.r, record.n, k) for k in range(len(m))
-    )
+    attains = tuple(m[k] == c_value(record.r, record.n, k) for k in range(len(m)))
     return ReportRow(record.id, ov.entries, m, attains)
 
 
-def compute_rows(
-    records: Iterable[DatabaseRecord],
-    base_order: str = "lex",
-    table: CValueTable | None = None,
-    done_ids: Collection[int] = (),
-) -> Iterator[ReportRow]:
-    """Per-record rows in record order, skipping the records whose id is in
-    ``done_ids``; record order does not change any row."""
-    table = table if table is not None else CValueTable()
+def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
+    """Per-record rows in record order; record order does not change any row."""
     for rec in records:
-        if rec.id not in done_ids:
-            yield _compute_row(rec, base_order, table)
+        yield _compute_row(rec)
 
 
 @dataclass
@@ -164,45 +153,34 @@ class McMullenAggregate:
         }
 
 
-def new_aggregate(kind: str, r: int, n: int, k: int, table: CValueTable):
+def new_aggregate(kind: str, r: int, n: int, k: int):
     """The empty "roudneff" or "mcmullen" aggregate at (r, n); k, and the
     roudneff bound c_r(n,k), are checked here, before any row is computed."""
     check_k(r, k)
     if kind == "roudneff":
-        return RoudneffAggregate(r, n, k, table.c_value(r, n, k))
+        return RoudneffAggregate(r, n, k, c_value(r, n, k))
     return McMullenAggregate(r, n, k)
 
 
-def roudneff_report(
-    records: Iterable[DatabaseRecord],
-    k: int,
-    base_order: str = "lex",
-    table: CValueTable | None = None,
-) -> RoudneffAggregate:
+def roudneff_report(records: Iterable[DatabaseRecord], k: int) -> RoudneffAggregate:
     """Max m(M,k) over the database against the bound c_r(n,k)."""
-    return _report("roudneff", records, k, base_order, table)
+    return _report("roudneff", records, k)
 
 
-def mcmullen_report(
-    records: Iterable[DatabaseRecord],
-    k: int,
-    base_order: str = "lex",
-    table: CValueTable | None = None,
-) -> McMullenAggregate:
+def mcmullen_report(records: Iterable[DatabaseRecord], k: int) -> McMullenAggregate:
     """Min m(M,k) over the database; zero-m records bound nu(r,k) from above."""
-    return _report("mcmullen", records, k, base_order, table)
+    return _report("mcmullen", records, k)
 
 
-def _report(kind, records, k, base_order, table):
-    table = table if table is not None else CValueTable()
+def _report(kind, records, k):
     records = list(records)
     shapes = {(rec.r, rec.n) for rec in records}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     if not records:
         raise DomainError("empty database")
-    agg = new_aggregate(kind, *shapes.pop(), k, table)
-    for row in compute_rows(records, base_order, table):
+    agg = new_aggregate(kind, *shapes.pop(), k)
+    for row in compute_rows(records):
         agg.add(row)
     return agg
 
@@ -257,18 +235,17 @@ def finite_reduction_check(
     r: int,
     k: int,
     db_map: dict[tuple[int, int], Iterable[DatabaseRecord]] | None = None,
-    base_order: str = "lex",
-    table: CValueTable | None = None,
 ) -> ReductionVerdict:
     """Reduce the bound m(M,k) <= c_r(n,k) for all n >= 2(r-k)+1 to its base
     cases: every rank r' <= r at n' = 2(r'-k)+1 elements.
 
     Base cases with n' <= r'+2 hold from the single-reorientation-class
     argument; ranks with k inadmissible contribute nothing.  Remaining base
-    cases need a supplied database and are checked record by record.
+    cases need a supplied database and are checked record by record.  The
+    recurrence cells are seeded in a table of their own, so "recurrence"
+    provenance never enters the module memo.
     """
     check_k(r, k)
-    table = table if table is not None else CValueTable()
     db_map = db_map or {}
     detail: list[str] = []
     missing: list[tuple[int, int]] = []
@@ -287,7 +264,7 @@ def finite_reduction_check(
             missing.append((r_prime, n_prime))
             detail.append(f"rank {r_prime}, n={n_prime}: database missing")
             continue
-        agg = roudneff_report(db_map[(r_prime, n_prime)], k, base_order, table)
+        agg = roudneff_report(db_map[(r_prime, n_prime)], k)
         if agg.holds:
             detail.append(
                 f"rank {r_prime}, n={n_prime}: max m = {agg.max_m} <= c = {agg.c_bound}"
@@ -298,6 +275,7 @@ def finite_reduction_check(
                 f"rank {r_prime}, n={n_prime}: COUNTEREXAMPLE max m = {agg.max_m} > {agg.c_bound}"
             )
     # the inductive step itself: recurrence on brute-force-accessible cells
+    table = CValueTable()
     for n in range(2 * (r - k) + 2, 2 * (r - k) + 4):
         table.seed_recurrence(r, n, k)
     return ReductionVerdict(r, k, confirmed and not missing, detail, missing)

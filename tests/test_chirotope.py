@@ -31,6 +31,9 @@ class TestAlternating:
             alternating_chirotope(0, 4)
         with pytest.raises(DomainError):
             alternating_chirotope(5, 4)
+        # C(100, 30) signs could never be allocated: the shape check comes first
+        with pytest.raises(DomainError, match=r"invalid rank/size \(30, 100\)"):
+            alternating_chirotope(30, 100)
 
 
 class TestEvalBasis:

@@ -13,6 +13,7 @@ from orimat import (
     c_value,
     circuits_from_chirotope,
     mcmullen_report,
+    parse_chirotope,
     parse_database,
     random_realizable,
     roudneff_report,
@@ -20,7 +21,7 @@ from orimat import (
 from orimat import cli
 from orimat.cli import main
 
-from conftest import o_vector_oracle
+from conftest import o_vector_oracle, serialize_colex
 
 
 def run(capsys, *argv):
@@ -226,11 +227,28 @@ class TestCValue:
         assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
 
 
+def colex_copy(path, r, n):
+    """The database at ``path`` (lex lines) rewritten in colex order, next to it."""
+    lines = path.read_text().split()
+    colex = path.with_name("colex_" + path.name)
+    colex.write_text("".join(serialize_colex(parse_chirotope(w, r, n)) + "\n" for w in lines))
+    assert colex.read_text() != path.read_text()
+    return colex
+
+
 @pytest.fixture
 def db36(tmp_path):
     lines = [alternating_chirotope(3, 6).serialize()]
     lines += [random_realizable(3, 6, seed=s).serialize() for s in range(3)]
     path = tmp_path / "db.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture
+def db47(tmp_path):
+    lines = [random_realizable(4, 7, seed=s).serialize() for s in range(4)]
+    path = tmp_path / "db47.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -284,6 +302,28 @@ class TestReports:
             "--file", str(db36), "--checkpoint", str(ckpt),
         )
         assert code == 0 and out == full_out
+
+    # At n = 2r colex text read as lex is a relabelled dual with the same
+    # rows, so the base-order cases use (4, 7), where a lost order fails.
+
+    def test_colex_base_order(self, capsys, db47):
+        argv = ["roudneff", "-r", "4", "-n", "7", "--k", "1"]
+        lex = run(capsys, *argv, "--file", str(db47))
+        colex = run(capsys, *argv, "--file", str(colex_copy(db47, 4, 7)), "--base-order", "colex")
+        assert colex == lex and lex[0] == 0
+
+    def test_colex_base_order_resumed(self, capsys, db47, tmp_path):
+        argv = ["mcmullen", "-r", "4", "-n", "7", "--k", "1"]
+        _, full_out, _ = run(capsys, *argv, "--file", str(db47))
+        outcomes = []
+        for order, db in [("lex", db47), ("colex", colex_copy(db47, 4, 7))]:
+            ckpt = tmp_path / f"{order}.jsonl"
+            ckpt.write_text(full_out.splitlines()[0] + "\n")
+            code, out, err = run(
+                capsys, *argv, "--file", str(db), "--base-order", order, "--checkpoint", str(ckpt)
+            )
+            outcomes.append((code, out, err, ckpt.read_text()))
+        assert outcomes[1] == outcomes[0] and outcomes[0][1] == full_out
 
     def test_checkpoint_with_gap_computes_missing_records(self, capsys, tmp_path):
         db = tmp_path / "db.txt"
@@ -439,17 +479,23 @@ class TestAuditAndReduce:
         assert code == 0 and "incomplete-evidence" in out
 
     def test_reduce_with_databases(self, capsys, tmp_path):
+        dbs = {}
         for r, n in [(4, 7), (5, 9)]:
             lines = [alternating_chirotope(r, n).serialize()]
             lines += [random_realizable(r, n, seed=s).serialize() for s in range(2)]
-            (tmp_path / f"db{r}_{n}.txt").write_text("\n".join(lines) + "\n")
-        code, out, _ = run(
-            capsys,
-            "reduce", "-r", "5", "--k", "1",
-            "--db", f"4:7:{tmp_path}/db4_7.txt",
-            "--db", f"5:9:{tmp_path}/db5_9.txt",
-        )
+            dbs[r, n] = tmp_path / f"db{r}_{n}.txt"
+            dbs[r, n].write_text("\n".join(lines) + "\n")
+        argv = ["reduce", "-r", "5", "--k", "1"]
+        lex = run(capsys, *argv, *(f"--db={r}:{n}:{p}" for (r, n), p in dbs.items()))
+        code, out, _ = lex
         assert code == 0 and out.strip().splitlines()[-1] == "confirmed"
+        colex = run(
+            capsys,
+            *argv,
+            "--base-order", "colex",
+            *(f"--db={r}:{n}:{colex_copy(p, r, n)}" for (r, n), p in dbs.items()),
+        )
+        assert colex == lex
 
 
 class TestUsageErrors:
@@ -470,3 +516,18 @@ class TestUsageErrors:
 
     def test_missing_required(self, capsys):
         assert main(["ovector", "-r", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ovector", "-r", "3", "-n", "-1"),
+            ("mcmullen", "-r", "3", "-n", "-1", "--k", "0"),
+            ("dual", "-r", "-3", "-n", "4"),
+        ],
+    )
+    def test_invalid_shape_with_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.txt"
+        path.write_text("++++\n")
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        r, n = argv[2], argv[4]
+        assert (code, out, err) == (2, "", f"error: invalid rank/size ({r}, {n})\n")

@@ -22,7 +22,6 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
-from orimat.cyclic import CValueTable
 from orimat.harness import ReportRow, new_aggregate
 
 from conftest import serialize_colex
@@ -41,7 +40,7 @@ class TestParseDatabase:
         lines = ["# header", "", "++++", "  ", "++++"]
         recs = list(parse_database(lines, 3, 4))
         assert [rec.id for rec in recs] == [3, 5]
-        assert all(rec.text == "++++" for rec in recs)
+        assert all(rec.chirotope().serialize() == "++++" for rec in recs)
 
     def test_bad_character_names_line(self):
         with pytest.raises(FormatError, match="line 3"):
@@ -54,6 +53,19 @@ class TestParseDatabase:
     def test_wrong_length_names_line(self):
         with pytest.raises(FormatError, match="line 1"):
             list(parse_database(["+++"], 3, 4))
+
+    def test_invalid_shape_refused(self):
+        with pytest.raises(DomainError, match=r"invalid rank/size \(3, -1\)"):
+            list(parse_database(["+++"], 3, -1))
+
+    def test_unknown_base_order_refused(self):
+        with pytest.raises(DomainError, match="unknown base order 'revlex'"):
+            list(parse_database(["++++"], 3, 4, base_order="revlex"))
+
+    def test_colex_signs_held_in_lex_order(self):
+        chi = random_realizable(3, 5, seed=4)
+        (rec,) = parse_database([serialize_colex(chi)], 3, 5, base_order="colex")
+        assert rec.chirotope() == chi
 
 
 class TestComputeRows:
@@ -79,8 +91,8 @@ class TestComputeRows:
     def test_colex_database_rows(self):
         chis = [random_realizable(4, 7, seed=s) for s in range(4)]
         lex = parse_database([chi.serialize() for chi in chis], 4, 7)
-        colex = parse_database([serialize_colex(chi) for chi in chis], 4, 7)
-        assert list(compute_rows(colex, base_order="colex")) == list(compute_rows(lex))
+        colex = parse_database([serialize_colex(chi) for chi in chis], 4, 7, base_order="colex")
+        assert list(compute_rows(colex)) == list(compute_rows(lex))
 
     def test_records_parsed_once(self, monkeypatch):
         recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
@@ -93,7 +105,7 @@ class TestComputeRows:
 
     def test_skip_ids(self):
         recs = list(parse_database(db_lines(3, 5, [0, 1]), 3, 5))
-        rows = list(compute_rows(recs, done_ids={recs[1].id}))
+        rows = list(compute_rows(rec for rec in recs if rec.id != recs[1].id))
         assert [row.id for row in rows] == [recs[0].id, recs[2].id]
 
     def test_json_round_trip(self):
@@ -159,7 +171,7 @@ def hand_row(row_id, m):
 
 class TestAggregateFold:
     def test_roudneff_add_counts_ties_and_exceedance(self):
-        agg = new_aggregate("roudneff", 3, 6, 1, CValueTable())
+        agg = new_aggregate("roudneff", 3, 6, 1)
         assert agg.c_bound == c_value(3, 6, 1) == 2
         assert agg.holds and agg.summary()["argmax_ids"] == []
         for row_id, m1 in [(1, 2), (2, 1), (3, 3), (4, 2), (5, 3)]:
@@ -175,13 +187,13 @@ class TestAggregateFold:
         assert list(agg.summary()) == ["verdict", "max_m", "c", "attaining", "argmax_ids"]
 
     def test_roudneff_all_zero_rows_tie(self):
-        agg = new_aggregate("roudneff", 3, 6, 1, CValueTable())
+        agg = new_aggregate("roudneff", 3, 6, 1)
         agg.add(hand_row(7, (22, 0)))
         agg.add(hand_row(9, (22, 0)))
         assert agg.holds and (agg.max_m, agg.argmax_ids, agg.attaining) == (0, [7, 9], 0)
 
     def test_mcmullen_add(self):
-        agg = new_aggregate("mcmullen", 3, 6, 1, CValueTable())
+        agg = new_aggregate("mcmullen", 3, 6, 1)
         assert agg.min_m is None and not agg.holds
         agg.add(hand_row(1, (22, 2)))
         agg.add(hand_row(2, (22, 1)))
@@ -200,7 +212,7 @@ class TestAggregateFold:
     @pytest.mark.parametrize("k", [-1, 2])
     def test_factory_checks_k(self, verdict, k):
         with pytest.raises(DomainError, match=f"k={k} outside \\[0, 1\\]"):
-            new_aggregate(verdict, 3, 6, k, CValueTable())
+            new_aggregate(verdict, 3, 6, k)
 
     def test_report_checks_k_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):
@@ -275,7 +287,8 @@ class TestCheckpoint:
             append_checkpoint(path, row)
         stored = load_checkpoint(path)
         assert stored == rows[:2]
-        resumed = list(compute_rows(recs, done_ids={row.id for row in stored}))
+        done = {row.id for row in stored}
+        resumed = list(compute_rows(rec for rec in recs if rec.id not in done))
         assert [r.id for r in resumed] == [r.id for r in rows[2:]]
         assert stored + resumed == rows
 
