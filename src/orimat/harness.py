@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .chirotope import Chirotope, parse_signs
 from .circuits import circuits_from_chirotope
-from .cyclic import CValueTable, c_value, tope_count_uniform
+from .cyclic import CValueTable, c_value, o_vector_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
 from .neighborly import check_k, o_vector
 
@@ -242,9 +242,11 @@ def finite_reduction_check(
     Base cases with n' <= r'+2 hold from the single-reorientation-class
     argument; ranks with k inadmissible contribute nothing.  Remaining base
     cases need a supplied database and are checked record by record.  The
-    recurrence cells are seeded in a table of their own, so "recurrence"
-    provenance never enters the module memo.
+    inductive step's recurrence is checked on the cells above each base case
+    (``_recurrence_mismatches``); a mismatch also withholds "confirmed".
     """
+    if r < 1:
+        raise DomainError(f"invalid rank r={r}: the reduction needs r >= 1")
     check_k(r, k)
     db_map = db_map or {}
     detail: list[str] = []
@@ -274,11 +276,34 @@ def finite_reduction_check(
             detail.append(
                 f"rank {r_prime}, n={n_prime}: COUNTEREXAMPLE max m = {agg.max_m} > {agg.c_bound}"
             )
-    # the inductive step itself: recurrence on brute-force-accessible cells
-    table = CValueTable()
-    for n in range(2 * (r - k) + 2, 2 * (r - k) + 4):
-        table.seed_recurrence(r, n, k)
+    mismatches = _recurrence_mismatches(r, k)
+    detail.extend(mismatches)
+    confirmed = confirmed and not mismatches
     return ReductionVerdict(r, k, confirmed and not missing, detail, missing)
+
+
+def _recurrence_mismatches(r: int, k: int) -> list[str]:
+    """The inductive step's c_r'(n,k) = c_r'(n-1,k) + c_{r'-1}(n-1,k), checked
+    for every admissible rank r' <= r on the two cells n = 2(r'-k)+2 and
+    2(r'-k)+3 just above its base case, against the closed form and, within
+    the enumeration budget, brute force.  Each recurrence is seeded in a
+    fresh table, so its cells are computed independently and "recurrence"
+    provenance never enters the module memo.  One line per disagreement."""
+    lines = []
+    for r_prime in range(2 * k + 1, r + 1):
+        for n in (2 * (r_prime - k) + 2, 2 * (r_prime - k) + 3):
+            value = CValueTable().seed_recurrence(r_prime, n, k).value
+            checks = [("closed form", sum(o_vector_closed(r_prime, n, k)))]
+            try:
+                checks.append(("brute force", o_vector_brute(r_prime, n).m(k)))
+            except DomainError:
+                pass  # refused before any work: the closed form stands alone
+            lines.extend(
+                f"rank {r_prime}, n={n}: RECURRENCE MISMATCH c = {value} != {name} {other}"
+                for name, other in checks
+                if other != value
+            )
+    return lines
 
 
 # -- checkpointing -----------------------------------------------------

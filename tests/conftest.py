@@ -1,9 +1,10 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
-from orimat import SignVector, orthogonality_degree
+from orimat import SignVector, neighborly, orthogonality_degree
 
 
 def all_full_vectors(n):
@@ -60,6 +61,14 @@ def first_index_oracle(cs, level):
         if ort_oracle(cs.members, SignVector(cs.n, full & ~minus, minus)) >= level:
             return index
     return None
+
+
+def full_sweep_orts(cs):
+    """ort of every sign vector with element 1 positive, in enumeration
+    order: one kernel call over all 2^(n-1) candidates against all circuits,
+    the dense sweep that the growth fold replaces beyond small sizes."""
+    masks = np.arange(1 << (cs.n - 1), dtype=np.uint64) << np.uint64(1)
+    return neighborly._ort_of(cs.plus, cs.minus, masks)
 
 
 def ball_oracle(cs, t, k):
@@ -119,3 +128,18 @@ def circuit_cache():
     from orimat.cyclic import alternating_circuits
 
     return alternating_circuits
+
+
+@pytest.fixture
+def c_values_off_by_1000(monkeypatch):
+    """Every c-value that a ``CValueTable`` computes comes out 1000 too
+    large, and the module memo starts empty so no correct entry survives."""
+    from orimat import cyclic
+
+    compute = cyclic.CValueTable._compute
+
+    def wrong(self, r, n, k):
+        return cyclic.CEntry(compute(self, r, n, k).value + 1000, "wrong")
+
+    monkeypatch.setattr(cyclic.CValueTable, "_compute", wrong)
+    monkeypatch.setattr(cyclic, "_default_table", cyclic.CValueTable())

@@ -13,12 +13,13 @@ from orimat import (
     c_value,
     circuits_from_chirotope,
     mcmullen_report,
+    o_vector_closed,
     parse_chirotope,
     parse_database,
     random_realizable,
     roudneff_report,
 )
-from orimat import cli
+from orimat import cli, neighborly
 from orimat.cli import main
 
 from conftest import o_vector_oracle, serialize_colex
@@ -75,11 +76,22 @@ class TestOVector:
         code, _, _ = run(capsys, "ovector", "-r", "4", "-n", "7", "--threads", "4")
         assert code == 2
 
-    def test_infeasible_size_refused(self, capsys):
-        # 91390 circuits x 2^39 candidates: refused before the kernel allocates
-        code, out, err = run(capsys, "ovector", "-r", "3", "-n", "40")
+    def test_infeasible_size_refused(self, capsys, monkeypatch):
+        # (5, 30) grows through about 1.9e10 pairs: refused before the kernel runs
+        def allocate(*args):
+            raise AssertionError("kernel ran before the budget check")
+
+        monkeypatch.setattr(neighborly, "_ort_of", allocate)
+        code, out, err = run(capsys, "ovector", "-r", "5", "-n", "30")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "budget" in err
+        assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
+
+    def test_grown_size_matches_closed_form(self, capsys):
+        # 91390 circuits x 2^39 sign vectors as a full sweep; grown, about 9e7 pairs
+        code, out, _ = run(capsys, "ovector", "-r", "3", "-n", "40")
+        assert code == 0
+        entries = list(o_vector_closed(3, 40, 0))
+        assert json.loads(out) == {"r": 3, "n": 40, "ovector": entries, "m": [sum(entries), 2]}
 
     def test_huge_alternating_refused_before_building(self, capsys):
         # C(40, 20) signs: the chirotope itself would not fit in memory
@@ -496,6 +508,18 @@ class TestAuditAndReduce:
             *(f"--db={r}:{n}:{colex_copy(p, r, n)}" for (r, n), p in dbs.items()),
         )
         assert colex == lex
+
+    def test_reduce_invalid_rank(self, capsys):
+        code, out, err = run(capsys, "reduce", "-r", "0", "--k", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "rank" in err and len(err.splitlines()) == 1
+        assert "k=0" not in err
+
+    def test_reduce_fails_on_wrong_c_values(self, capsys, c_values_off_by_1000):
+        # the recurrence over wrong c-values no longer meets the closed form
+        code, out, _ = run(capsys, "reduce", "-r", "7", "--k", "3")
+        assert code == 1 and "RECURRENCE MISMATCH" in out
+        assert out.strip().splitlines()[-1] == "counterexample"
 
 
 class TestUsageErrors:

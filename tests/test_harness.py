@@ -6,11 +6,13 @@ from orimat import (
     DomainError,
     FormatError,
     NonUniformError,
+    OVector,
     alternating_chirotope,
     append_checkpoint,
     c_value,
     circuits_from_chirotope,
     compute_rows,
+    cyclic,
     deletion_contraction_audit,
     finite_reduction_check,
     harness,
@@ -265,6 +267,37 @@ class TestFiniteReduction:
         assert not verdict.confirmed
         assert verdict.incomplete
         assert set(verdict.missing) == {(4, 7), (5, 9)}
+
+    def test_invalid_rank_named_before_k(self):
+        with pytest.raises(DomainError, match="invalid rank r=0"):
+            finite_reduction_check(0, 0)
+
+    @pytest.mark.parametrize("r,k", [(7, 3), (5, 1), (6, 2), (7, 1)])
+    def test_recurrence_check_can_fail(self, request, r, k):
+        assert not any("MISMATCH" in line for line in finite_reduction_check(r, k).detail)
+        request.getfixturevalue("c_values_off_by_1000")
+        verdict = finite_reduction_check(r, k)
+        assert not verdict.confirmed
+        assert any("RECURRENCE MISMATCH" in line for line in verdict.detail)
+
+    def test_recurrence_checked_against_both_references(self, monkeypatch):
+        # a wrong reference is named alone; (5, 1) enumerates all its cells
+        closed, brute = cyclic.o_vector_closed, cyclic.o_vector_brute
+        monkeypatch.setattr(
+            harness, "o_vector_closed", lambda r, n, k: tuple(e + 2 for e in closed(r, n, k))
+        )
+        detail = finite_reduction_check(5, 1).detail
+        assert sum("!= closed form" in line for line in detail) == 6
+        assert not any("!= brute force" in line for line in detail)
+        monkeypatch.setattr(harness, "o_vector_closed", closed)
+        monkeypatch.setattr(
+            harness,
+            "o_vector_brute",
+            lambda r, n: OVector(r, n, tuple(e + 2 for e in brute(r, n).entries)),
+        )
+        detail = finite_reduction_check(5, 1).detail
+        assert sum("!= brute force" in line for line in detail) == 6
+        assert not any("!= closed form" in line for line in detail)
 
     def test_supplied_base_databases(self):
         db_map = {

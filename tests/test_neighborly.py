@@ -1,6 +1,10 @@
 import itertools
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orimat import (
     DimensionError,
@@ -18,12 +22,22 @@ from orimat import (
     o_vector,
     ort,
     random_realizable,
+    search_k_neighborly,
     tope_count,
     tope_count_uniform,
     tope_graph_edges,
 )
 
-from conftest import all_full_vectors, ball_oracle, o_vector_oracle, ort_oracle
+from orimat.signvec import _elements_from_mask
+
+from conftest import (
+    all_full_vectors,
+    ball_oracle,
+    first_index_oracle,
+    full_sweep_orts,
+    o_vector_oracle,
+    ort_oracle,
+)
 
 
 def alt(r, n):
@@ -127,9 +141,13 @@ class TestOVector:
         monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", 32)  # several tiles
         assert o_vector(cs).entries == o_vector_oracle(cs)
 
-    def test_infeasible_size_refused(self):
+    def test_infeasible_size_refused(self, monkeypatch):
         # one circuit, but 2^39 candidates: refused before anything is allocated
+        def allocate(*args):
+            raise AssertionError("kernel ran before the budget check")
+
         cs = alt(39, 40)
+        monkeypatch.setattr(neighborly, "_ort_of", allocate)
         with pytest.raises(DomainError, match="budget"):
             o_vector(cs)
 
@@ -143,6 +161,82 @@ class TestOVector:
     def test_entry_count_validated(self):
         with pytest.raises(DomainError):
             OVector(5, 8, (1, 2))
+
+
+GROWTH_SIZES = [(3, 6), (4, 7), (4, 8), (5, 8), (5, 9), (6, 9)]
+
+
+@lru_cache(maxsize=None)
+def growth_case(r, n):
+    """A random chirotope at (r, n), its circuits and its oracles: the scalar
+    o-vector, the scalar first index at each level k+1, and the enumeration
+    indices of the topes with element 1 positive from the full sweep."""
+    chi = random_realizable(r, n, seed=r * n)
+    cs = circuits_from_chirotope(chi)
+    kmax = (r - 1) // 2
+    first = tuple(first_index_oracle(cs, k + 1) for k in range(kmax + 1))
+    return chi, cs, o_vector_oracle(cs), first, np.flatnonzero(full_sweep_orts(cs) > 0)
+
+
+class TestGrowth:
+    """The growth path at every dense prefix j0 = r+1..n (j0 = n is the one
+    dense call), tiles of 1 and 7 entries included, against the oracles."""
+
+    @pytest.mark.parametrize(
+        "r,n,j0,block",
+        [
+            (r, n, j0, block)
+            for r, n in GROWTH_SIZES
+            for j0 in range(r + 1, n + 1)
+            # 1-entry tiles cost one Python iteration per pair: kept to n <= 8
+            for block in ([1] if n <= 8 else []) + [7, neighborly.BLOCK_ELEMENTS]
+        ],
+    )
+    def test_matches_oracles(self, monkeypatch, r, n, j0, block):
+        chi, cs, entries, first, topes = growth_case(r, n)
+        monkeypatch.setattr(neighborly, "_plan", lambda r, n: j0)
+        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
+        assert o_vector(cs).entries == entries
+        for k, index in enumerate(first):
+            assert m_value(cs, k) == sum(entries[k:])
+            w = search_k_neighborly(chi, k)
+            if index is None:
+                assert w is None, k
+            else:
+                assert w.r_set == _elements_from_mask(index << 1) and w.k >= k, k
+        positives = list(enumerate_topes(cs))[: len(topes)]
+        assert [t.minus >> 1 for t in positives] == topes.tolist()
+        assert tope_count(cs) == 2 * len(topes) == sum(entries)
+
+    def test_database_sizes_take_the_dense_call(self):
+        # (4,8) and (5,9) sweep 7168 and 21504 pairs, (6,12) about 1.6e6
+        assert neighborly._plan(4, 8) == 8
+        assert neighborly._plan(5, 9) == 9
+        assert neighborly._plan(6, 12) == 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_growth_equals_sweep(self, data):
+        r = data.draw(st.integers(2, 6), label="r")
+        n = data.draw(st.integers(r + 1, r + 5), label="n")
+        j0 = data.draw(st.integers(r + 1, n), label="j0")
+        level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
+        cs = circuits_from_chirotope(random_realizable(r, n, seed=data.draw(st.integers(0, 999))))
+        orts = full_sweep_orts(cs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighborly, "_plan", lambda r, n: j0)
+            masks, got = neighborly._grow(cs, level)
+        keep = got >= level
+        expected = np.flatnonzero(orts >= level)
+        assert (masks[keep] >> np.uint64(1)).tolist() == expected.tolist()
+        assert got[keep].tolist() == orts[expected].tolist()
+
+    def test_enumeration_cost_is_the_sum_of_levels(self):
+        # (4, 8) grown from j0 = 5: 16 x 1 pairs, then 2 T(j-1) C(j-1, 4)
+        # at j = 6, 7, 8 with T(5, 6, 7) = 15, 26, 42
+        pairs, candidates, _ = neighborly._enumeration_cost(4, 8, 5)
+        assert pairs == 16 + 2 * 15 * 5 + 2 * 26 * 15 + 2 * 42 * 35
+        assert candidates == 2 * 42
 
 
 class TestMValue:
