@@ -273,14 +273,13 @@ def from_points(coords: list[list[int]]) -> Chirotope:
     return Chirotope(n, r, tuple(signs))
 
 
-def random_realizable(r: int, n: int, seed: int, coord_bound: int = 1000) -> Chirotope:
+def random_realizable(r: int, n: int, seed: int) -> Chirotope:
     """Random realizable uniform chirotope from integer points in general
-    position; rejection-samples on zero minors with an explicit seed."""
+    position, coordinates in [-1000, 1000]; rejection-samples on zero minors
+    with an explicit seed."""
     rng = random.Random(seed)
     while True:
-        coords = [
-            [rng.randint(-coord_bound, coord_bound) for _ in range(r)] for _ in range(n)
-        ]
+        coords = [[rng.randint(-1000, 1000) for _ in range(r)] for _ in range(n)]
         try:
             return from_points(coords)
         except DomainError:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chirotope import Chirotope
 from .errors import DomainError, EmptyCircuitSetError
-from .signvec import SignVector, _mask_from_elements, orthogonality_degree
+from .signvec import SignVector, _mask_from_elements
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +163,7 @@ def check_circuit_axioms(members: tuple[SignVector, ...]) -> AxiomReport:
 
 def is_face(cs: CircuitSet, f_set) -> bool:
     """Las Vergnas face test: the vector positive off F and zero on F must be
-    orthogonal to every circuit (S and H both empty or both nonempty)."""
-    f_mask = _mask_from_elements(f_set, cs.n)
-    y = SignVector(cs.n, ((1 << cs.n) - 1) & ~f_mask, 0)
-    for x in cs.members:
-        sep, agr, _ = orthogonality_degree(x, y)
-        if (sep == 0) != (agr == 0):
-            return False
-    return True
+    orthogonal to every circuit X, that is X^+ and X^- meet [n] \\ F both or
+    neither."""
+    off = np.uint64(((1 << cs.n) - 1) & ~_mask_from_elements(f_set, cs.n))
+    return bool((((cs.plus & off) == 0) == ((cs.minus & off) == 0)).all())

@@ -21,8 +21,7 @@ from .constructions import (
 )
 from .cyclic import CValueTable
 from .errors import DomainError, FormatError, OrimatError
-from .neighborly import check_enumeration_size, o_vector, tope_graph_edges
-from .signvec import SignVector
+from .neighborly import check_enumeration_size, m_value, o_vector, tope_graph_edges
 
 
 def _add_common(p: argparse.ArgumentParser, db: bool = False):
@@ -147,7 +146,7 @@ def _cmd_ovector(args) -> int:
 def _cmd_mvalue(args) -> int:
     check_enumeration_size(args.rank, args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
-    print(o_vector(cs).m(args.k))
+    print(m_value(cs, args.k))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Analytics for the alternating (cyclic) matroid C_r(n): block-based tope
 tests, the closed-form o-vector, the n = r+1 formula, the exact tope count,
-and the memoized c_r(n,k) dispatcher with its recurrence.
+the brute-force c-value and the memoized c_r(n,k) dispatcher.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 from .chirotope import alternating_chirotope
 from .circuits import CircuitSet, circuits_from_chirotope
 from .errors import DomainError, FormatError
-from .neighborly import OVector, check_enumeration_size, check_k, o_vector, ort
+from .neighborly import OVector, check_enumeration_size, check_k, m_value, o_vector, ort
 from .signvec import SignVector, block_profile
 
 
@@ -86,6 +86,13 @@ def o_vector_brute(r: int, n: int) -> OVector:
     return o_vector(alternating_circuits(r, n))
 
 
+def c_value_brute(r: int, n: int, k: int) -> int:
+    """c_r(n,k) = m(C_r(n),k) by enumeration, independent of the closed
+    forms; an over-budget (r, n) is refused before any circuit is built."""
+    check_enumeration_size(r, n)
+    return m_value(alternating_circuits(r, n), k)
+
+
 def literature_c1(r: int, n: int) -> int:
     """The transcribed prior-work closed form for c_r(n,1).
 
@@ -99,12 +106,11 @@ def literature_c1(r: int, n: int) -> int:
     )
 
 
-def literature_c1_validity(r: int, n_max: int, table: "CValueTable | None" = None) -> dict[int, bool]:
+def literature_c1_validity(r: int, n_max: int) -> dict[int, bool]:
     """Empirical validity of literature_c1 against the trusted c-value,
     per n in r+1..n_max."""
-    table = table if table is not None else CValueTable()
     return {
-        n: literature_c1(r, n) == table.c_value(r, n, 1)
+        n: literature_c1(r, n) == c_value(r, n, 1)
         for n in range(r + 1, n_max + 1)
         if (r - 1) // 2 >= 1
     }
@@ -113,7 +119,7 @@ def literature_c1_validity(r: int, n_max: int, table: "CValueTable | None" = Non
 @dataclass(frozen=True)
 class CEntry:
     value: int
-    provenance: str  # closed-form | n=r+1-formula | brute-force | recurrence
+    provenance: str  # closed-form | n=r+1-formula | brute-force
 
 
 class CValueTable:
@@ -146,21 +152,7 @@ class CValueTable:
             return CEntry(o_vector_small(r).m(k), "n=r+1-formula")
         if n >= 2 * (r - k) + 1 and 2 * (r - k) + 1 >= r + 2:
             return CEntry(sum(o_vector_closed(r, n, k)), "closed-form")
-        return CEntry(o_vector_brute(r, n).m(k), "brute-force")
-
-    def seed_recurrence(self, r: int, n: int, k: int) -> CEntry:
-        """Fill (r,n,k) via c_r(n,k) = c_r(n-1,k) + c_{r-1}(n-1,k); asserts
-        agreement when an independent path is also available."""
-        lower_rank = self.c_value(r - 1, n - 1, k) if k <= (r - 2) // 2 else 0
-        value = self.c_value(r, n - 1, k) + lower_rank
-        key = (r, n, k)
-        if key in self._memo and self._memo[key].value != value:
-            raise AssertionError(
-                f"recurrence disagrees at {key}: {value} vs {self._memo[key].value}"
-            )
-        entry = CEntry(value, "recurrence")
-        self._memo.setdefault(key, entry)
-        return entry
+        return CEntry(c_value_brute(r, n, k), "brute-force")
 
     # -- persistence ---------------------------------------------------
 

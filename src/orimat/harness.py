@@ -21,9 +21,9 @@ from typing import Iterable, Iterator
 
 from .chirotope import Chirotope, parse_signs
 from .circuits import circuits_from_chirotope
-from .cyclic import CValueTable, c_value, o_vector_brute, o_vector_closed, tope_count_uniform
+from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
-from .neighborly import check_k, o_vector
+from .neighborly import check_k, m_value, o_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +205,13 @@ def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")
     check_k(chi.r, k)
-    m_full = o_vector(circuits_from_chirotope(chi)).m(k)
+    m_full = m_value(circuits_from_chirotope(chi), k)
     out = []
     for e in range(1, chi.n + 1):
-        m_del = o_vector(circuits_from_chirotope(chi.delete(e))).m(k)
+        m_del = m_value(circuits_from_chirotope(chi.delete(e)), k)
         contracted = chi.contract(e)
         if k <= (contracted.r - 1) // 2:
-            m_con = o_vector(circuits_from_chirotope(contracted)).m(k)
+            m_con = m_value(circuits_from_chirotope(contracted), k)
         else:
             m_con = 0
         out.append(AuditTriple(e, m_full, m_del, m_con))
@@ -286,16 +286,18 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
     """The inductive step's c_r'(n,k) = c_r'(n-1,k) + c_{r'-1}(n-1,k), checked
     for every admissible rank r' <= r on the two cells n = 2(r'-k)+2 and
     2(r'-k)+3 just above its base case, against the closed form and, within
-    the enumeration budget, brute force.  Each recurrence is seeded in a
-    fresh table, so its cells are computed independently and "recurrence"
-    provenance never enters the module memo.  One line per disagreement."""
+    the enumeration budget, brute force.  The right-hand side comes from the
+    module memo; c_{r'-1} is 0 where k is inadmissible at rank r'-1.  One
+    line per disagreement."""
     lines = []
     for r_prime in range(2 * k + 1, r + 1):
         for n in (2 * (r_prime - k) + 2, 2 * (r_prime - k) + 3):
-            value = CValueTable().seed_recurrence(r_prime, n, k).value
+            value = c_value(r_prime, n - 1, k)
+            if k <= (r_prime - 2) // 2:
+                value += c_value(r_prime - 1, n - 1, k)
             checks = [("closed form", sum(o_vector_closed(r_prime, n, k)))]
             try:
-                checks.append(("brute force", o_vector_brute(r_prime, n).m(k)))
+                checks.append(("brute force", c_value_brute(r_prime, n, k)))
             except DomainError:
                 pass  # refused before any work: the closed form stands alone
             lines.extend(

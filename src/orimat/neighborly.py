@@ -11,13 +11,12 @@ The enumeration (``_grow``) is a growth fold.  Every circuit has a largest
 element j, and a tope restricts to a tope of the deletion, so candidates on
 [j-1] are extended by +-j and only the circuits whose largest element is j
 are folded into their running minimum; a candidate is dropped once that
-minimum falls below the level asked for (1 for o-vectors, tope counts and
-the tope list, k+1 for the search).  The first j0 elements are a dense
+minimum falls below the level asked for (1 for o-vectors and the tope
+list, k+1 for m(M,k) and the search).  The first j0 elements are a dense
 prefix: all n of them, one kernel call with no reorder or filter, while the
 full sweep stays within DENSE_PAIRS pairs; otherwise the first r+1.  Sizes
 are refused before anything is allocated by closed forms for the kernel
-pairs, the largest candidate array and the table bytes
-(``_enumeration_cost``).
+pairs and the largest candidate array (``_enumeration_cost``).
 """
 
 from __future__ import annotations
@@ -40,10 +39,9 @@ BLOCK_ELEMENTS = 1 << 13
 # elements.
 DENSE_PAIRS = 1 << 15
 # Limits on an enumeration, checked before anything is allocated: kernel
-# pairs, the largest candidate array, and the circuit and facet table bytes.
+# pairs and the largest candidate array.
 PAIR_BUDGET = 1 << 32
 CANDIDATE_BUDGET = 1 << 24
-TABLE_BUDGET = 1 << 30
 
 
 def ort(cs: CircuitSet, t: SignVector) -> int:
@@ -108,14 +106,13 @@ def check_enumeration_size(r: int, n: int):
         _plan(r, n)
 
 
-def _check_budget(pairs: int, candidates: int, table_bytes: int = 0):
+def _check_budget(pairs: int, candidates: int):
     """Refuse, before anything is allocated, a kernel run beyond the limits."""
-    if pairs > PAIR_BUDGET or candidates > CANDIDATE_BUDGET or table_bytes > TABLE_BUDGET:
+    if pairs > PAIR_BUDGET or candidates > CANDIDATE_BUDGET:
         raise DomainError(
-            f"{pairs} circuit x sign-vector pairs, {candidates} candidates and "
-            f"{table_bytes} table bytes exceed the enumeration budget of "
-            f"{PAIR_BUDGET} pairs, {CANDIDATE_BUDGET} candidates and "
-            f"{TABLE_BUDGET} table bytes"
+            f"{pairs} circuit x sign-vector pairs and {candidates} candidates "
+            f"exceed the enumeration budget of {PAIR_BUDGET} pairs and "
+            f"{CANDIDATE_BUDGET} candidates"
         )
 
 
@@ -129,18 +126,16 @@ def _plan(r: int, n: int) -> int:
     return j0
 
 
-def _enumeration_cost(r: int, n: int, j0: int) -> tuple[int, int, int]:
+def _enumeration_cost(r: int, n: int, j0: int) -> tuple[int, int]:
     """Closed-form cost of ``_grow`` at (r, n) with a dense prefix of j0
-    elements: (kernel pairs, largest candidate array, table bytes).
+    elements: (kernel pairs, largest candidate array).
 
     The prefix costs 2^(j0-1) * C(j0, r+1) pairs.  Level j > j0 extends the
     T(j-1) survivors on [j-1], where T(m) = sum_{i<r} C(m-1, i) is the halved
     tope count of a uniform rank-r matroid on m elements, by +-j and folds in
     the C(j-1, r) circuits whose largest element is j.  Sign data that is not
     a chirotope can leave more survivors, but at most C(j-1, r)/2 more: they
-    shatter no (r+1)-set, so Sauer-Shelah applies.  The tables are the
-    facet ranks and element bits ((r+1) intp + uint64 per circuit) plus four
-    uint64 arrays per circuit: support, plus, minus and the growth order.
+    shatter no (r+1)-set, so Sauer-Shelah applies.
     """
 
     def halved_topes(m):
@@ -151,7 +146,7 @@ def _enumeration_cost(r: int, n: int, j0: int) -> tuple[int, int, int]:
         size * comb(j - 1, r) for j, size in zip(range(j0 + 1, n + 1), levels)
     )
     candidates = max([1 << (j0 - 1)] + levels)
-    return pairs, candidates, comb(n, r + 1) * (16 * (r + 1) + 32)
+    return pairs, candidates
 
 
 @lru_cache(maxsize=32)
@@ -255,13 +250,14 @@ def enumerate_topes(cs: CircuitSet):
 
 
 def tope_count(cs: CircuitSet) -> int:
-    return 2 * int((_grow(cs, 1)[1] > 0).sum())
+    return m_value(cs, 0)
 
 
 def m_value(cs: CircuitSet, k: int) -> int:
-    """Number of k-neighborly reorientations, m(M,k)."""
+    """Number of k-neighborly reorientations, m(M,k): the topes with ort at
+    least k+1, grown at that level.  k is checked before any enumeration."""
     check_k(cs.r, k)
-    return o_vector(cs).m(k)
+    return 2 * int((_grow(cs, k + 1)[1] > k).sum())
 
 
 def ball_k_neighborly(cs: CircuitSet, t: SignVector, k: int) -> bool:

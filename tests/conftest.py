@@ -71,6 +71,19 @@ def full_sweep_orts(cs):
     return neighborly._ort_of(cs.plus, cs.minus, masks)
 
 
+def face_oracle(cs, f_set):
+    """Las Vergnas face test one circuit at a time through the scalar
+    degree: the vector positive off F and zero on F is orthogonal to every
+    circuit (separations and agreements both zero or both nonzero)."""
+    f_mask = sum(1 << (e - 1) for e in f_set)
+    y = SignVector(cs.n, ((1 << cs.n) - 1) & ~f_mask, 0)
+    for x in cs.members:
+        sep, agr, _ = orthogonality_degree(x, y)
+        if (sep == 0) != (agr == 0):
+            return False
+    return True
+
+
 def ball_oracle(cs, t, k):
     """Every flip of 1..k coordinates of t is a tope, by the scalar ort."""
     return all(

@@ -17,7 +17,7 @@ from orimat import (
     random_realizable,
 )
 
-from conftest import circuit_masks_oracle, serialize_colex
+from conftest import circuit_masks_oracle, face_oracle, serialize_colex
 
 
 class TestCircuitsFromChirotope:
@@ -151,6 +151,22 @@ class TestIsFace:
     def test_out_of_range_element(self):
         with pytest.raises(DomainError):
             is_face(self.cs, {6})
+
+    @pytest.mark.parametrize(
+        "chi",
+        [random_realizable(r, n, seed=n) for r, n in [(3, 6), (4, 7), (5, 8)]]
+        + [alternating_chirotope(4, 7)],
+        ids=["random(3,6)", "random(4,7)", "random(5,8)", "C_4(7)"],
+    )
+    def test_masks_match_per_circuit_oracle(self, chi):
+        cs = circuits_from_chirotope(chi)
+        verdicts = set()
+        for f_mask in range(1 << chi.n):
+            f_set = {e for e in range(1, chi.n + 1) if f_mask >> (e - 1) & 1}
+            expected = face_oracle(cs, f_set)
+            assert is_face(cs, f_set) == expected, f_set
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("r,n", [(3, 5), (3, 6), (4, 6), (4, 7)])
     def test_neighborliness_definitions_agree(self, r, n):

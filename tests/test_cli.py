@@ -118,6 +118,20 @@ class TestMValue:
         code, _, err = run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "2")
         assert code == 2 and "error" in err
 
+    def test_k_refused_before_the_kernel(self, capsys, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("kernel ran before k was checked")
+
+        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        code, out, err = run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_grown_size_matches_closed_form(self, capsys):
+        # level 2 grown at (4, 22): m(C_4(22), 1) is the closed form's last entry
+        code, out, _ = run(capsys, "mvalue", "-r", "4", "-n", "22", "--k", "1")
+        assert code == 0 and int(out) == sum(o_vector_closed(4, 22, 1)) == 44
+
 
 class TestMinorsAndReorient:
     def test_dual(self, capsys):

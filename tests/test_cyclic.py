@@ -16,6 +16,7 @@ from orimat import (
 from orimat.cyclic import (
     CValueTable,
     alternating_circuits,
+    c_value_brute,
     literature_c1,
     literature_c1_validity,
     o_vector_brute,
@@ -208,12 +209,11 @@ class TestCValue:
             values = [table.c_value(r, n, k) for k in range((r - 1) // 2 + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_recurrence_seeding(self):
-        table = CValueTable()
-        entry = table.seed_recurrence(6, 10, 2)
-        assert entry.value == table.c_value(6, 9, 2) + table.c_value(5, 9, 2) == 20
-        # agrees with the closed form computed independently
-        assert CValueTable().c_value(6, 10, 2) == 20
+    def test_brute_force_c_value(self):
+        # the recurrence's two closed-form terms against the enumeration
+        assert c_value_brute(6, 10, 2) == c_value(6, 9, 2) + c_value(5, 9, 2) == 20
+        # the table's brute-force cell, against the whole o-vector's tail
+        assert c_value_brute(6, 8, 2) == o_vector_brute(6, 8).m(2) == 32
 
     def test_domain_errors(self):
         table = CValueTable()

@@ -6,7 +6,6 @@ from orimat import (
     DomainError,
     FormatError,
     NonUniformError,
-    OVector,
     alternating_chirotope,
     append_checkpoint,
     c_value,
@@ -250,6 +249,20 @@ class TestAudit:
         with pytest.raises(DomainError):
             deletion_contraction_audit(alternating_chirotope(3, 4), 0)
 
+    def test_single_levels_build_no_o_vector(self, monkeypatch):
+        # the audit and the reduction's brute-force cells count one level
+        chi = alternating_chirotope(5, 8)
+        triples = deletion_contraction_audit(chi, 2)
+        detail = finite_reduction_check(5, 1).detail
+
+        def whole_vector(cs):
+            raise AssertionError("o-vector built for a single level")
+
+        monkeypatch.setattr(harness, "o_vector", whole_vector)
+        monkeypatch.setattr(cyclic, "o_vector", whole_vector)
+        assert deletion_contraction_audit(chi, 2) == triples
+        assert finite_reduction_check(5, 1).detail == detail
+
 
 class TestFiniteReduction:
     def test_rank3_k1_confirmed_without_databases(self):
@@ -282,7 +295,7 @@ class TestFiniteReduction:
 
     def test_recurrence_checked_against_both_references(self, monkeypatch):
         # a wrong reference is named alone; (5, 1) enumerates all its cells
-        closed, brute = cyclic.o_vector_closed, cyclic.o_vector_brute
+        closed, brute = cyclic.o_vector_closed, cyclic.c_value_brute
         monkeypatch.setattr(
             harness, "o_vector_closed", lambda r, n, k: tuple(e + 2 for e in closed(r, n, k))
         )
@@ -290,11 +303,7 @@ class TestFiniteReduction:
         assert sum("!= closed form" in line for line in detail) == 6
         assert not any("!= brute force" in line for line in detail)
         monkeypatch.setattr(harness, "o_vector_closed", closed)
-        monkeypatch.setattr(
-            harness,
-            "o_vector_brute",
-            lambda r, n: OVector(r, n, tuple(e + 2 for e in brute(r, n).entries)),
-        )
+        monkeypatch.setattr(harness, "c_value_brute", lambda r, n, k: brute(r, n, k) + 2)
         detail = finite_reduction_check(5, 1).detail
         assert sum("!= brute force" in line for line in detail) == 6
         assert not any("!= closed form" in line for line in detail)

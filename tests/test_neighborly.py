@@ -226,17 +226,37 @@ class TestGrowth:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(neighborly, "_plan", lambda r, n: j0)
             masks, got = neighborly._grow(cs, level)
+            m = [m_value(cs, k) for k in range((r - 1) // 2 + 1)]
         keep = got >= level
         expected = np.flatnonzero(orts >= level)
         assert (masks[keep] >> np.uint64(1)).tolist() == expected.tolist()
         assert got[keep].tolist() == orts[expected].tolist()
+        assert m == [2 * int((orts > k).sum()) for k in range(len(m))]
 
     def test_enumeration_cost_is_the_sum_of_levels(self):
         # (4, 8) grown from j0 = 5: 16 x 1 pairs, then 2 T(j-1) C(j-1, 4)
         # at j = 6, 7, 8 with T(5, 6, 7) = 15, 26, 42
-        pairs, candidates, _ = neighborly._enumeration_cost(4, 8, 5)
+        pairs, candidates = neighborly._enumeration_cost(4, 8, 5)
         assert pairs == 16 + 2 * 15 * 5 + 2 * 26 * 15 + 2 * 42 * 35
         assert candidates == 2 * 42
+
+    def test_largest_runnable_size_per_rank(self):
+        # the table in the README's "Enumeration limits"; ranks 1-3 run up
+        # to MAX_GROUND_SET = 64 and from rank 25 on no size runs
+        largest = {}
+        for r in range(1, 64):
+            for n in range(r + 1, 65):
+                try:
+                    neighborly._plan(r, n)
+                except DomainError:
+                    break
+                largest[r] = n
+        assert largest == {
+            1: 64, 2: 64, 3: 64, 4: 37, 5: 26, 6: 21, 7: 19,
+            8: 18, 9: 18, 10: 18, 11: 18, 12: 18, 13: 19, 14: 19,
+            15: 20, 16: 20, 17: 21, 18: 22, 19: 22, 20: 23, 21: 24,
+            22: 24, 23: 25, 24: 25,
+        }
 
 
 class TestMValue:
