@@ -16,14 +16,18 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby, islice
+from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .chirotope import Chirotope, parse_signs
+import numpy as np
+
+from .chirotope import Chirotope, check_shape, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
-from .errors import DomainError, FormatError, NonUniformError
-from .neighborly import check_k, m_value, o_vector
+from .errors import DomainError, FormatError, NonUniformError, OrimatError
+from .neighborly import check_k, dense_o_vectors, is_dense, m_value, o_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,24 +77,70 @@ def parse_database(
         yield DatabaseRecord(lineno, r, n, signs)
 
 
-def _compute_row(record: DatabaseRecord) -> ReportRow:
-    ov = o_vector(circuits_from_chirotope(record.chirotope()))
-    # cheap corruption check before trusting the expensive pass
-    expected = tope_count_uniform(record.r, record.n)
-    if ov.tope_count != expected:
-        raise FormatError(
-            f"record {record.id}: tope count {ov.tope_count} != {expected}; "
-            "wrong base order or corrupt data"
-        )
-    m = ov.m_values()
-    attains = tuple(m[k] == c_value(record.r, record.n, k) for k in range(len(m)))
-    return ReportRow(record.id, ov.entries, m, attains)
+# Kernel entries (records x circuits x candidates) per batched call at the
+# dense sizes: it bounds the working arrays of one call to a few hundred KB.
+BATCH_ENTRIES = 1 << 18
 
 
 def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
-    """Per-record rows in record order; record order does not change any row."""
-    for rec in records:
-        yield _compute_row(rec)
+    """Per-record rows in record order; record order does not change any row.
+
+    Consecutive records of one dense (r, n) are batched, as many per kernel
+    call as BATCH_ENTRIES allows (``neighborly.dense_o_vectors``); any other
+    size goes record by record through ``o_vector``.  Each record is checked
+    when its row is due, so the rows before a bad record still come out.
+    """
+    for (r, n), same in groupby(records, key=lambda rec: (rec.r, rec.n)):
+        dense = is_dense(r, n)
+        size = max(1, BATCH_ENTRIES // (comb(n, r + 1) << (n - 1))) if dense else 1
+        while group := list(islice(same, size)):
+            yield from _group_rows(group, dense)
+
+
+def _group_rows(group: list[DatabaseRecord], dense: bool) -> Iterator[ReportRow]:
+    """Rows of consecutive records of one (r, n), up to the first record
+    with a ``_sign_error``; that one raises after them."""
+    r, n = group[0].r, group[0].n
+    try:
+        check_shape(r, n)
+    except DomainError as exc:
+        raise DomainError(f"record {group[0].id}: {exc}") from None
+    bad = next((i for i, rec in enumerate(group) if _sign_error(rec)), len(group))
+    good = group[:bad]
+    if good and dense:
+        signs = np.frombuffer(b"".join(rec.signs for rec in good), dtype=np.int8)
+        rows = zip(good, dense_o_vectors(r, n, signs.reshape(bad, -1)).tolist())
+    else:
+        rows = ((rec, o_vector(circuits_from_chirotope(rec.chirotope())).entries) for rec in good)
+    topes = tope_count_uniform(r, n)
+    for rec, entries in rows:
+        yield _row(rec, tuple(entries), topes)
+    if bad < len(group):
+        raise _sign_error(group[bad])
+
+
+def _sign_error(rec: DatabaseRecord) -> OrimatError | None:
+    """The error, naming the record, for signs that ``Chirotope`` refuses:
+    not C(n, r) of them, or one that is not +1 or -1 (byte 0xff)."""
+    expected = comb(rec.n, rec.r)
+    if len(rec.signs) != expected:
+        return DomainError(f"record {rec.id}: expected {expected} signs, got {len(rec.signs)}")
+    if rec.signs.strip(b"\x01\xff"):
+        return NonUniformError(f"record {rec.id}: chirotope signs must be +1/-1 (uniform only)")
+    return None
+
+
+def _row(rec: DatabaseRecord, entries: tuple[int, ...], topes: int) -> ReportRow:
+    """The row of a record's o-vector entries, after the corruption check
+    against ``topes``, the tope count of every uniform matroid at (r, n)."""
+    if sum(entries) != topes:
+        raise FormatError(
+            f"record {rec.id}: tope count {sum(entries)} != {topes}; "
+            "wrong base order or corrupt data"
+        )
+    m = tuple(accumulate(reversed(entries)))[::-1]  # m(M,k) = the tail sums
+    attains = tuple(m[k] == c_value(rec.r, rec.n, k) for k in range(len(m)))
+    return ReportRow(rec.id, entries, m, attains)
 
 
 @dataclass

@@ -65,10 +65,11 @@ def first_index_oracle(cs, level):
 
 def full_sweep_orts(cs):
     """ort of every sign vector with element 1 positive, in enumeration
-    order: one kernel call over all 2^(n-1) candidates against all circuits,
-    the dense sweep that the growth fold replaces beyond small sizes."""
+    order: all 2^(n-1) candidates against all circuits through the uint64
+    mask producer, the full sweep that the growth fold replaces beyond small
+    sizes and an independent check on the dense table."""
     masks = np.arange(1 << (cs.n - 1), dtype=np.uint64) << np.uint64(1)
-    return neighborly._ort_of(cs.plus, cs.minus, masks)
+    return neighborly._ort_masks(cs.plus, cs.minus, masks, cs.r + 1)
 
 
 def face_oracle(cs, f_set):

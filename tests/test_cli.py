@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+from math import ceil, comb
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
-from orimat import cli, neighborly
+from orimat import cli, harness, neighborly
 from orimat.cli import main
 
 from conftest import o_vector_oracle, serialize_colex
@@ -453,6 +454,51 @@ class TestReports:
         assert [json.loads(line)["id"] for line in out.splitlines()] == [1]
         assert ckpt.read_text() == out
         assert err.startswith("error:") and "record 2" in err and len(err.splitlines()) == 1
+
+
+    def test_corrupt_record_in_the_middle_of_a_group(self, capsys, tmp_path):
+        # ten (4, 8) records, one kernel group; record 6 has one sign of a
+        # chirotope flipped, which breaks its tope count
+        lines = [random_realizable(4, 8, seed=s).serialize() for s in range(10)]
+        lines[5] = ("+" if lines[0][0] == "-" else "-") + lines[0][1:]
+        db = tmp_path / "db.txt"
+        db.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "ckpt.jsonl"
+        code, out, err = run(
+            capsys,
+            "roudneff", "-r", "4", "-n", "8", "--k", "1",
+            "--file", str(db), "--checkpoint", str(ckpt),
+        )
+        assert code == 2
+        assert [json.loads(line)["id"] for line in out.splitlines()] == [1, 2, 3, 4, 5]
+        assert ckpt.read_text() == out
+        assert err.startswith("error: record 6: tope count") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("signs", [b"\x01" * 69, b"\x01" * 69 + b"\x00"])
+    def test_hand_built_bad_record_exits_two(self, capsys, monkeypatch, tmp_path, signs):
+        good = next(parse_database([random_realizable(4, 8, seed=0).serialize()], 4, 8))
+        records = [good, harness.DatabaseRecord(2, 4, 8, signs)]
+        monkeypatch.setattr(harness, "parse_database", lambda *args: iter(records))
+        db = tmp_path / "db.txt"
+        db.write_text("unread\n")
+        code, out, err = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
+        assert code == 2 and [json.loads(line)["id"] for line in out.splitlines()] == [1]
+        assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
+
+    def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
+        # (4, 8): 56 circuits x 128 candidates per record
+        per_call = harness.BATCH_ENTRIES // (comb(8, 5) << 7)
+        count = 2 * per_call + 3
+        db = tmp_path / "db.txt"
+        db.write_text(
+            "\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(count)) + "\n"
+        )
+        calls = []
+        kernel = neighborly._ort_of
+        monkeypatch.setattr(neighborly, "_ort_of", lambda *args: calls.append(1) or kernel(*args))
+        code, out, _ = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
+        assert code == 0 and len(out.splitlines()) == count
+        assert len(calls) == ceil(count / per_call) == 3
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import json
+from math import ceil, comb
 
+import numpy as np
 import pytest
 
 from orimat import (
@@ -18,14 +20,15 @@ from orimat import (
     load_checkpoint,
     m_value,
     mcmullen_report,
+    neighborly,
     o_vector,
     parse_database,
     random_realizable,
     roudneff_report,
 )
-from orimat.harness import ReportRow, new_aggregate
+from orimat.harness import DatabaseRecord, ReportRow, new_aggregate
 
-from conftest import serialize_colex
+from conftest import o_vector_oracle, serialize_colex
 
 
 def db_lines(r, n, seeds, with_alternating=True):
@@ -119,6 +122,106 @@ class TestComputeRows:
             "m": [22, 2],
             "attains": [True, True],
         }
+
+
+DENSE_SIZES = [(r, n) for n in range(2, 17) for r in range(1, n) if neighborly.is_dense(r, n)]
+
+
+def records_of(shapes_and_chirotopes):
+    """Hand-numbered records, ids 1, 2, ..., from (r, n, chirotope) triples."""
+    return [
+        DatabaseRecord(i, r, n, next(parse_database([chi.serialize()], r, n)).signs)
+        for i, (r, n, chi) in enumerate(shapes_and_chirotopes, 1)
+    ]
+
+
+def oracle_rows(recs):
+    return [(rec.id, o_vector_oracle(circuits_from_chirotope(rec.chirotope()))) for rec in recs]
+
+
+def kernel_calls(monkeypatch):
+    """Calls of the one ort kernel from now on, as a growing list."""
+    calls = []
+    kernel = neighborly._ort_of
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(neighborly, "_ort_of", counted)
+    return calls
+
+
+class TestBatchedRows:
+    """Rows from the batched support-restricted kernel against the scalar
+    o-vector oracle."""
+
+    def test_dense_sizes(self):
+        # every (r, n) whose full sweep is at most 2^15 pairs; r+1 > 8 packs
+        # a circuit's signs into uint16
+        assert len(DENSE_SIZES) == 48 and max(n for _, n in DENSE_SIZES) == 16
+        assert neighborly._dense_table(7, 9).dtype == np.uint8
+        assert neighborly._dense_table(8, 10).dtype == np.uint16
+        assert neighborly._dense_table(9, 11).dtype == np.uint16
+
+    @pytest.mark.parametrize("r,n", DENSE_SIZES)
+    def test_every_dense_size_matches_oracle(self, r, n):
+        recs = records_of(
+            [(r, n, alternating_chirotope(r, n))]
+            + [(r, n, random_realizable(r, n, seed=s)) for s in range(2)]
+        )
+        rows = list(compute_rows(recs))
+        assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
+
+    @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
+    def test_group_sizes_around_the_cap(self, monkeypatch, count):
+        # a cap of 4 records: groups of 1, cap-1, cap+1, 2 caps, 2 caps + 1
+        monkeypatch.setattr(harness, "BATCH_ENTRIES", 4 * comb(7, 5) << 6)
+        calls = kernel_calls(monkeypatch)
+        recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
+        rows = list(compute_rows(recs))
+        assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
+        assert len(calls) == ceil(count / 4)
+
+    def test_mixed_shapes_in_one_call(self, monkeypatch):
+        # (2, 10) is a grown size: one record per group, through o_vector
+        assert not neighborly.is_dense(2, 10)
+        shapes = [(3, 5), (3, 5), (4, 7), (4, 7), (4, 7), (3, 5), (2, 10), (4, 7)]
+        recs = records_of([(r, n, random_realizable(r, n, seed=i)) for i, (r, n) in enumerate(shapes)])
+        calls = kernel_calls(monkeypatch)
+        rows = list(compute_rows(recs))
+        assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
+        # one call with a record axis per run of equal dense shapes
+        assert sum(pattern.ndim == 3 for _, pattern, _ in calls) == 4
+
+    def test_colex_input(self):
+        chis = [random_realizable(5, 9, seed=s) for s in range(3)]
+        colex = list(parse_database([serialize_colex(chi) for chi in chis], 5, 9, "colex"))
+        rows = list(compute_rows(colex))
+        assert [(row.id, row.ovector) for row in rows] == oracle_rows(colex)
+        assert rows == list(compute_rows(parse_database([chi.serialize() for chi in chis], 5, 9)))
+
+    @pytest.mark.parametrize("r,n", [(4, 7), (2, 10)])
+    @pytest.mark.parametrize(
+        "signs,error",
+        [
+            (lambda size: b"\x01" * (size - 1), DomainError),
+            (lambda size: b"\x01" * (size + 1), DomainError),
+            (lambda size: b"\x01" * (size - 1) + b"\x00", NonUniformError),
+            (lambda size: b"\x02" + b"\xff" * (size - 1), NonUniformError),
+        ],
+    )
+    def test_hand_built_bad_record_named_after_the_rows_before_it(self, r, n, signs, error):
+        good = records_of([(r, n, random_realizable(r, n, seed=s)) for s in range(2)])
+        bad = DatabaseRecord(7, r, n, signs(comb(n, r)))
+        rows = compute_rows(good + [bad] + good)
+        assert [row.id for row in [next(rows), next(rows)]] == [1, 2]
+        with pytest.raises(error, match="^record 7: [^\n]*$"):
+            next(rows)
+
+    def test_hand_built_bad_shape_named(self):
+        with pytest.raises(DomainError, match=r"^record 3: invalid rank/size \(0, 4\)$"):
+            list(compute_rows([DatabaseRecord(3, 0, 4, b"\x01")]))
 
 
 class TestRoudneffReport:
@@ -217,9 +320,9 @@ class TestAggregateFold:
 
     def test_report_checks_k_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):
-            raise AssertionError("a row was computed")
+            raise AssertionError("the kernel ran")
 
-        monkeypatch.setattr(harness, "_compute_row", no_rows)
+        monkeypatch.setattr(neighborly, "_ort_of", no_rows)
         recs = list(parse_database(db_lines(3, 5, [0]), 3, 5))
         for report in (roudneff_report, mcmullen_report):
             with pytest.raises(DomainError, match="k=2"):
