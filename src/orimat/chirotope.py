@@ -231,12 +231,13 @@ def parse_signs(text: str, r: int, n: int, base_order: str = "lex") -> bytes:
     expected = comb(n, r)
     if len(text) != expected:
         raise FormatError(f"expected {expected} characters for (r={r}, n={n}), got {len(text)}")
-    if "0" in text:
-        raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
-    bad = set(text) - {"+", "-"}
-    if bad:
-        raise FormatError(f"invalid characters {sorted(bad)!r} in chirotope text")
-    signs = text.encode("ascii").translate(_INT8_OF_CHAR)
+    # one byte per character; a character that is not + or - becomes 0
+    signs = text.encode("ascii", "replace").translate(_INT8_OF_CHAR)
+    if 0 in signs:
+        if "0" in text:
+            raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
+        bad = sorted(set(text) - {"+", "-"})
+        raise FormatError(f"invalid characters {bad!r} in chirotope text")
     if base_order == "colex":
         signs = np.frombuffer(signs, dtype=np.int8)[_colex_of_lex(r, n)].tobytes()
     return signs

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 
 from . import harness
 from .chirotope import alternating_chirotope, parse_chirotope
@@ -203,11 +203,12 @@ def _cmd_cvalue(args) -> int:
 
 
 def _cmd_reports(args) -> int:
-    agg = harness.new_aggregate(args.command, args.rank, args.elements, args.k)
-    prior_rows = harness.load_checkpoint(args.checkpoint) if args.checkpoint else []
+    r, n = args.rank, args.elements
+    agg = harness.new_aggregate(args.command, r, n, args.k)
+    prior_rows = harness.load_checkpoint(args.checkpoint, r, n) if args.checkpoint else []
     prior = {row.id: row for row in prior_rows}
     with _open(args.file) as fh:
-        records = list(harness.parse_database(fh, args.rank, args.elements, args.base_order))
+        records = list(harness.parse_database(fh, r, n, args.base_order))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
     unknown = prior.keys() - {rec.id for rec in records}
@@ -217,14 +218,17 @@ def _cmd_reports(args) -> int:
             f"that are not records of {args.file}"
         )
     new_rows = harness.compute_rows(rec for rec in records if rec.id not in prior)
-    for rec in records:
-        row = prior.get(rec.id)
-        if row is None:
-            row = next(new_rows)
-            if args.checkpoint:
-                harness.append_checkpoint(args.checkpoint, row)
-        print(row.to_json() if args.format == "json" else row.to_csv())
-        agg.add(row)
+    with ExitStack() as stack:
+        checkpoint = None  # opened for the first new row, kept for the run
+        for rec in records:
+            row = prior.get(rec.id)
+            if row is None:
+                row = next(new_rows)
+                if args.checkpoint:
+                    checkpoint = checkpoint or stack.enter_context(open(args.checkpoint, "a"))
+                    harness.append_checkpoint(checkpoint, row)
+            print(row.to_json() if args.format == "json" else row.to_csv())
+            agg.add(row)
     print(json.dumps(agg.summary()), file=sys.stderr)
     return 0 if agg.holds else 1
 

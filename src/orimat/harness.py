@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, groupby, islice
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .chirotope import Chirotope, check_shape, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError, OrimatError
-from .neighborly import check_k, dense_o_vectors, is_dense, m_value, o_vector
+from .neighborly import check_k, dense_m_values, dense_words, is_dense, m_value, o_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +52,13 @@ class ReportRow:
     attains: tuple[bool, ...]
 
     def to_json(self) -> str:
-        return json.dumps(vars(self))  # the fields in order, tuples as arrays
+        """The bytes of ``json.dumps(vars(self))``: the fields in order,
+        tuples as arrays.  A list of ints prints as its JSON array, and a
+        list of bools does once lowercased."""
+        return (
+            f'{{"id": {self.id}, "ovector": {list(self.ovector)}, "m": {list(self.m)}, '
+            f'"attains": {str(list(self.attains)).lower()}}}'
+        )
 
     def to_csv(self) -> str:
         fields = (self.ovector, self.m, map(int, self.attains))
@@ -77,44 +83,58 @@ def parse_database(
         yield DatabaseRecord(lineno, r, n, signs)
 
 
-# Kernel entries (records x circuits x candidates) per batched call at the
-# dense sizes: it bounds the working arrays of one call to a few hundred KB.
-BATCH_ENTRIES = 1 << 18
+# uint64 words gathered from the level-bit table per batched call at the
+# dense sizes (``neighborly.dense_words`` per record): it bounds the working
+# arrays of one call to a few hundred KB.
+BATCH_ENTRIES = 1 << 15
 
 
 def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
     """Per-record rows in record order; record order does not change any row.
 
-    Consecutive records of one dense (r, n) are batched, as many per kernel
-    call as BATCH_ENTRIES allows (``neighborly.dense_o_vectors``); any other
-    size goes record by record through ``o_vector``.  Each record is checked
+    Consecutive records of one dense (r, n) are batched, as many per fold as
+    BATCH_ENTRIES allows (``neighborly.dense_m_values``); any other size
+    goes record by record through ``o_vector``.  Each record is checked
     when its row is due, so the rows before a bad record still come out.
     """
     for (r, n), same in groupby(records, key=lambda rec: (rec.r, rec.n)):
         dense = is_dense(r, n)
-        size = max(1, BATCH_ENTRIES // (comb(n, r + 1) << (n - 1))) if dense else 1
+        size = max(1, BATCH_ENTRIES // dense_words(r, n)) if dense else 1
         while group := list(islice(same, size)):
             yield from _group_rows(group, dense)
 
 
+# bytes.translate table: 0 for the sign bytes 1 and -1 (0xff), 1 for any other
+_NOT_A_SIGN = bytes(int(b not in (0x01, 0xFF)) for b in range(256))
+
+
 def _group_rows(group: list[DatabaseRecord], dense: bool) -> Iterator[ReportRow]:
     """Rows of consecutive records of one (r, n), up to the first record
-    with a ``_sign_error``; that one raises after them."""
+    with a ``_sign_error``; that one raises after them.  The rows are
+    assembled column by column: m and the o-vector entries as arrays, one
+    tope-count compare and one c-value compare for the whole group."""
     r, n = group[0].r, group[0].n
     try:
         check_shape(r, n)
     except DomainError as exc:
         raise DomainError(f"record {group[0].id}: {exc}") from None
-    bad = next((i for i, rec in enumerate(group) if _sign_error(rec)), len(group))
+    size = comb(n, r)
+    bad = next((i for i, rec in enumerate(group) if len(rec.signs) != size), len(group))
+    joined = b"".join(rec.signs for rec in group[:bad])
+    first = joined.translate(_NOT_A_SIGN).find(1)
+    bad = bad if first < 0 else first // size
     good = group[:bad]
-    if good and dense:
-        signs = np.frombuffer(b"".join(rec.signs for rec in good), dtype=np.int8)
-        rows = zip(good, dense_o_vectors(r, n, signs.reshape(bad, -1)).tolist())
-    else:
-        rows = ((rec, o_vector(circuits_from_chirotope(rec.chirotope())).entries) for rec in good)
-    topes = tope_count_uniform(r, n)
-    for rec, entries in rows:
-        yield _row(rec, tuple(entries), topes)
+    if good:
+        if dense:
+            signs = np.frombuffer(joined, dtype=np.int8, count=bad * size).reshape(bad, size)
+            m = dense_m_values(r, n, signs)
+            entries = m.copy()
+            entries[:, :-1] -= m[:, 1:]  # o-vector entries: differences of the levels
+        else:
+            ovectors = [o_vector(circuits_from_chirotope(rec.chirotope())) for rec in good]
+            entries = np.array([ov.entries for ov in ovectors])
+            m = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # m(M,k) = the tail sums
+        yield from _rows(good, entries, m)
     if bad < len(group):
         raise _sign_error(group[bad])
 
@@ -130,17 +150,24 @@ def _sign_error(rec: DatabaseRecord) -> OrimatError | None:
     return None
 
 
-def _row(rec: DatabaseRecord, entries: tuple[int, ...], topes: int) -> ReportRow:
-    """The row of a record's o-vector entries, after the corruption check
-    against ``topes``, the tope count of every uniform matroid at (r, n)."""
-    if sum(entries) != topes:
+def _rows(
+    records: list[DatabaseRecord], entries: np.ndarray, m: np.ndarray
+) -> Iterator[ReportRow]:
+    """The rows of records of one (r, n) from their o-vector entries and m
+    columns, up to the first record whose tope count m(M,0) is not that of
+    every uniform matroid at (r, n); that one raises after them."""
+    r, n = records[0].r, records[0].n
+    topes = tope_count_uniform(r, n)
+    wrong = np.flatnonzero(m[:, 0] != topes)
+    upto = int(wrong[0]) if len(wrong) else len(records)
+    attains = m[:upto] == [c_value(r, n, k) for k in range(m.shape[1])]
+    for rec, *columns in zip(records[:upto], entries.tolist(), m.tolist(), attains.tolist()):
+        yield ReportRow(rec.id, *map(tuple, columns))
+    if upto < len(records):
         raise FormatError(
-            f"record {rec.id}: tope count {sum(entries)} != {topes}; "
+            f"record {records[upto].id}: tope count {int(m[upto, 0])} != {topes}; "
             "wrong base order or corrupt data"
         )
-    m = tuple(accumulate(reversed(entries)))[::-1]  # m(M,k) = the tail sums
-    attains = tuple(m[k] == c_value(rec.r, rec.n, k) for k in range(len(m)))
-    return ReportRow(rec.id, entries, m, attains)
 
 
 @dataclass
@@ -361,15 +388,16 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
 # -- checkpointing -----------------------------------------------------
 
 
-def load_checkpoint(path: str | Path) -> list[ReportRow]:
-    """Stored rows of an interrupted run, in file order; none if the file
-    does not exist.
+def load_checkpoint(path: str | Path, r: int, n: int) -> list[ReportRow]:
+    """Stored rows of an interrupted run at (r, n), in file order; none if
+    the file does not exist.
 
     Each append writes one whole line, so a final line without its newline
     was cut short: it is dropped, and cut from the file so the next append
     starts a fresh line.  Its record is simply computed again.  Any other
-    line that is not a complete row, or repeats an id, raises
-    ``FormatError`` with its line number.
+    line that is not a complete row of a uniform matroid at (r, n)
+    (``_checkpoint_error``), or repeats an id, raises ``FormatError`` with
+    its line number.
     """
     p = Path(path)
     if not p.exists():
@@ -380,6 +408,9 @@ def load_checkpoint(path: str | Path) -> list[ReportRow]:
         os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
     rows: list[ReportRow] = []
     seen: set[int] = set()
+    if any(map(str.strip, lines)):
+        topes = tope_count_uniform(r, n)
+        c_values = [c_value(r, n, k) for k in range((r - 1) // 2 + 1)]
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -390,6 +421,9 @@ def load_checkpoint(path: str | Path) -> list[ReportRow]:
             )
         except (ValueError, TypeError, KeyError) as exc:
             raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
+        error = _checkpoint_error(row, topes, c_values)
+        if error:
+            raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
         if row.id in seen:
             raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
         seen.add(row.id)
@@ -397,6 +431,35 @@ def load_checkpoint(path: str | Path) -> list[ReportRow]:
     return rows
 
 
-def append_checkpoint(path: str | Path, row: ReportRow):
-    with open(path, "a") as fh:
-        fh.write(row.to_json() + "\n")
+def _checkpoint_error(row: ReportRow, topes: int, c_values: list[int]) -> str | None:
+    """What makes a stored row unfit for a run at (r, n), if anything, given
+    the tope count of every uniform matroid there and c_r(n,k) for k = 0..
+    floor((r-1)/2): one count per k in ``ovector`` and ``m`` and one bool
+    in ``attains``, m the tail sums of the o-vector, m(M,0) the tope count,
+    and attains true exactly where m equals the c-value."""
+    width = len(c_values)
+    if not len(row.ovector) == len(row.m) == len(row.attains) == width:
+        return f"not {width} entries in each of ovector, m and attains"
+    if {type(v) for v in row.ovector + row.m} != {int} or min(row.ovector) < 0:
+        return "an o-vector or m entry is not a non-negative integer"
+    if {type(a) for a in row.attains} != {bool}:
+        return "an attains entry is not true or false"
+    if row.m != tuple(accumulate(reversed(row.ovector)))[::-1]:
+        return "m is not the tail sums of the o-vector"
+    if row.m[0] != topes:
+        return f"tope count {row.m[0]} != {topes}"
+    if row.attains != tuple(m == c for m, c in zip(row.m, c_values)):
+        return "attains does not match the c-values"
+    return None
+
+
+def append_checkpoint(sink: str | Path | TextIO, row: ReportRow):
+    """Append the row as one whole line: to the file named by ``sink``, or,
+    flushed at once, to ``sink`` itself, a text file open for appending that
+    a run keeps for all its rows."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "a") as fh:
+            fh.write(row.to_json() + "\n")
+        return
+    sink.write(row.to_json() + "\n")
+    sink.flush()

@@ -3,21 +3,31 @@ criterion, and tope-graph export.
 
 Enumerations cover the sign vectors with element 1 fixed to + (antipodal
 symmetry is exact, so every count is doubled).  ``_ort_of`` is the one
-kernel, and every ort query, from one sign vector to a batch of database
-records, goes through it.  It counts separations as sep =
+kernel, and every ort verdict, from one sign vector to a batch of database
+records, comes from it.  It counts separations as sep =
 bitwise_count(table ^ pattern) and folds over the circuit axis as
 ort = min over circuits of min(sep, r+1 - sep): every circuit of a uniform
 rank-r matroid has r+1 elements, so its agreements with a full sign vector
-are r+1 - sep.  Two producers feed it:
+are r+1 - sep.  It is used in two ways:
 
-- At a dense size, where the full sweep is at most DENSE_PAIRS pairs (so
-  n <= 16), ``_dense_table`` packs each candidate's signs on each circuit's
-  support into r+1 bits, uint8 up to r+1 = 8 and uint16 beyond, and a
-  circuit's pattern is its own signs in the same bits.  The table is cached
-  per (r, n).  ``dense_o_vectors`` gathers the patterns of many chirotopes
-  from their signs and runs them through one call with a record axis; this
-  is how database rows are computed, at about 40k rows/s at (4,8) and 30k
-  rows/s at (5,9) (2 vCPU, Python 3.11, numpy 2.4).
+- At a dense size (``is_dense``: the full sweep is at most DENSE_PAIRS
+  pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10) it builds the
+  level-bit table.  A circuit's pattern is its r+1 signs packed into one
+  uint8, smallest element first; that element is always +, so 2^r patterns
+  per circuit cover them all.  For each circuit, pattern and level t =
+  1..floor((r+1)/2), ``_level_table`` holds the bitset of the 2^(n-1)
+  candidates whose ort against that circuit is at least t, in uint64
+  words.  It is built one circuit at a time on first use and cached per
+  (r, n): C(n, r+1) * 2^r * floor((r+1)/2) * ceil(2^(n-1)/64) words, 29 KB
+  at (4,8), 258 KB at (5,9) and at most 1.5 MB, at (7,10).  A chirotope's
+  counts are then one gathered row per circuit, an AND over the circuits
+  and a popcount per level (``_dense_fold``): level t counts the candidates
+  with ort at least t, m(M,t-1)/2.  ``dense_m_values`` folds many
+  chirotopes at once, up to the harness's cap of BATCH_ENTRIES = 2^15
+  gathered words (146 records at (4,8), 32 at (5,9)); database rows come
+  out at about 340k rows/s at (4,8) and 195k rows/s at (5,9) (2 vCPU,
+  Python 3.11, numpy 2.4).  A single chirotope unpacks the AND into
+  per-candidate orts.
 - Grown levels, single sign vectors and the ball test pass uint64 masks in
   tiles of about BLOCK_ELEMENTS entries: table = supp(X) & M and
   pattern = X^-.
@@ -28,10 +38,10 @@ element j, and a tope restricts to a tope of the deletion, so candidates on
 are folded into their running minimum; a candidate is dropped once that
 minimum falls below the level asked for (1 for o-vectors and the tope
 list, k+1 for m(M,k) and the search).  The first j0 elements are a dense
-prefix: all n of them, one call on the dense table, while the full sweep
-stays within DENSE_PAIRS pairs; otherwise the first r+1.  Sizes are refused
-before anything is allocated by closed forms for the kernel pairs and the
-largest candidate array (``_enumeration_cost``).
+prefix: all n of them at a dense size, read from the level-bit table;
+otherwise the first r+1.  Sizes are refused before anything is allocated
+by closed forms for the kernel pairs and the largest candidate array
+(``_enumeration_cost``).
 """
 
 from __future__ import annotations
@@ -50,9 +60,10 @@ TOPE_GRAPH_MAX_N = 16
 # Entries per circuits x candidates tile of the kernel.
 BLOCK_ELEMENTS = 1 << 13
 # An enumeration whose full sweep is at most this many circuit x sign-vector
-# pairs is one dense kernel call; a larger one grows from its first r+1
-# elements.
+# pairs, at a rank up to DENSE_RANK, reads the level-bit table; any other
+# grows from its first r+1 elements.
 DENSE_PAIRS = 1 << 15
+DENSE_RANK = 7
 # Limits on an enumeration, checked before anything is allocated: kernel
 # pairs and the largest candidate array.
 PAIR_BUDGET = 1 << 32
@@ -124,52 +135,82 @@ def _ort_masks(
 
 
 def is_dense(r: int, n: int) -> bool:
-    """True iff enumerations at (r, n) are one dense kernel call over the
-    support-restricted table (``_plan`` keeps all n elements), the sizes
-    whose database rows are batched (``dense_o_vectors``)."""
-    return 1 <= r < n <= MAX_GROUND_SET and _plan(r, n) == n
+    """True iff enumerations at (r, n) read the level-bit table
+    (``_level_table``) instead of growing: the full sweep is at most
+    DENSE_PAIRS pairs and a circuit's r+1 signs fit one uint8 (r <=
+    DENSE_RANK).  These are the sizes whose database rows are batched
+    (``dense_m_values``)."""
+    return 1 <= r <= DENSE_RANK and r < n and comb(n, r + 1) << (n - 1) <= DENSE_PAIRS
 
 
 def _pack(negative: np.ndarray) -> np.ndarray:
-    """Bit i set iff ``negative[..., i]``: the r+1 signs of a circuit's
-    support, smallest element first, packed into uint8 for r+1 <= 8 and
-    uint16 up to the 16 elements of a dense size."""
-    packed = np.packbits(negative, axis=-1, bitorder="little")
-    if packed.shape[-1] == 1:
-        return packed[..., 0]
-    return packed[..., 0] | packed[..., 1].astype(np.uint16) << 8
+    """Bit i set iff ``negative[..., i]``: the r+1 <= 8 signs of a
+    circuit's support, smallest element first, packed into one uint8.  A
+    product with the bit weights is 2-3x faster than ``np.packbits`` over
+    such a short last axis at (4,8) and (5,9)."""
+    weights = np.uint8(1) << np.arange(negative.shape[-1], dtype=np.uint8)
+    return negative.view(np.uint8) @ weights
+
+
+def dense_words(r: int, n: int) -> int:
+    """uint64 words that one record gathers from the level-bit table at a
+    dense size: one row of levels x words per circuit."""
+    return comb(n, r + 1) * ((r + 1) // 2) * -(-(1 << (n - 1)) // 64)
 
 
 @lru_cache(maxsize=32)
-def _dense_table(r: int, n: int) -> np.ndarray:
-    """table[c, j]: the signs of candidate j (minus-mask 2j, element 1
-    fixed to +) on circuit c's support, packed by ``_pack``; circuits in
-    lex order of their supports, as ``circuits_from_chirotope`` gives them.
-    At most DENSE_PAIRS entries; built on first use."""
+def _level_table(r: int, n: int) -> np.ndarray:
+    """The level-bit table of a dense size, built on first use.
+
+    Row c * 2^r + (p >> 1) belongs to circuit c (lex order of supports, as
+    ``circuits_from_chirotope`` gives them) with pattern p, its r+1 signs
+    packed by ``_pack``; bit 0 of p, the smallest element, is always +.
+    The row holds one bitset per level t = 1..floor((r+1)/2), each of
+    ceil(2^(n-1) / 64) uint64 words: bit j % 8 of its byte j // 8 is set iff
+    candidate j (minus-mask 2j, element 1 fixed to +) has ort at least t
+    against that circuit.  Padding bits are 0.  Every verdict comes from
+    ``_ort_of``, one circuit at a time, so the build needs little memory
+    beyond the table itself.
+    """
     bits = _facet_table(r, n)[1]
     masks = np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)
-    table = _pack((masks[:, None] & bits[:, None, :]) != 0)
+    patterns = np.arange(0, 1 << (r + 1), 2, dtype=np.uint8)[:, None, None]
+    levels = np.arange(1, (r + 1) // 2 + 1, dtype=np.uint8)[:, None]
+    words = -(-len(masks) // 64)
+    table = np.zeros((len(bits) << r, len(levels), 8 * words), dtype=np.uint8)
+    for c, circuit in enumerate(bits):
+        signs = _pack((masks[:, None] & circuit) != 0)
+        orts = _ort_of(signs[None], patterns, r + 1)
+        at_least = np.packbits(orts[:, None] >= levels, axis=-1, bitorder="little")
+        table[c << r : (c + 1) << r, :, : at_least.shape[-1]] = at_least
+    table = table.view(np.uint64).reshape(len(table), -1)
     table.flags.writeable = False
     return table
 
 
-def dense_o_vectors(r: int, n: int, signs: np.ndarray) -> np.ndarray:
-    """o-vector entries (K x (floor((r-1)/2)+1), doubled) of the K chirotopes
-    at a dense size (``is_dense``) whose lex-order signs are the rows of the
-    int8 array ``signs``, through one kernel call.
+def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
+    """The AND over circuits of the level-bit table rows that the circuit
+    patterns (records x circuits, uint8, bit 0 clear) select: per record,
+    the bitsets (levels x words, flattened) of the candidates whose ort is at
+    least each level."""
+    rows = (np.arange(patterns.shape[-1]) << r) + (patterns >> 1)
+    return np.bitwise_and.reduce(np.take(_level_table(r, n), rows.T, axis=0), axis=0)
+
+
+def dense_m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+    """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
+    chirotopes at a dense size (``is_dense``) whose lex-order signs are the
+    rows of the int8 array ``signs``, through one fold.
 
     Circuit c's pattern comes from the facet gather of
     ``circuits_from_chirotope``: with h the alternating facet signs, its
-    i-th support element is - iff h[i] != h[0].
+    i-th support element is - iff h[i] != h[0].  The popcount of level t's
+    bitset is the number of candidates with ort at least t, m(M,t-1)/2.
     """
     facets, _, _, alternating = _facet_table(r, n)
     h = signs[:, facets] * alternating
-    pattern = _pack(h != h[..., :1])
-    orts = _ort_of(_dense_table(r, n), pattern[..., None], r + 1)
-    width = (r + 1) // 2 + 1  # ort <= floor((r+1)/2)
-    offsets = width * np.arange(len(signs))[:, None]
-    counts = np.bincount((orts + offsets).ravel(), minlength=width * len(signs))
-    return 2 * counts.reshape(len(signs), width)[:, 1:]
+    at_least = np.bitwise_count(_dense_fold(r, n, _pack(h != h[..., :1])))
+    return 2 * at_least.reshape(len(signs), (r + 1) // 2, -1).sum(axis=-1, dtype=np.int64)
 
 
 def check_k(r: int, k: int, lo: int = 0):
@@ -198,9 +239,9 @@ def _check_budget(pairs: int, candidates: int):
 @lru_cache(maxsize=None)
 def _plan(r: int, n: int) -> int:
     """j0, the number of leading elements whose sign vectors are swept
-    densely: all n when the full sweep is small, otherwise the first r+1.
+    densely: all n at a dense size (``is_dense``), otherwise the first r+1.
     An enumeration beyond the budget is refused first."""
-    j0 = n if comb(n, r + 1) << (n - 1) <= DENSE_PAIRS else r + 1
+    j0 = n if is_dense(r, n) else r + 1
     _check_budget(*_enumeration_cost(r, n, j0))
     return j0
 
@@ -247,15 +288,19 @@ def _grow(cs: CircuitSet, level: int) -> tuple[np.ndarray, np.ndarray]:
     The growth fold of the module docstring.  A running minimum only falls,
     so dropping one below ``level`` loses nothing, and after element n it is
     the exact ort.  The +j copies go after the -j ones, so the masks stay
-    ascending.  With j0 = n this is one unfiltered kernel call.
+    ascending.  At a dense size every candidate comes back, its ort unpacked
+    from one fold over the level-bit table; that relies on the circuits
+    being normalized, smallest support element +.
     """
     cs.require_nonempty()
     r, n = cs.r, cs.n
     j0 = _plan(r, n)
     masks = np.arange(1 << (j0 - 1), dtype=np.uint64) << np.uint64(1)
-    if j0 == n:
+    if j0 == n and is_dense(r, n):  # (r, r+1) with r > DENSE_RANK also has j0 = n
         pattern = _pack((cs.minus[:, None] & _facet_table(r, n)[1]) != 0)
-        return masks, _ort_of(_dense_table(r, n), pattern[:, None], r + 1)
+        at_least = _dense_fold(r, n, pattern[None]).view(np.uint8).reshape((r + 1) // 2, -1)
+        bits = np.unpackbits(at_least, axis=-1, count=len(masks), bitorder="little")
+        return masks, bits.sum(axis=0, dtype=np.uint8)
     order = _growth_order(r, n)
     plus, minus = cs.plus[order], cs.minus[order]
     lo = comb(j0, r + 1)

@@ -72,6 +72,21 @@ def full_sweep_orts(cs):
     return neighborly._ort_masks(cs.plus, cs.minus, masks, cs.r + 1)
 
 
+def pattern_orts_oracle(r, n):
+    """min(sep, r+1-sep) of every candidate (element 1 +, minus-mask 2j)
+    against a circuit on every (r+1)-support of [n], in lex order, carrying
+    every sign pattern p with bit 0 clear (bit i set: the support's i-th
+    element is -), as an array (supports, patterns, candidates).  The
+    separations are counted one support element at a time."""
+    j = np.arange(1 << (n - 1))
+    p = np.arange(0, 1 << (r + 1), 2)[:, None]
+    out = []
+    for support in itertools.combinations(range(n), r + 1):
+        sep = sum(((p >> i) & 1) != ((2 * j >> e) & 1) for i, e in enumerate(support))
+        out.append(np.minimum(sep, r + 1 - sep))
+    return np.array(out)
+
+
 def face_oracle(cs, f_set):
     """Las Vergnas face test one circuit at a time through the scalar
     degree: the vector positive off F and zero on F is orthogonal to every

@@ -217,6 +217,20 @@ class TestParseSerialize:
         with pytest.raises(FormatError):
             parse_chirotope("++x+", 3, 4)
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("++0+", NonUniformError, "non-uniform chirotopes (containing '0') are unsupported"),
+            ("+0x+", NonUniformError, "non-uniform chirotopes (containing '0') are unsupported"),
+            ("+x-y", FormatError, "invalid characters ['x', 'y'] in chirotope text"),
+            ("+\u00e9+\x00", FormatError, "invalid characters ['\\x00', '\u00e9'] in chirotope text"),
+        ],
+    )
+    def test_error_messages(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_chirotope(text, 3, 4)
+        assert str(info.value) == message
+
     def test_colex_reordering(self):
         chi = random_realizable(2, 4, seed=9)
         subsets_lex = list(itertools.combinations(range(1, 5), 2))

@@ -1,7 +1,7 @@
 import io
 import json
 import tempfile
-from math import ceil, comb
+from math import ceil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -120,10 +120,11 @@ class TestMValue:
         assert code == 2 and "error" in err
 
     def test_k_refused_before_the_kernel(self, capsys, monkeypatch):
-        def kernel(*args):
-            raise AssertionError("kernel ran before k was checked")
+        def fold(*args):
+            raise AssertionError("the fold ran before k was checked")
 
-        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        assert run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "1")[0] == 0  # a warm table
+        monkeypatch.setattr(neighborly, "_dense_fold", fold)
         code, out, err = run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "2")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -368,7 +369,8 @@ class TestReports:
 
     def test_checkpoint_id_not_in_database(self, capsys, db36, tmp_path):
         ckpt = tmp_path / "ckpt.jsonl"
-        ckpt.write_text('{"id": 99, "ovector": [1, 1], "m": [2, 1], "attains": [true, false]}\n')
+        # a row that fits (3, 6), so only its id is foreign
+        ckpt.write_text('{"id": 99, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}\n')
         code, out, err = run(
             capsys,
             "roudneff", "-r", "3", "-n", "6", "--k", "1",
@@ -376,6 +378,22 @@ class TestReports:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "[99]" in err and len(err.splitlines()) == 1
+
+    def test_checkpoint_of_another_rank_exits_two(self, capsys, tmp_path):
+        files = {}
+        for r, n in [(3, 6), (5, 8)]:
+            files[r] = tmp_path / f"db{r}.txt"
+            files[r].write_text(
+                "\n".join(random_realizable(r, n, seed=s).serialize() for s in range(3)) + "\n"
+            )
+        ckpt = tmp_path / "ck.jsonl"
+        argv = ["--file", str(files[3]), "--checkpoint", str(ckpt)]
+        assert run(capsys, "roudneff", "-r", "3", "-n", "6", "--k", "1", *argv)[0] == 0
+        argv = ["--file", str(files[5]), "--checkpoint", str(ckpt)]
+        code, out, err = run(capsys, "roudneff", "-r", "5", "-n", "8", "--k", "2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: checkpoint line 1: not 3 entries") and "(5, 8)" in err
+        assert len(err.splitlines()) == 1
 
     def test_torn_final_checkpoint_line_recomputed(self, capsys, db36, tmp_path):
         argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db36)]
@@ -486,18 +504,21 @@ class TestReports:
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
-        # (4, 8): 56 circuits x 128 candidates per record
-        per_call = harness.BATCH_ENTRIES // (comb(8, 5) << 7)
+        # (4, 8): 56 circuits x 2 levels x 2 words per record
+        per_call = harness.BATCH_ENTRIES // neighborly.dense_words(4, 8)
         count = 2 * per_call + 3
         db = tmp_path / "db.txt"
         db.write_text(
             "\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(count)) + "\n"
         )
         calls = []
-        kernel = neighborly._ort_of
-        monkeypatch.setattr(neighborly, "_ort_of", lambda *args: calls.append(1) or kernel(*args))
+        fold = neighborly._dense_fold
+        monkeypatch.setattr(neighborly, "_dense_fold", lambda *args: calls.append(1) or fold(*args))
         code, out, _ = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
         assert code == 0 and len(out.splitlines()) == count
+        recs = parse_database(db.read_text().splitlines(), 4, 8)
+        oracle = [o_vector_oracle(circuits_from_chirotope(rec.chirotope())) for rec in recs]
+        assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
         assert len(calls) == ceil(count / per_call) == 3
 
 

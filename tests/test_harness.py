@@ -1,8 +1,13 @@
 import json
+import tempfile
+from dataclasses import replace
 from math import ceil, comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orimat import (
     DomainError,
@@ -25,6 +30,7 @@ from orimat import (
     parse_database,
     random_realizable,
     roudneff_report,
+    tope_count_uniform,
 )
 from orimat.harness import DatabaseRecord, ReportRow, new_aggregate
 
@@ -124,7 +130,15 @@ class TestComputeRows:
         }
 
 
-DENSE_SIZES = [(r, n) for n in range(2, 17) for r in range(1, n) if neighborly.is_dense(r, n)]
+# every (r, n) whose full sweep is at most DENSE_PAIRS; the dense ones also
+# have r <= DENSE_RANK, and the others grow from r+1
+SWEEP_SIZES = [
+    (r, n)
+    for n in range(2, 17)
+    for r in range(1, n)
+    if comb(n, r + 1) << (n - 1) <= neighborly.DENSE_PAIRS
+]
+DENSE_SIZES = [(r, n) for r, n in SWEEP_SIZES if neighborly.is_dense(r, n)]
 
 
 def records_of(shapes_and_chirotopes):
@@ -139,32 +153,33 @@ def oracle_rows(recs):
     return [(rec.id, o_vector_oracle(circuits_from_chirotope(rec.chirotope()))) for rec in recs]
 
 
-def kernel_calls(monkeypatch):
-    """Calls of the one ort kernel from now on, as a growing list."""
+def fold_calls(monkeypatch):
+    """Calls of the batched dense fold from now on, as a growing list."""
     calls = []
-    kernel = neighborly._ort_of
+    fold = neighborly._dense_fold
 
     def counted(*args):
         calls.append(args)
-        return kernel(*args)
+        return fold(*args)
 
-    monkeypatch.setattr(neighborly, "_ort_of", counted)
+    monkeypatch.setattr(neighborly, "_dense_fold", counted)
     return calls
 
 
 class TestBatchedRows:
-    """Rows from the batched support-restricted kernel against the scalar
-    o-vector oracle."""
+    """Rows from the batched fold over the level-bit table against the
+    scalar o-vector oracle."""
 
     def test_dense_sizes(self):
-        # every (r, n) whose full sweep is at most 2^15 pairs; r+1 > 8 packs
-        # a circuit's signs into uint16
-        assert len(DENSE_SIZES) == 48 and max(n for _, n in DENSE_SIZES) == 16
-        assert neighborly._dense_table(7, 9).dtype == np.uint8
-        assert neighborly._dense_table(8, 10).dtype == np.uint16
-        assert neighborly._dense_table(9, 11).dtype == np.uint16
+        # every (r, n) with r <= 7 whose full sweep is at most 2^15 pairs
+        assert len(DENSE_SIZES) == 37 and max(n for _, n in DENSE_SIZES) == 10
+        assert DENSE_SIZES == [(r, n) for r, n in SWEEP_SIZES if r <= neighborly.DENSE_RANK == 7]
+        # the sizes left out grow from r+1: at most 12 circuits on n <= r+2
+        left = [(r, n) for r, n in SWEEP_SIZES if (r, n) not in DENSE_SIZES]
+        assert len(left) == 11 and all(n <= r + 2 and comb(n, r + 1) <= 12 for r, n in left)
 
-    @pytest.mark.parametrize("r,n", DENSE_SIZES)
+    # the dense sizes through the fold, the 11 beyond the dense rank through o_vector
+    @pytest.mark.parametrize("r,n", SWEEP_SIZES)
     def test_every_dense_size_matches_oracle(self, r, n):
         recs = records_of(
             [(r, n, alternating_chirotope(r, n))]
@@ -176,23 +191,24 @@ class TestBatchedRows:
     @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
     def test_group_sizes_around_the_cap(self, monkeypatch, count):
         # a cap of 4 records: groups of 1, cap-1, cap+1, 2 caps, 2 caps + 1
-        monkeypatch.setattr(harness, "BATCH_ENTRIES", 4 * comb(7, 5) << 6)
-        calls = kernel_calls(monkeypatch)
+        monkeypatch.setattr(harness, "BATCH_ENTRIES", 4 * neighborly.dense_words(4, 7))
+        calls = fold_calls(monkeypatch)
         recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
         rows = list(compute_rows(recs))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
         assert len(calls) == ceil(count / 4)
 
     def test_mixed_shapes_in_one_call(self, monkeypatch):
-        # (2, 10) is a grown size: one record per group, through o_vector
-        assert not neighborly.is_dense(2, 10)
-        shapes = [(3, 5), (3, 5), (4, 7), (4, 7), (4, 7), (3, 5), (2, 10), (4, 7)]
+        # (2, 10) and (8, 10) are grown sizes: one record per group, through
+        # o_vector; (8, 10) has 9 bits per circuit, beyond the dense rank
+        assert not neighborly.is_dense(2, 10) and not neighborly.is_dense(8, 10)
+        shapes = [(3, 5), (3, 5), (4, 7), (4, 7), (4, 7), (3, 5), (2, 10), (8, 10), (8, 10), (4, 7)]
         recs = records_of([(r, n, random_realizable(r, n, seed=i)) for i, (r, n) in enumerate(shapes)])
-        calls = kernel_calls(monkeypatch)
+        calls = fold_calls(monkeypatch)
         rows = list(compute_rows(recs))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
-        # one call with a record axis per run of equal dense shapes
-        assert sum(pattern.ndim == 3 for _, pattern, _ in calls) == 4
+        # one fold with a record axis per run of equal dense shapes
+        assert [len(patterns) for _, _, patterns in calls] == [2, 3, 1, 1]
 
     def test_colex_input(self):
         chis = [random_realizable(5, 9, seed=s) for s in range(3)]
@@ -320,10 +336,11 @@ class TestAggregateFold:
 
     def test_report_checks_k_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):
-            raise AssertionError("the kernel ran")
+            raise AssertionError("the fold ran")
 
-        monkeypatch.setattr(neighborly, "_ort_of", no_rows)
         recs = list(parse_database(db_lines(3, 5, [0]), 3, 5))
+        list(compute_rows(recs))  # the level-bit table is cached from here on
+        monkeypatch.setattr(neighborly, "_dense_fold", no_rows)
         for report in (roudneff_report, mcmullen_report):
             with pytest.raises(DomainError, match="k=2"):
                 report(recs, 2)
@@ -422,7 +439,7 @@ class TestFiniteReduction:
 
 class TestCheckpoint:
     def test_missing_file(self, tmp_path):
-        assert load_checkpoint(tmp_path / "none.jsonl") == []
+        assert load_checkpoint(tmp_path / "none.jsonl", 3, 6) == []
 
     def test_append_and_resume(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -430,7 +447,7 @@ class TestCheckpoint:
         rows = list(compute_rows(recs))
         for row in rows[:2]:
             append_checkpoint(path, row)
-        stored = load_checkpoint(path)
+        stored = load_checkpoint(path, 3, 6)
         assert stored == rows[:2]
         done = {row.id for row in stored}
         resumed = list(compute_rows(rec for rec in recs if rec.id not in done))
@@ -444,10 +461,10 @@ class TestCheckpoint:
         append_checkpoint(path, rows[0])
         whole = path.read_bytes()
         path.write_bytes(whole + rows[1].to_json()[:9].encode())
-        assert load_checkpoint(path) == rows[:1]
+        assert load_checkpoint(path, 3, 6) == rows[:1]
         assert path.read_bytes() == whole  # the next append starts a fresh line
         append_checkpoint(path, rows[1])
-        assert load_checkpoint(path) == rows[:2]
+        assert load_checkpoint(path, 3, 6) == rows[:2]
 
     @pytest.mark.parametrize(
         "bad", ['{"id": 1, "ovector": [3', '{"id": 1}', "[1, 2]", "\xff"]
@@ -458,7 +475,7 @@ class TestCheckpoint:
         row = next(compute_rows(recs[1:]))
         path.write_bytes(bad.encode("latin-1") + b"\n" + row.to_json().encode() + b"\n")
         with pytest.raises(FormatError, match="line 1"):
-            load_checkpoint(path)
+            load_checkpoint(path, 3, 6)
 
     def test_duplicate_id_raises(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -466,10 +483,96 @@ class TestCheckpoint:
         append_checkpoint(path, row)
         append_checkpoint(path, row)
         with pytest.raises(FormatError, match="line 2: duplicate id"):
-            load_checkpoint(path)
+            load_checkpoint(path, 3, 6)
+
+    # a (3, 6) row: 32 topes, c_3(6, 0) = 32 and c_3(6, 1) = 2
+    FITS = {"id": 1, "ovector": [30, 2], "m": [32, 2], "attains": [True, True]}
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [
+            (
+                {"ovector": [30, 2, 0], "m": [32, 2, 0], "attains": [True, True, False]},
+                "not 2 entries",
+            ),
+            ({"attains": [True]}, "not 2 entries"),
+            ({"ovector": [30.0, 2], "m": [32.0, 2]}, "not a non-negative integer"),
+            ({"ovector": [34, -2], "m": [32, -2]}, "not a non-negative integer"),
+            ({"attains": [1, 1]}, "not true or false"),
+            ({"m": [32, 3]}, "tail sums"),
+            ({"ovector": [28, 2], "m": [30, 2]}, "tope count 30 != 32"),
+            ({"ovector": [31, 1], "m": [32, 1]}, "attains does not match"),
+        ],
+    )
+    def test_row_that_does_not_fit_the_shape_raises(self, tmp_path, change, error):
+        path = tmp_path / "ckpt.jsonl"
+        rows = [dict(self.FITS, id=2), dict(self.FITS, **change)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        message = rf"^checkpoint line 2: .*{error}.* at \(r, n\) = \(3, 6\)$"
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path, 3, 6)
+
+    def test_row_of_another_shape_raises(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        path.write_text(json.dumps(self.FITS) + "\n")
+        assert load_checkpoint(path, 3, 6) == [ReportRow(1, (30, 2), (32, 2), (True, True))]
+        for r, n in [(5, 8), (3, 7), (4, 6)]:
+            message = rf"^checkpoint line 1: .* \(r, n\) = \({r}, {n}\)$"
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path, r, n)
+
+    def test_append_to_an_open_file_flushes_each_line(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        rows = list(compute_rows(parse_database(db_lines(3, 6, range(2)), 3, 6)))
+        with open(path, "a") as fh:
+            for i, row in enumerate(rows, 1):
+                append_checkpoint(fh, row)
+                assert load_checkpoint(path, 3, 6) == rows[:i]
 
     def test_o_vector_consistency_with_direct(self):
         recs = list(parse_database(db_lines(4, 6, [0, 1]), 4, 6))
         for rec, row in zip(recs, compute_rows(recs)):
             direct = o_vector(circuits_from_chirotope(rec.chirotope()))
             assert row.ovector == direct.entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(2**70), 2**70),
+    st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    st.lists(st.booleans(), max_size=6),
+)
+def test_to_json_is_json_dumps(row_id, ovector, m, attains):
+    row = ReportRow(row_id, tuple(ovector), tuple(m), tuple(attains))
+    assert row.to_json() == json.dumps(vars(row))
+
+
+@st.composite
+def fitting_rows(draw):
+    """A row that fits its (r, n): non-negative entries summing to the tope
+    count, m their tail sums, attains against the c-values."""
+    r, n = draw(st.sampled_from([(1, 3), (3, 6), (4, 8), (5, 9), (6, 12), (3, 40)]))
+    width, topes = (r - 1) // 2 + 1, tope_count_uniform(r, n)
+    cuts = sorted(draw(st.lists(st.integers(0, topes), min_size=width - 1, max_size=width - 1)))
+    entries = [b - a for a, b in zip([0] + cuts, cuts + [topes])]
+    m = [sum(entries[k:]) for k in range(width)]
+    attains = [m[k] == c_value(r, n, k) for k in range(width)]
+    row = ReportRow(draw(st.integers(0, 2**40)), tuple(entries), tuple(m), tuple(attains))
+    return r, n, row
+
+
+@settings(max_examples=100, deadline=None)
+@given(fitting_rows(), st.booleans())
+def test_checkpoint_round_trip(case, flip):
+    r, n, row = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.jsonl"
+        append_checkpoint(path, row)
+        assert path.read_text() == json.dumps(vars(row)) + "\n"
+        assert load_checkpoint(path, r, n) == [row]
+        if flip:  # any other attains is refused
+            wrong = replace(row, attains=(not row.attains[0],) + row.attains[1:])
+            path.write_text(wrong.to_json() + "\n")
+            with pytest.raises(FormatError, match="attains"):
+                load_checkpoint(path, r, n)

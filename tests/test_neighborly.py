@@ -1,5 +1,6 @@
 import itertools
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from conftest import (
     full_sweep_orts,
     o_vector_oracle,
     ort_oracle,
+    pattern_orts_oracle,
 )
 
 
@@ -257,6 +259,60 @@ class TestGrowth:
             15: 20, 16: 20, 17: 21, 18: 22, 19: 22, 20: 23, 21: 24,
             22: 24, 23: 25, 24: 25,
         }
+
+
+LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
+
+
+class TestLevelTable:
+    """The level-bit table that every dense enumeration reads."""
+
+    @pytest.mark.parametrize("r,n", LEVEL_SIZES)
+    def test_every_bit_matches_the_oracle(self, r, n):
+        orts = pattern_orts_oracle(r, n)
+        supports, patterns, candidates = orts.shape
+        levels = (r + 1) // 2
+        table = neighborly._level_table(r, n)
+        assert table.dtype == np.uint64 and table.shape[0] == supports * patterns == supports << r
+        assert table.nbytes == 8 * neighborly.dense_words(r, n) << r
+        bits = np.unpackbits(
+            table.view(np.uint8).reshape(supports, patterns, levels, -1), axis=-1, bitorder="little"
+        )
+        at_least = orts[:, :, None, :] >= np.arange(1, levels + 1)[:, None]
+        assert (bits[..., :candidates] == at_least).all()
+        assert not bits[..., candidates:].any()  # padding, at n <= 6
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r, n in LEVEL_SIZES if n <= 5])
+    def test_oracle_matches_the_scalar_degree(self, r, n):
+        orts = pattern_orts_oracle(r, n)
+        full = (1 << n) - 1
+        supports = itertools.combinations(range(n), r + 1)
+        for c, support in enumerate(supports):
+            for q in range(1 << r):
+                minus = sum(1 << e for i, e in enumerate(support) if (2 * q) >> i & 1)
+                circuit = SignVector(n, sum(1 << e for e in support) & ~minus, minus)
+                for j in range(1 << (n - 1)):
+                    t = SignVector(n, full & ~(2 * j), 2 * j)
+                    assert orts[c, q, j] == ort_oracle([circuit], t)
+
+    def test_built_one_circuit_at_a_time_through_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = neighborly._ort_of
+
+        def counted(table, pattern, width):
+            calls.append(table.shape)
+            return kernel(table, pattern, width)
+
+        monkeypatch.setattr(neighborly, "_ort_of", counted)
+        table = neighborly._level_table.__wrapped__(4, 8)
+        assert calls == [(1, 128)] * comb(8, 5)
+        assert np.array_equal(table, neighborly._level_table(4, 8))
+
+    def test_database_sizes(self):
+        # 29 KB at (4, 8), 258 KB at (5, 9), 1.5 MB at (7, 10), the largest
+        sizes = {(r, n): 8 * neighborly.dense_words(r, n) << r for r, n in LEVEL_SIZES}
+        assert (sizes[4, 8], sizes[5, 9]) == (28672, 258048)
+        assert max(sizes.values()) == sizes[7, 10] == 1474560
 
 
 class TestMValue:
