@@ -24,7 +24,7 @@ from .signvec import SignVector, _mask_from_elements
 class CircuitSet:
     """Normalized circuits of a uniform matroid (one per antipodal pair), as
     read-only uint64 ``plus``/``minus`` mask arrays, one entry per support in
-    lex order."""
+    lex order.  Masks that break any of this are refused."""
 
     n: int
     r: int
@@ -36,6 +36,15 @@ class CircuitSet:
             raise DomainError("wrong number of circuits for a uniform matroid")
         if len(self.minus) != len(self.plus):
             raise DomainError("plus and minus mask arrays differ in length")
+        if self.empty:
+            return
+        support = self.plus | self.minus
+        if not np.array_equal(support, _facet_table(self.r, self.n)[2]):
+            raise DomainError("circuit supports are not the (r+1)-subsets of [n] in lex order")
+        if (self.plus & self.minus).any():
+            raise DomainError("a circuit has an element in both plus and minus")
+        if (self.minus & support & (~support + np.uint64(1))).any():
+            raise DomainError("a circuit is not normalized: its smallest element is not +")
 
     def __eq__(self, other):
         return (
@@ -86,25 +95,38 @@ def _facet_table(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return table
 
 
-def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
-    """Derive the circuit signs on every (r+1)-subset B = b_1 < ... < b_{r+1}
-    from the chirotope recurrence X_{b_{i+1}} = -X_{b_i} * chi(B - b_i) *
-    chi(B - b_{i+1}), seeding X_{b_1} = +.
+def circuit_negatives(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+    """Which elements of each circuit are -, from lex-order chirotope signs
+    (int8, C(n, r) on the last axis): bool, one row of r+1 per support
+    B = b_1 < ... < b_{r+1} in lex order, leading axes carried through.
 
-    The recurrence telescopes to X_{b_i} = (-1)^(i-1) * chi(B - b_1) *
-    chi(B - b_i).  Removing one element from a sorted tuple keeps it sorted,
-    so only stored signs are consumed: one gather through the cached facet
-    table gives every circuit at once.
+    The recurrence X_{b_{i+1}} = -X_{b_i} * chi(B - b_i) * chi(B - b_{i+1}),
+    seeded with X_{b_1} = +, telescopes to X_{b_i} = (-1)^(i-1) *
+    chi(B - b_1) * chi(B - b_i).  Removing one element from a sorted tuple
+    keeps it sorted, so one gather through the cached facet table gives
+    every circuit at once.
     """
-    if chi.n == chi.r:
+    facets, _, _, alternating = _facet_table(r, n)
+    h = signs[..., facets] * alternating
+    return h != h[..., :1]
+
+
+def circuits_from_signs(r: int, n: int, signs: np.ndarray) -> CircuitSet:
+    """The normalized circuits of the chirotope whose lex-order signs are
+    the int8 array ``signs`` (``circuit_negatives``)."""
+    if n == r:
         none = np.zeros(0, dtype=np.uint64)
-        return CircuitSet(chi.n, chi.r, none, none)
-    facets, bits, support, alternating = _facet_table(chi.r, chi.n)
-    h = np.array(chi.signs, dtype=np.int8)[facets] * alternating
-    minus = np.where(h != h[:, :1], bits, 0).sum(axis=1, dtype=np.uint64)
+        return CircuitSet(n, r, none, none)
+    _, bits, support, _ = _facet_table(r, n)
+    minus = np.where(circuit_negatives(r, n, signs), bits, 0).sum(axis=1, dtype=np.uint64)
     plus = support - minus
     plus.flags.writeable = minus.flags.writeable = False
-    return CircuitSet(chi.n, chi.r, plus, minus)
+    return CircuitSet(n, r, plus, minus)
+
+
+def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
+    """The circuit signs on every (r+1)-subset of [n] (``circuits_from_signs``)."""
+    return circuits_from_signs(chi.r, chi.n, np.array(chi.signs, dtype=np.int8))
 
 
 def cocircuits(chi: Chirotope) -> CircuitSet:

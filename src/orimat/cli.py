@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
+from functools import cache
 
 from . import harness
 from .chirotope import alternating_chirotope, parse_chirotope
@@ -21,7 +22,13 @@ from .constructions import (
 )
 from .cyclic import CValueTable
 from .errors import DomainError, FormatError, OrimatError
-from .neighborly import check_enumeration_size, m_value, o_vector, tope_graph_edges
+from .neighborly import (
+    check_enumeration_size,
+    check_tope_graph_size,
+    m_value,
+    o_vector,
+    tope_graph_edges,
+)
 
 
 def _add_common(p: argparse.ArgumentParser, db: bool = False):
@@ -47,12 +54,21 @@ def _read_chirotope(args):
     return parse_chirotope(words[0], args.rank, args.elements, base_order=args.base_order)
 
 
+@contextmanager
 def _open(path: str):
-    """The named text file, or stdin (left open on exit) for '-'."""
-    return nullcontext(sys.stdin) if path == "-" else open(path)
+    """The named text file, read as UTF-8, or stdin (left open on exit) for
+    '-'.  Text that does not decode is refused, naming the file."""
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise FormatError(f"{name} is not UTF-8 text ({exc.reason})") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="orimat")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,6 +145,8 @@ def _cmd_circuits(args) -> int:
 
 def _cmd_ovector(args) -> int:
     check_enumeration_size(args.rank, args.elements)
+    if args.tope_graph:
+        check_tope_graph_size(args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
     ov = o_vector(cs)
     print(
@@ -255,7 +273,7 @@ def _cmd_reduce(args) -> int:
             r_prime, n_prime = int(rank_s), int(n_s)
         except ValueError:
             raise FormatError(f"--db expects RANK:N:PATH, got {db_arg!r}") from None
-        with open(path) as fh:
+        with _open(path) as fh:
             db_map[(r_prime, n_prime)] = list(
                 harness.parse_database(fh, r_prime, n_prime, args.base_order)
             )

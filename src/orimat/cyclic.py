@@ -134,9 +134,7 @@ class CValueTable:
         self._memo: dict[tuple[int, int, int], CEntry] = {}
 
     def entry(self, r: int, n: int, k: int) -> CEntry:
-        if n < r + 1:
-            raise DomainError(f"need n >= r+1, got (r={r}, n={n})")
-        check_k(r, k)
+        _check_cell(r, n, k)
         key = (r, n, k)
         if key not in self._memo:
             self._memo[key] = self._compute(r, n, k)
@@ -146,13 +144,7 @@ class CValueTable:
         return self.entry(r, n, k).value
 
     def _compute(self, r: int, n: int, k: int) -> CEntry:
-        if k == 0:
-            return CEntry(tope_count_uniform(r, n), "closed-form")
-        if n == r + 1:
-            return CEntry(o_vector_small(r).m(k), "n=r+1-formula")
-        if n >= 2 * (r - k) + 1 and 2 * (r - k) + 1 >= r + 2:
-            return CEntry(sum(o_vector_closed(r, n, k)), "closed-form")
-        return CEntry(c_value_brute(r, n, k), "brute-force")
+        return _formula_entry(r, n, k) or CEntry(c_value_brute(r, n, k), "brute-force")
 
     # -- persistence ---------------------------------------------------
 
@@ -164,7 +156,13 @@ class CValueTable:
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
     def load(self, path: str | Path):
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        """Add the entries of a cache file; a line that ``_compute`` could
+        not have written (``_cache_error``) raises ``FormatError`` naming it."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"cache {path} is not UTF-8 text ({exc.reason})") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -174,7 +172,53 @@ class CValueTable:
                 r, n, k, value = map(int, parts[:4])
             except ValueError:
                 raise FormatError(f"cache line {lineno}: non-integer field") from None
-            self._memo[(r, n, k)] = CEntry(value, parts[4])
+            entry = CEntry(value, parts[4])
+            error = _cache_error(r, n, k, entry)
+            if error:
+                raise FormatError(f"cache line {lineno}: {error}")
+            self._memo[(r, n, k)] = entry
+
+
+def _check_cell(r: int, n: int, k: int):
+    """Refuse an (r, n, k) with no c-value: n <= r or k outside its range."""
+    if n < r + 1:
+        raise DomainError(f"need n >= r+1, got (r={r}, n={n})")
+    check_k(r, k)
+
+
+def _formula_entry(r: int, n: int, k: int) -> CEntry | None:
+    """The entry of a cell with a closed form or the n = r+1 formula, each
+    O(1); None where only brute force gives the value."""
+    if k == 0:
+        return CEntry(tope_count_uniform(r, n), "closed-form")
+    if n == r + 1:
+        return CEntry(o_vector_small(r).m(k), "n=r+1-formula")
+    if n >= 2 * (r - k) + 1 and 2 * (r - k) + 1 >= r + 2:
+        return CEntry(sum(o_vector_closed(r, n, k)), "closed-form")
+    return None
+
+
+def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
+    """What makes a cache entry one that ``_compute`` could not have written,
+    if anything: a cell that ``entry`` refuses, a formula cell whose entry is
+    not the formula's, any other provenance than brute-force elsewhere, or a
+    brute-force value that no m(M,k) at (r, n) takes (odd, or outside
+    [0, tope count])."""
+    try:
+        _check_cell(r, n, k)
+    except DomainError as exc:
+        return str(exc)
+    formula = _formula_entry(r, n, k)
+    if formula is not None:
+        if entry != formula:
+            return f"({r}, {n}, {k}) is {formula.value} {formula.provenance}"
+        return None
+    if entry.provenance != "brute-force":
+        return f"({r}, {n}, {k}) has no {entry.provenance}"
+    topes = tope_count_uniform(r, n)
+    if entry.value % 2 or not 0 <= entry.value <= topes:
+        return f"brute-force value {entry.value} is odd or outside [0, {topes}]"
+    return None
 
 
 _default_table = CValueTable()

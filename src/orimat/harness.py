@@ -27,7 +27,7 @@ from .chirotope import Chirotope, check_shape, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError, OrimatError
-from .neighborly import check_k, dense_m_values, dense_words, is_dense, m_value, o_vector
+from .neighborly import check_k, m_value, m_values, records_per_call
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,36 +83,28 @@ def parse_database(
         yield DatabaseRecord(lineno, r, n, signs)
 
 
-# uint64 words gathered from the level-bit table per batched call at the
-# dense sizes (``neighborly.dense_words`` per record): it bounds the working
-# arrays of one call to a few hundred KB.
-BATCH_ENTRIES = 1 << 15
-
-
 def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
     """Per-record rows in record order; record order does not change any row.
 
-    Consecutive records of one dense (r, n) are batched, as many per fold as
-    BATCH_ENTRIES allows (``neighborly.dense_m_values``); any other size
-    goes record by record through ``o_vector``.  Each record is checked
-    when its row is due, so the rows before a bad record still come out.
+    Consecutive records of one (r, n) go through ``neighborly.m_values``,
+    ``records_per_call`` of them per call.  Each record is checked when its
+    row is due, so the rows before a bad record still come out.
     """
     for (r, n), same in groupby(records, key=lambda rec: (rec.r, rec.n)):
-        dense = is_dense(r, n)
-        size = max(1, BATCH_ENTRIES // dense_words(r, n)) if dense else 1
+        size = records_per_call(r, n)
         while group := list(islice(same, size)):
-            yield from _group_rows(group, dense)
+            yield from _group_rows(group)
 
 
 # bytes.translate table: 0 for the sign bytes 1 and -1 (0xff), 1 for any other
 _NOT_A_SIGN = bytes(int(b not in (0x01, 0xFF)) for b in range(256))
 
 
-def _group_rows(group: list[DatabaseRecord], dense: bool) -> Iterator[ReportRow]:
+def _group_rows(group: list[DatabaseRecord]) -> Iterator[ReportRow]:
     """Rows of consecutive records of one (r, n), up to the first record
     with a ``_sign_error``; that one raises after them.  The rows are
-    assembled column by column: m and the o-vector entries as arrays, one
-    tope-count compare and one c-value compare for the whole group."""
+    assembled column by column: m and the o-vector entries (its differences)
+    as arrays, one tope-count compare and one c-value compare per group."""
     r, n = group[0].r, group[0].n
     try:
         check_shape(r, n)
@@ -125,15 +117,10 @@ def _group_rows(group: list[DatabaseRecord], dense: bool) -> Iterator[ReportRow]
     bad = bad if first < 0 else first // size
     good = group[:bad]
     if good:
-        if dense:
-            signs = np.frombuffer(joined, dtype=np.int8, count=bad * size).reshape(bad, size)
-            m = dense_m_values(r, n, signs)
-            entries = m.copy()
-            entries[:, :-1] -= m[:, 1:]  # o-vector entries: differences of the levels
-        else:
-            ovectors = [o_vector(circuits_from_chirotope(rec.chirotope())) for rec in good]
-            entries = np.array([ov.entries for ov in ovectors])
-            m = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # m(M,k) = the tail sums
+        signs = np.frombuffer(joined, dtype=np.int8, count=bad * size).reshape(bad, size)
+        m = m_values(r, n, signs)
+        entries = m.copy()
+        entries[:, :-1] -= m[:, 1:]
         yield from _rows(good, entries, m)
     if bad < len(group):
         raise _sign_error(group[bad])

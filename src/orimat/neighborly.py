@@ -10,38 +10,36 @@ ort = min over circuits of min(sep, r+1 - sep): every circuit of a uniform
 rank-r matroid has r+1 elements, so its agreements with a full sign vector
 are r+1 - sep.  It is used in two ways:
 
-- At a dense size (``is_dense``: the full sweep is at most DENSE_PAIRS
-  pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10) it builds the
-  level-bit table.  A circuit's pattern is its r+1 signs packed into one
-  uint8, smallest element first; that element is always +, so 2^r patterns
-  per circuit cover them all.  For each circuit, pattern and level t =
-  1..floor((r+1)/2), ``_level_table`` holds the bitset of the 2^(n-1)
+- Every ``CircuitSet`` enumeration, single sign vectors and the ball test
+  pass uint64 masks in tiles of about BLOCK_ELEMENTS entries:
+  table = supp(X) & M and pattern = X^-.
+- Database batches at a dense size (``is_dense``: the full sweep is at most
+  DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
+  build the level-bit table.  A circuit's pattern is its r+1 signs packed
+  into one uint8, smallest element first; that element is always +, so 2^r
+  patterns per circuit cover them all.  For each circuit, pattern and level
+  t = 1..floor((r+1)/2), ``_level_table`` holds the bitset of the 2^(n-1)
   candidates whose ort against that circuit is at least t, in uint64
   words.  It is built one circuit at a time on first use and cached per
   (r, n): C(n, r+1) * 2^r * floor((r+1)/2) * ceil(2^(n-1)/64) words, 29 KB
   at (4,8), 258 KB at (5,9) and at most 1.5 MB, at (7,10).  A chirotope's
   counts are then one gathered row per circuit, an AND over the circuits
   and a popcount per level (``_dense_fold``): level t counts the candidates
-  with ort at least t, m(M,t-1)/2.  ``dense_m_values`` folds many
-  chirotopes at once, up to the harness's cap of BATCH_ENTRIES = 2^15
-  gathered words (146 records at (4,8), 32 at (5,9)); database rows come
-  out at about 340k rows/s at (4,8) and 195k rows/s at (5,9) (2 vCPU,
-  Python 3.11, numpy 2.4).  A single chirotope unpacks the AND into
-  per-candidate orts.
-- Grown levels, single sign vectors and the ball test pass uint64 masks in
-  tiles of about BLOCK_ELEMENTS entries: table = supp(X) & M and
-  pattern = X^-.
+  with ort at least t, m(M,t-1)/2.  ``m_values`` folds up to
+  _BATCH_ENTRIES = 2^15 gathered words per call (``records_per_call``: 146
+  records at (4,8), 32 at (5,9)); database rows come out at about 340k
+  rows/s at (4,8) and 195k rows/s at (5,9) (2 vCPU, Python 3.11, numpy
+  2.4).  At any other size ``m_values`` grows one record per call.
 
 The enumeration (``_grow``) is a growth fold.  Every circuit has a largest
 element j, and a tope restricts to a tope of the deletion, so candidates on
 [j-1] are extended by +-j and only the circuits whose largest element is j
 are folded into their running minimum; a candidate is dropped once that
 minimum falls below the level asked for (1 for o-vectors and the tope
-list, k+1 for m(M,k) and the search).  The first j0 elements are a dense
-prefix: all n of them at a dense size, read from the level-bit table;
-otherwise the first r+1.  Sizes are refused before anything is allocated
-by closed forms for the kernel pairs and the largest candidate array
-(``_enumeration_cost``).
+list, k+1 for m(M,k) and the search).  The sign vectors on the first r+1
+elements are swept against their one circuit.  Sizes are refused before
+anything is allocated by closed forms for the kernel pairs and the largest
+candidate array (``_enumeration_cost``).
 """
 
 from __future__ import annotations
@@ -52,18 +50,21 @@ from math import comb
 
 import numpy as np
 
-from .circuits import CircuitSet, _facet_table
+from .circuits import CircuitSet, _facet_table, circuit_negatives, circuits_from_signs
 from .errors import DimensionError, DomainError
 from .signvec import MAX_GROUND_SET, SignVector
 
 TOPE_GRAPH_MAX_N = 16
 # Entries per circuits x candidates tile of the kernel.
 BLOCK_ELEMENTS = 1 << 13
-# An enumeration whose full sweep is at most this many circuit x sign-vector
-# pairs, at a rank up to DENSE_RANK, reads the level-bit table; any other
-# grows from its first r+1 elements.
+# A database batch at a size whose full sweep is at most this many circuit x
+# sign-vector pairs, at a rank up to DENSE_RANK, reads the level-bit table;
+# every other enumeration grows.
 DENSE_PAIRS = 1 << 15
 DENSE_RANK = 7
+# uint64 words gathered from the level-bit table per ``m_values`` call: it
+# bounds the working arrays of one call to a few hundred KB.
+_BATCH_ENTRIES = 1 << 15
 # Limits on an enumeration, checked before anything is allocated: kernel
 # pairs and the largest candidate array.
 PAIR_BUDGET = 1 << 32
@@ -135,11 +136,9 @@ def _ort_masks(
 
 
 def is_dense(r: int, n: int) -> bool:
-    """True iff enumerations at (r, n) read the level-bit table
-    (``_level_table``) instead of growing: the full sweep is at most
-    DENSE_PAIRS pairs and a circuit's r+1 signs fit one uint8 (r <=
-    DENSE_RANK).  These are the sizes whose database rows are batched
-    (``dense_m_values``)."""
+    """True iff database batches at (r, n) fold the level-bit table
+    (``m_values``): the full sweep is at most DENSE_PAIRS pairs and a
+    circuit's r+1 signs fit one uint8 (r <= DENSE_RANK)."""
     return 1 <= r <= DENSE_RANK and r < n and comb(n, r + 1) << (n - 1) <= DENSE_PAIRS
 
 
@@ -152,7 +151,7 @@ def _pack(negative: np.ndarray) -> np.ndarray:
     return negative.view(np.uint8) @ weights
 
 
-def dense_words(r: int, n: int) -> int:
+def _dense_words(r: int, n: int) -> int:
     """uint64 words that one record gathers from the level-bit table at a
     dense size: one row of levels x words per circuit."""
     return comb(n, r + 1) * ((r + 1) // 2) * -(-(1 << (n - 1)) // 64)
@@ -163,7 +162,7 @@ def _level_table(r: int, n: int) -> np.ndarray:
     """The level-bit table of a dense size, built on first use.
 
     Row c * 2^r + (p >> 1) belongs to circuit c (lex order of supports, as
-    ``circuits_from_chirotope`` gives them) with pattern p, its r+1 signs
+    ``circuit_negatives`` gives them) with pattern p, its r+1 signs
     packed by ``_pack``; bit 0 of p, the smallest element, is always +.
     The row holds one bitset per level t = 1..floor((r+1)/2), each of
     ceil(2^(n-1) / 64) uint64 words: bit j % 8 of its byte j // 8 is set iff
@@ -197,20 +196,29 @@ def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
     return np.bitwise_and.reduce(np.take(_level_table(r, n), rows.T, axis=0), axis=0)
 
 
-def dense_m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
-    """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
-    chirotopes at a dense size (``is_dense``) whose lex-order signs are the
-    rows of the int8 array ``signs``, through one fold.
+def records_per_call(r: int, n: int) -> int:
+    """The records that one ``m_values`` call takes at (r, n): as many as
+    _BATCH_ENTRIES gathered table words allow at a dense size, otherwise
+    one, so the rows of a grown size come out one record at a time."""
+    return max(1, _BATCH_ENTRIES // _dense_words(r, n)) if is_dense(r, n) else 1
 
-    Circuit c's pattern comes from the facet gather of
-    ``circuits_from_chirotope``: with h the alternating facet signs, its
-    i-th support element is - iff h[i] != h[0].  The popcount of level t's
-    bitset is the number of candidates with ort at least t, m(M,t-1)/2.
+
+def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+    """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
+    chirotopes whose lex-order signs are the rows of the int8 array
+    ``signs``.
+
+    At a dense size (``is_dense``) that is one fold over the level-bit
+    table: the popcount of level t's bitset is the number of candidates
+    with ort at least t, m(M,t-1)/2.  At any other size each record grows
+    (``o_vector``).
     """
-    facets, _, _, alternating = _facet_table(r, n)
-    h = signs[:, facets] * alternating
-    at_least = np.bitwise_count(_dense_fold(r, n, _pack(h != h[..., :1])))
-    return 2 * at_least.reshape(len(signs), (r + 1) // 2, -1).sum(axis=-1, dtype=np.int64)
+    levels = (r + 1) // 2
+    if not is_dense(r, n):
+        rows = [o_vector(circuits_from_signs(r, n, row)).m_values() for row in signs]
+        return np.array(rows, dtype=np.int64).reshape(len(signs), levels)
+    at_least = np.bitwise_count(_dense_fold(r, n, _pack(circuit_negatives(r, n, signs))))
+    return 2 * at_least.reshape(len(signs), levels, -1).sum(axis=-1, dtype=np.int64)
 
 
 def check_k(r: int, k: int, lo: int = 0):
@@ -223,7 +231,7 @@ def check_enumeration_size(r: int, n: int):
     """Refuse an over-budget enumeration at (r, n) before any chirotope is
     built; an invalid (r, n) is left to the constructors."""
     if 1 <= r < n <= MAX_GROUND_SET:
-        _plan(r, n)
+        _check_budget(*_enumeration_cost(r, n))
 
 
 def _check_budget(pairs: int, candidates: int):
@@ -237,36 +245,25 @@ def _check_budget(pairs: int, candidates: int):
 
 
 @lru_cache(maxsize=None)
-def _plan(r: int, n: int) -> int:
-    """j0, the number of leading elements whose sign vectors are swept
-    densely: all n at a dense size (``is_dense``), otherwise the first r+1.
-    An enumeration beyond the budget is refused first."""
-    j0 = n if is_dense(r, n) else r + 1
-    _check_budget(*_enumeration_cost(r, n, j0))
-    return j0
+def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
+    """Closed-form cost of ``_grow`` at (r, n): (kernel pairs, largest
+    candidate array).
 
-
-def _enumeration_cost(r: int, n: int, j0: int) -> tuple[int, int]:
-    """Closed-form cost of ``_grow`` at (r, n) with a dense prefix of j0
-    elements: (kernel pairs, largest candidate array).
-
-    The prefix costs 2^(j0-1) * C(j0, r+1) pairs.  Level j > j0 extends the
-    T(j-1) survivors on [j-1], where T(m) = sum_{i<r} C(m-1, i) is the halved
-    tope count of a uniform rank-r matroid on m elements, by +-j and folds in
-    the C(j-1, r) circuits whose largest element is j.  Sign data that is not
-    a chirotope can leave more survivors, but at most C(j-1, r)/2 more: they
-    shatter no (r+1)-set, so Sauer-Shelah applies.
+    The 2^r sign vectors on the first r+1 elements meet their one circuit.
+    Level j > r+1 extends the T(j-1) survivors on [j-1], where T(m) =
+    sum_{i<r} C(m-1, i) is the halved tope count of a uniform rank-r
+    matroid on m elements, by +-j and folds in the C(j-1, r) circuits whose
+    largest element is j.  Sign data that is not a chirotope can leave more
+    survivors, but at most C(j-1, r)/2 more: they shatter no (r+1)-set, so
+    Sauer-Shelah applies.
     """
 
     def halved_topes(m):
         return sum(comb(m - 1, i) for i in range(r))
 
-    levels = [2 * halved_topes(j - 1) for j in range(j0 + 1, n + 1)]
-    pairs = (1 << (j0 - 1)) * comb(j0, r + 1) + sum(
-        size * comb(j - 1, r) for j, size in zip(range(j0 + 1, n + 1), levels)
-    )
-    candidates = max([1 << (j0 - 1)] + levels)
-    return pairs, candidates
+    levels = [2 * halved_topes(j - 1) for j in range(r + 2, n + 1)]
+    pairs = (1 << r) + sum(size * comb(j - 1, r) for j, size in zip(range(r + 2, n + 1), levels))
+    return pairs, max([1 << r] + levels)
 
 
 @lru_cache(maxsize=32)
@@ -288,24 +285,17 @@ def _grow(cs: CircuitSet, level: int) -> tuple[np.ndarray, np.ndarray]:
     The growth fold of the module docstring.  A running minimum only falls,
     so dropping one below ``level`` loses nothing, and after element n it is
     the exact ort.  The +j copies go after the -j ones, so the masks stay
-    ascending.  At a dense size every candidate comes back, its ort unpacked
-    from one fold over the level-bit table; that relies on the circuits
-    being normalized, smallest support element +.
+    ascending.
     """
     cs.require_nonempty()
     r, n = cs.r, cs.n
-    j0 = _plan(r, n)
-    masks = np.arange(1 << (j0 - 1), dtype=np.uint64) << np.uint64(1)
-    if j0 == n and is_dense(r, n):  # (r, r+1) with r > DENSE_RANK also has j0 = n
-        pattern = _pack((cs.minus[:, None] & _facet_table(r, n)[1]) != 0)
-        at_least = _dense_fold(r, n, pattern[None]).view(np.uint8).reshape((r + 1) // 2, -1)
-        bits = np.unpackbits(at_least, axis=-1, count=len(masks), bitorder="little")
-        return masks, bits.sum(axis=0, dtype=np.uint8)
+    check_enumeration_size(r, n)
     order = _growth_order(r, n)
     plus, minus = cs.plus[order], cs.minus[order]
-    lo = comb(j0, r + 1)
-    run = _ort_masks(plus[:lo], minus[:lo], masks, r + 1)
-    for j in range(j0 + 1, n + 1):
+    masks = np.arange(1 << r, dtype=np.uint64) << np.uint64(1)
+    run = _ort_masks(plus[:1], minus[:1], masks, r + 1)
+    lo = 1
+    for j in range(r + 2, n + 1):
         keep = run >= level
         masks, run = masks[keep], run[keep]
         if not len(masks):
@@ -406,13 +396,16 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
+def check_tope_graph_size(n: int):
+    """Refuse a tope-graph export on more than TOPE_GRAPH_MAX_N elements."""
+    if n > TOPE_GRAPH_MAX_N:
+        raise DomainError(f"tope graph export capped at n <= {TOPE_GRAPH_MAX_N} (got n={n})")
+
+
 def tope_graph_edges(cs: CircuitSet) -> list[tuple[SignVector, SignVector]]:
     """Edges between topes differing in a single coordinate."""
     cs.require_nonempty()
-    if cs.n > TOPE_GRAPH_MAX_N:
-        raise DomainError(
-            f"tope graph export capped at n <= {TOPE_GRAPH_MAX_N} (got n={cs.n})"
-        )
+    check_tope_graph_size(cs.n)
     topes = list(enumerate_topes(cs))
     index = {(t.plus, t.minus) for t in topes}
     edges = []

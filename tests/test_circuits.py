@@ -1,9 +1,11 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from orimat import (
+    CircuitSet,
     DomainError,
     EmptyCircuitSetError,
     SignVector,
@@ -91,6 +93,42 @@ class TestCircuitsFromChirotope:
             for x in (c, -c)
         }
         assert lhs == rhs
+
+
+class TestCircuitSetMasks:
+    """Masks that are not the normalized circuits in lex support order are
+    refused: the enumeration sorts circuits by their lex position and the
+    level-bit table reads one pattern per lex support, so such masks gave
+    silently wrong counts, (4,8)'s o-vector (124, 4) coming out (24, 0)
+    when permuted and (92, 0) with plus and minus swapped."""
+
+    @pytest.mark.parametrize("r,n", [(4, 8), (6, 12)])
+    def test_permuted_circuits_refused(self, r, n):
+        cs = circuits_from_chirotope(random_realizable(r, n, seed=0))
+        p = np.random.default_rng(0).permutation(len(cs.plus))
+        with pytest.raises(DomainError, match="lex order"):
+            CircuitSet(n, r, cs.plus[p], cs.minus[p])
+
+    def test_swapped_signs_refused(self):
+        cs = circuits_from_chirotope(random_realizable(4, 8, seed=0))
+        with pytest.raises(DomainError, match="smallest element"):
+            CircuitSet(8, 4, cs.minus, cs.plus)
+
+    def test_element_in_both_refused(self):
+        cs = circuits_from_chirotope(random_realizable(4, 8, seed=0))
+        with pytest.raises(DomainError, match="both"):
+            CircuitSet(8, 4, cs.plus | cs.minus, cs.minus)
+
+    def test_wrong_support_refused(self):
+        cs = circuits_from_chirotope(alternating_chirotope(3, 5))
+        plus = cs.plus.copy()
+        plus[0] |= np.uint64(1 << 4)  # {1, 2, 3, 4} gains element 5
+        with pytest.raises(DomainError, match="lex order"):
+            CircuitSet(5, 3, plus, cs.minus)
+
+    def test_copy_of_derived_circuits_accepted(self):
+        cs = circuits_from_chirotope(random_realizable(6, 12, seed=0))
+        assert CircuitSet(12, 6, cs.plus.copy(), cs.minus.copy()) == cs
 
 
 class TestCocircuits:

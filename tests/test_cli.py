@@ -20,7 +20,7 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
-from orimat import cli, harness, neighborly
+from orimat import cli, cyclic, harness, neighborly
 from orimat.cli import main
 
 from conftest import o_vector_oracle, serialize_colex
@@ -100,6 +100,12 @@ class TestOVector:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
 
+    def test_tope_graph_size_refused_before_the_o_vector(self, capsys, tmp_path):
+        path = tmp_path / "graph.txt"
+        code, out, err = run(capsys, "ovector", "-r", "3", "-n", "17", "--tope-graph", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: tope graph") and len(err.splitlines()) == 1
+
     def test_tope_graph_export(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run(
@@ -120,11 +126,10 @@ class TestMValue:
         assert code == 2 and "error" in err
 
     def test_k_refused_before_the_kernel(self, capsys, monkeypatch):
-        def fold(*args):
-            raise AssertionError("the fold ran before k was checked")
+        def kernel(*args):
+            raise AssertionError("the kernel ran before k was checked")
 
-        assert run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "1")[0] == 0  # a warm table
-        monkeypatch.setattr(neighborly, "_dense_fold", fold)
+        monkeypatch.setattr(neighborly, "_ort_of", kernel)
         code, out, err = run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "2")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -247,6 +252,40 @@ class TestCValue:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "line 1" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("3 5 1 999 closed-form", "is 2 closed-form"),  # the true value is 2
+            ("3 5 1 2 brute-force", "is 2 closed-form"),  # a closed-form cell
+            ("3 4 1 6 closed-form", "is 6 n=r+1-formula"),
+            ("3 5 1 2 guessed", "is 2 closed-form"),
+            ("6 8 2 32 guessed", "has no guessed"),
+            ("3 3 0 2 closed-form", "need n >= r+1"),
+            ("3 5 2 0 closed-form", "k=2 outside"),
+            ("6 8 2 32 closed-form", "has no closed-form"),  # brute force only
+            ("6 8 2 33 brute-force", "odd or outside [0, 240]"),  # 240 topes
+            ("6 8 2 242 brute-force", "odd or outside [0, 240]"),
+            ("6 8 2 -2 brute-force", "odd or outside [0, 240]"),
+        ],
+    )
+    def test_cache_entry_compute_could_not_write(self, capsys, tmp_path, line, reason):
+        path = tmp_path / "cvalues.cache"
+        path.write_text("6 9 2 18 closed-form\n" + line + "\n")
+        code, out, err = run(capsys, "cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cache line 2: ") and reason in err
+        assert len(err.splitlines()) == 1
+
+    def test_cache_brute_force_entry_used(self, capsys, monkeypatch, tmp_path):
+        def enumerate_again(*args):
+            raise AssertionError("a cached brute-force cell was enumerated again")
+
+        monkeypatch.setattr(cyclic, "c_value_brute", enumerate_again)
+        path = tmp_path / "cvalues.cache"
+        path.write_text("6 8 2 32 brute-force\n")
+        code, out, _ = run(capsys, "cvalue", "-r", "6", "-n", "8", "--k", "2", "--cache", str(path))
+        assert code == 0 and out == "32\n"
 
     def test_brute_force_size_refused_before_building(self, capsys):
         # (20, 38, k=1) has no closed form; C(38, 20) signs would not fit in memory
@@ -504,8 +543,8 @@ class TestReports:
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
-        # (4, 8): 56 circuits x 2 levels x 2 words per record
-        per_call = harness.BATCH_ENTRIES // neighborly.dense_words(4, 8)
+        # (4, 8): 56 circuits x 2 levels x 2 words per record, 146 records per fold
+        per_call = neighborly.records_per_call(4, 8)
         count = 2 * per_call + 3
         db = tmp_path / "db.txt"
         db.write_text(
@@ -606,6 +645,42 @@ class TestAuditAndReduce:
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    def test_parser_built_once_keeps_no_state(self, capsys, tmp_path):
+        # the appended --db list of one call is not a default of the next
+        assert cli.build_parser() is cli.build_parser()
+        db = tmp_path / "db.txt"
+        db.write_text(alternating_chirotope(4, 7).serialize() + "\n")
+        code, out, _ = run(capsys, "reduce", "-r", "5", "--k", "1", f"--db=4:7:{db}")
+        assert code == 0 and "database missing" in out and "rank 4, n=7: max m" in out
+        code, out, _ = run(capsys, "reduce", "-r", "5", "--k", "1")
+        assert code == 0 and "rank 4, n=7: database missing" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("roudneff", "-r", "3", "-n", "4", "--k", "1", "--file"),
+            ("mcmullen", "-r", "3", "-n", "4", "--k", "1", "--file"),
+            ("ovector", "-r", "3", "-n", "4", "--file"),
+            ("reduce", "-r", "5", "--k", "1", "--db=4:7:"),
+            ("cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache"),
+        ],
+    )
+    def test_non_utf8_file_exits_two_naming_it(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\n")
+        *head, last = argv
+        argv = (*head, last + str(path)) if last.endswith(":") else (*argv, str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_stdin_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+        code, out, err = run(capsys, "roudneff", "-r", "3", "-n", "4", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: stdin is not UTF-8") and len(err.splitlines()) == 1
 
     def test_unknown_flag(self, capsys):
         assert main(["ovector", "-r", "3", "-n", "5", "--nope"]) == 2

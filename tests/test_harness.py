@@ -178,8 +178,9 @@ class TestBatchedRows:
         left = [(r, n) for r, n in SWEEP_SIZES if (r, n) not in DENSE_SIZES]
         assert len(left) == 11 and all(n <= r + 2 and comb(n, r + 1) <= 12 for r, n in left)
 
-    # the dense sizes through the fold, the 11 beyond the dense rank through o_vector
-    @pytest.mark.parametrize("r,n", SWEEP_SIZES)
+    # the dense sizes through the fold; the 11 beyond the dense rank, and
+    # (5, 10) with two levels, grow
+    @pytest.mark.parametrize("r,n", SWEEP_SIZES + [(5, 10)])
     def test_every_dense_size_matches_oracle(self, r, n):
         recs = records_of(
             [(r, n, alternating_chirotope(r, n))]
@@ -191,7 +192,7 @@ class TestBatchedRows:
     @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
     def test_group_sizes_around_the_cap(self, monkeypatch, count):
         # a cap of 4 records: groups of 1, cap-1, cap+1, 2 caps, 2 caps + 1
-        monkeypatch.setattr(harness, "BATCH_ENTRIES", 4 * neighborly.dense_words(4, 7))
+        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * neighborly._dense_words(4, 7))
         calls = fold_calls(monkeypatch)
         recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
         rows = list(compute_rows(recs))
@@ -199,8 +200,8 @@ class TestBatchedRows:
         assert len(calls) == ceil(count / 4)
 
     def test_mixed_shapes_in_one_call(self, monkeypatch):
-        # (2, 10) and (8, 10) are grown sizes: one record per group, through
-        # o_vector; (8, 10) has 9 bits per circuit, beyond the dense rank
+        # (2, 10) and (8, 10) are grown sizes: one record per group, grown;
+        # (8, 10) has 9 bits per circuit, beyond the dense rank
         assert not neighborly.is_dense(2, 10) and not neighborly.is_dense(8, 10)
         shapes = [(3, 5), (3, 5), (4, 7), (4, 7), (4, 7), (3, 5), (2, 10), (8, 10), (8, 10), (4, 7)]
         recs = records_of([(r, n, random_realizable(r, n, seed=i)) for i, (r, n) in enumerate(shapes)])
@@ -378,7 +379,7 @@ class TestAudit:
         def whole_vector(cs):
             raise AssertionError("o-vector built for a single level")
 
-        monkeypatch.setattr(harness, "o_vector", whole_vector)
+        monkeypatch.setattr(neighborly, "o_vector", whole_vector)
         monkeypatch.setattr(cyclic, "o_vector", whole_vector)
         assert deletion_contraction_audit(chi, 2) == triples
         assert finite_reduction_check(5, 1).detail == detail

@@ -169,11 +169,14 @@ GROWTH_SIZES = [(3, 6), (4, 7), (4, 8), (5, 8), (5, 9), (6, 9)]
 
 
 @lru_cache(maxsize=None)
-def growth_case(r, n):
-    """A random chirotope at (r, n), its circuits and its oracles: the scalar
-    o-vector, the scalar first index at each level k+1, and the enumeration
-    indices of the topes with element 1 positive from the full sweep."""
+def growth_case(r, n, m):
+    """The restriction to [m] of a random chirotope at (r, n), its circuits
+    and its oracles: the scalar o-vector, the scalar first index at each
+    level k+1, and the enumeration indices of the topes with element 1
+    positive from the full sweep."""
     chi = random_realizable(r, n, seed=r * n)
+    for e in range(n, m, -1):
+        chi = chi.delete(e)
     cs = circuits_from_chirotope(chi)
     kmax = (r - 1) // 2
     first = tuple(first_index_oracle(cs, k + 1) for k in range(kmax + 1))
@@ -181,22 +184,22 @@ def growth_case(r, n):
 
 
 class TestGrowth:
-    """The growth path at every dense prefix j0 = r+1..n (j0 = n is the one
-    dense call), tiles of 1 and 7 entries included, against the oracles."""
+    """The growth path on every restriction M|[m], m = r+1..n, of a random
+    chirotope at (r, n), the sizes its fold passes through, with tiles of 1
+    and 7 entries included, against the oracles."""
 
     @pytest.mark.parametrize(
-        "r,n,j0,block",
+        "r,n,m,block",
         [
-            (r, n, j0, block)
+            (r, n, m, block)
             for r, n in GROWTH_SIZES
-            for j0 in range(r + 1, n + 1)
+            for m in range(r + 1, n + 1)
             # 1-entry tiles cost one Python iteration per pair: kept to n <= 8
             for block in ([1] if n <= 8 else []) + [7, neighborly.BLOCK_ELEMENTS]
         ],
     )
-    def test_matches_oracles(self, monkeypatch, r, n, j0, block):
-        chi, cs, entries, first, topes = growth_case(r, n)
-        monkeypatch.setattr(neighborly, "_plan", lambda r, n: j0)
+    def test_matches_oracles(self, monkeypatch, r, n, m, block):
+        chi, cs, entries, first, topes = growth_case(r, n, m)
         monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
         assert o_vector(cs).entries == entries
         for k, index in enumerate(first):
@@ -211,24 +214,24 @@ class TestGrowth:
         assert tope_count(cs) == 2 * len(topes) == sum(entries)
 
     def test_database_sizes_take_the_dense_call(self):
-        # (4,8) and (5,9) sweep 7168 and 21504 pairs, (6,12) about 1.6e6
-        assert neighborly._plan(4, 8) == 8
-        assert neighborly._plan(5, 9) == 9
-        assert neighborly._plan(6, 12) == 7
+        # (4,8) and (5,9) sweep 7168 and 21504 pairs and fold 146 and 32
+        # records per call; (6,12) sweeps about 1.6e6 and grows one at a time
+        assert neighborly.is_dense(4, 8) and neighborly.is_dense(5, 9)
+        assert not neighborly.is_dense(6, 12)
+        assert neighborly.records_per_call(4, 8) == 146
+        assert neighborly.records_per_call(5, 9) == 32
+        assert neighborly.records_per_call(6, 12) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_growth_equals_sweep(self, data):
         r = data.draw(st.integers(2, 6), label="r")
         n = data.draw(st.integers(r + 1, r + 5), label="n")
-        j0 = data.draw(st.integers(r + 1, n), label="j0")
         level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
         cs = circuits_from_chirotope(random_realizable(r, n, seed=data.draw(st.integers(0, 999))))
         orts = full_sweep_orts(cs)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(neighborly, "_plan", lambda r, n: j0)
-            masks, got = neighborly._grow(cs, level)
-            m = [m_value(cs, k) for k in range((r - 1) // 2 + 1)]
+        masks, got = neighborly._grow(cs, level)
+        m = [m_value(cs, k) for k in range((r - 1) // 2 + 1)]
         keep = got >= level
         expected = np.flatnonzero(orts >= level)
         assert (masks[keep] >> np.uint64(1)).tolist() == expected.tolist()
@@ -236,9 +239,9 @@ class TestGrowth:
         assert m == [2 * int((orts > k).sum()) for k in range(len(m))]
 
     def test_enumeration_cost_is_the_sum_of_levels(self):
-        # (4, 8) grown from j0 = 5: 16 x 1 pairs, then 2 T(j-1) C(j-1, 4)
-        # at j = 6, 7, 8 with T(5, 6, 7) = 15, 26, 42
-        pairs, candidates = neighborly._enumeration_cost(4, 8, 5)
+        # (4, 8) grown from its first 5 elements: 16 x 1 pairs, then
+        # 2 T(j-1) C(j-1, 4) at j = 6, 7, 8 with T(5, 6, 7) = 15, 26, 42
+        pairs, candidates = neighborly._enumeration_cost(4, 8)
         assert pairs == 16 + 2 * 15 * 5 + 2 * 26 * 15 + 2 * 42 * 35
         assert candidates == 2 * 42
 
@@ -249,7 +252,7 @@ class TestGrowth:
         for r in range(1, 64):
             for n in range(r + 1, 65):
                 try:
-                    neighborly._plan(r, n)
+                    neighborly.check_enumeration_size(r, n)
                 except DomainError:
                     break
                 largest[r] = n
@@ -265,7 +268,7 @@ LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.i
 
 
 class TestLevelTable:
-    """The level-bit table that every dense enumeration reads."""
+    """The level-bit table that every dense database batch reads."""
 
     @pytest.mark.parametrize("r,n", LEVEL_SIZES)
     def test_every_bit_matches_the_oracle(self, r, n):
@@ -274,7 +277,7 @@ class TestLevelTable:
         levels = (r + 1) // 2
         table = neighborly._level_table(r, n)
         assert table.dtype == np.uint64 and table.shape[0] == supports * patterns == supports << r
-        assert table.nbytes == 8 * neighborly.dense_words(r, n) << r
+        assert table.nbytes == 8 * neighborly._dense_words(r, n) << r
         bits = np.unpackbits(
             table.view(np.uint8).reshape(supports, patterns, levels, -1), axis=-1, bitorder="little"
         )
@@ -310,7 +313,7 @@ class TestLevelTable:
 
     def test_database_sizes(self):
         # 29 KB at (4, 8), 258 KB at (5, 9), 1.5 MB at (7, 10), the largest
-        sizes = {(r, n): 8 * neighborly.dense_words(r, n) << r for r, n in LEVEL_SIZES}
+        sizes = {(r, n): 8 * neighborly._dense_words(r, n) << r for r, n in LEVEL_SIZES}
         assert (sizes[4, 8], sizes[5, 9]) == (28672, 258048)
         assert max(sizes.values()) == sizes[7, 10] == 1474560
 
