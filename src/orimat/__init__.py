@@ -46,6 +46,7 @@ from .harness import (
     load_checkpoint,
     mcmullen_report,
     parse_database,
+    report_rows,
     roudneff_report,
 )
 from .errors import (
@@ -117,6 +118,7 @@ __all__ = [
     "load_checkpoint",
     "mcmullen_report",
     "parse_database",
+    "report_rows",
     "roudneff_report",
     # errors
     "DimensionError",

@@ -72,9 +72,6 @@ class CircuitSet:
                 "orthogonality statistics are undefined"
             )
 
-    def with_antipodes(self) -> tuple[SignVector, ...]:
-        return self.members + tuple(-x for x in self.members)
-
 
 @lru_cache(maxsize=32)
 def _facet_table(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import cache
 
 from . import harness
@@ -223,30 +223,12 @@ def _cmd_cvalue(args) -> int:
 def _cmd_reports(args) -> int:
     r, n = args.rank, args.elements
     agg = harness.new_aggregate(args.command, r, n, args.k)
-    prior_rows = harness.load_checkpoint(args.checkpoint, r, n) if args.checkpoint else []
-    prior = {row.id: row for row in prior_rows}
     with _open(args.file) as fh:
         records = list(harness.parse_database(fh, r, n, args.base_order))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
-    unknown = prior.keys() - {rec.id for rec in records}
-    if unknown:
-        raise FormatError(
-            f"checkpoint {args.checkpoint} holds ids {sorted(unknown)} "
-            f"that are not records of {args.file}"
-        )
-    new_rows = harness.compute_rows(rec for rec in records if rec.id not in prior)
-    with ExitStack() as stack:
-        checkpoint = None  # opened for the first new row, kept for the run
-        for rec in records:
-            row = prior.get(rec.id)
-            if row is None:
-                row = next(new_rows)
-                if args.checkpoint:
-                    checkpoint = checkpoint or stack.enter_context(open(args.checkpoint, "a"))
-                    harness.append_checkpoint(checkpoint, row)
-            print(row.to_json() if args.format == "json" else row.to_csv())
-            agg.add(row)
+    for row in harness.report_rows(agg, records, args.checkpoint, source=args.file):
+        print(row.to_json() if args.format == "json" else row.to_csv())
     print(json.dumps(agg.summary()), file=sys.stderr)
     return 0 if agg.holds else 1
 

@@ -13,7 +13,16 @@ from pathlib import Path
 from .chirotope import alternating_chirotope
 from .circuits import CircuitSet, circuits_from_chirotope
 from .errors import DomainError, FormatError
-from .neighborly import OVector, check_enumeration_size, check_k, m_value, o_vector, ort
+from .neighborly import (
+    RECHECK_PAIRS,
+    OVector,
+    _enumeration_cost,
+    check_enumeration_size,
+    check_k,
+    m_value,
+    o_vector,
+    ort,
+)
 from .signvec import SignVector, block_profile
 
 
@@ -91,29 +100,6 @@ def c_value_brute(r: int, n: int, k: int) -> int:
     forms; an over-budget (r, n) is refused before any circuit is built."""
     check_enumeration_size(r, n)
     return m_value(alternating_circuits(r, n), k)
-
-
-def literature_c1(r: int, n: int) -> int:
-    """The transcribed prior-work closed form for c_r(n,1).
-
-    Unverified: it disagrees with brute force already at (r,n) = (3,4) and
-    (3,5).  Never used as an authority; see literature_c1_validity.
-    """
-    return 2 * (
-        comb(r - 1, n - r + 1)
-        + comb(r, n - r)
-        + sum(comb(n - 1, i) for i in range(r - 2))
-    )
-
-
-def literature_c1_validity(r: int, n_max: int) -> dict[int, bool]:
-    """Empirical validity of literature_c1 against the trusted c-value,
-    per n in r+1..n_max."""
-    return {
-        n: literature_c1(r, n) == c_value(r, n, 1)
-        for n in range(r + 1, n_max + 1)
-        if (r - 1) // 2 >= 1
-    }
 
 
 @dataclass(frozen=True)
@@ -201,9 +187,10 @@ def _formula_entry(r: int, n: int, k: int) -> CEntry | None:
 def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
     """What makes a cache entry one that ``_compute`` could not have written,
     if anything: a cell that ``entry`` refuses, a formula cell whose entry is
-    not the formula's, any other provenance than brute-force elsewhere, or a
+    not the formula's, any other provenance than brute-force elsewhere, a
     brute-force value that no m(M,k) at (r, n) takes (odd, or outside
-    [0, tope count])."""
+    [0, tope count]), or, at a size within RECHECK_PAIRS, one that
+    ``c_value_brute`` does not give."""
     try:
         _check_cell(r, n, k)
     except DomainError as exc:
@@ -218,6 +205,10 @@ def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
     topes = tope_count_uniform(r, n)
     if entry.value % 2 or not 0 <= entry.value <= topes:
         return f"brute-force value {entry.value} is odd or outside [0, {topes}]"
+    if _enumeration_cost(r, n)[0] <= RECHECK_PAIRS:
+        value = c_value_brute(r, n, k)
+        if entry.value != value:
+            return f"brute-force value {entry.value}, but enumeration gives {value}"
     return None
 
 

@@ -5,10 +5,12 @@ audit, and the finite reduction check.
 Databases are plain text: one +/- chirotope string per line, '#' comments and
 blank lines skipped; line numbers double as record ids.  The base order of the
 text is settled when a line is parsed: ``DatabaseRecord.signs`` is in lex
-order, and nothing after ``parse_database`` takes an order.  Rows stream into
-one aggregate per verdict, shared by the library and the CLI, with c-values
-from the module memo ``cyclic.c_value``; an optional checkpoint file makes
-interrupted runs resumable.
+order, and nothing after ``parse_database`` takes an order.  A record is
+checked when it is built, so ``compute_rows`` takes its signs as they are.
+``report_rows`` is the one report loop of the library and the CLI: it streams
+rows into one aggregate per verdict, with c-values from the module memo
+``cyclic.c_value``, and an optional checkpoint file makes interrupted runs
+resumable.
 """
 
 from __future__ import annotations
@@ -26,22 +28,37 @@ import numpy as np
 from .chirotope import Chirotope, check_shape, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
-from .errors import DomainError, FormatError, NonUniformError, OrimatError
+from .errors import DomainError, FormatError, NonUniformError
 from .neighborly import check_k, m_value, m_values, records_per_call
+from .signvec import MAX_GROUND_SET
 
 
 @dataclass(frozen=True, slots=True)
 class DatabaseRecord:
-    """One validated database line; ``signs`` holds its parsed signs in lex
-    order (``parse_signs``), so the record is never parsed again."""
+    """One database line, checked when built: ``signs`` holds C(n, r) signs
+    in lex order, each byte 1 or -1 (0xff), as ``parse_signs`` returns
+    them, so the record is never parsed again."""
 
     id: int
     r: int
     n: int
     signs: bytes
 
-    def chirotope(self) -> Chirotope:
-        return Chirotope(self.n, self.r, tuple(memoryview(self.signs).cast("b")))
+    def __post_init__(self):
+        r, n, signs = self.r, self.n, self.signs
+        if (
+            1 <= r <= n <= MAX_GROUND_SET
+            and len(signs) == comb(n, r)
+            and not signs.strip(b"\x01\xff")
+        ):
+            return
+        try:
+            check_shape(r, n)
+            if len(signs) != comb(n, r):
+                raise DomainError(f"expected {comb(n, r)} signs, got {len(signs)}")
+            raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
+        except (DomainError, NonUniformError) as exc:
+            raise type(exc)(f"record {self.id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -87,74 +104,28 @@ def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
     """Per-record rows in record order; record order does not change any row.
 
     Consecutive records of one (r, n) go through ``neighborly.m_values``,
-    ``records_per_call`` of them per call.  Each record is checked when its
-    row is due, so the rows before a bad record still come out.
+    ``records_per_call`` of them per call, with the o-vector entries as the
+    differences of m.  A record whose tope count m(M,0) is wrong raises
+    after the rows before it.
     """
     for (r, n), same in groupby(records, key=lambda rec: (rec.r, rec.n)):
-        size = records_per_call(r, n)
+        size, topes = records_per_call(r, n), tope_count_uniform(r, n)
         while group := list(islice(same, size)):
-            yield from _group_rows(group)
-
-
-# bytes.translate table: 0 for the sign bytes 1 and -1 (0xff), 1 for any other
-_NOT_A_SIGN = bytes(int(b not in (0x01, 0xFF)) for b in range(256))
-
-
-def _group_rows(group: list[DatabaseRecord]) -> Iterator[ReportRow]:
-    """Rows of consecutive records of one (r, n), up to the first record
-    with a ``_sign_error``; that one raises after them.  The rows are
-    assembled column by column: m and the o-vector entries (its differences)
-    as arrays, one tope-count compare and one c-value compare per group."""
-    r, n = group[0].r, group[0].n
-    try:
-        check_shape(r, n)
-    except DomainError as exc:
-        raise DomainError(f"record {group[0].id}: {exc}") from None
-    size = comb(n, r)
-    bad = next((i for i, rec in enumerate(group) if len(rec.signs) != size), len(group))
-    joined = b"".join(rec.signs for rec in group[:bad])
-    first = joined.translate(_NOT_A_SIGN).find(1)
-    bad = bad if first < 0 else first // size
-    good = group[:bad]
-    if good:
-        signs = np.frombuffer(joined, dtype=np.int8, count=bad * size).reshape(bad, size)
-        m = m_values(r, n, signs)
-        entries = m.copy()
-        entries[:, :-1] -= m[:, 1:]
-        yield from _rows(good, entries, m)
-    if bad < len(group):
-        raise _sign_error(group[bad])
-
-
-def _sign_error(rec: DatabaseRecord) -> OrimatError | None:
-    """The error, naming the record, for signs that ``Chirotope`` refuses:
-    not C(n, r) of them, or one that is not +1 or -1 (byte 0xff)."""
-    expected = comb(rec.n, rec.r)
-    if len(rec.signs) != expected:
-        return DomainError(f"record {rec.id}: expected {expected} signs, got {len(rec.signs)}")
-    if rec.signs.strip(b"\x01\xff"):
-        return NonUniformError(f"record {rec.id}: chirotope signs must be +1/-1 (uniform only)")
-    return None
-
-
-def _rows(
-    records: list[DatabaseRecord], entries: np.ndarray, m: np.ndarray
-) -> Iterator[ReportRow]:
-    """The rows of records of one (r, n) from their o-vector entries and m
-    columns, up to the first record whose tope count m(M,0) is not that of
-    every uniform matroid at (r, n); that one raises after them."""
-    r, n = records[0].r, records[0].n
-    topes = tope_count_uniform(r, n)
-    wrong = np.flatnonzero(m[:, 0] != topes)
-    upto = int(wrong[0]) if len(wrong) else len(records)
-    attains = m[:upto] == [c_value(r, n, k) for k in range(m.shape[1])]
-    for rec, *columns in zip(records[:upto], entries.tolist(), m.tolist(), attains.tolist()):
-        yield ReportRow(rec.id, *map(tuple, columns))
-    if upto < len(records):
-        raise FormatError(
-            f"record {records[upto].id}: tope count {int(m[upto, 0])} != {topes}; "
-            "wrong base order or corrupt data"
-        )
+            signs = np.frombuffer(b"".join(rec.signs for rec in group), dtype=np.int8)
+            m = m_values(r, n, signs.reshape(len(group), -1))
+            entries = m.copy()
+            entries[:, :-1] -= m[:, 1:]
+            wrong = np.flatnonzero(m[:, 0] != topes)
+            upto = int(wrong[0]) if len(wrong) else len(group)
+            attains = m[:upto] == [c_value(r, n, k) for k in range(m.shape[1])]
+            rows = zip(group[:upto], entries.tolist(), m.tolist(), attains.tolist())
+            for rec, *columns in rows:
+                yield ReportRow(rec.id, *map(tuple, columns))
+            if upto < len(group):
+                raise FormatError(
+                    f"record {group[upto].id}: tope count {int(m[upto, 0])} != {topes}; "
+                    "wrong base order or corrupt data"
+                )
 
 
 @dataclass
@@ -238,15 +209,52 @@ def mcmullen_report(records: Iterable[DatabaseRecord], k: int) -> McMullenAggreg
 
 def _report(kind, records, k):
     records = list(records)
-    shapes = {(rec.r, rec.n) for rec in records}
-    if len(shapes) > 1:
-        raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     if not records:
         raise DomainError("empty database")
-    agg = new_aggregate(kind, *shapes.pop(), k)
-    for row in compute_rows(records):
-        agg.add(row)
+    agg = new_aggregate(kind, records[0].r, records[0].n, k)
+    for _ in report_rows(agg, records):
+        pass
     return agg
+
+
+def report_rows(
+    agg: RoudneffAggregate | McMullenAggregate,
+    records: Iterable[DatabaseRecord],
+    checkpoint: str | Path | None = None,
+    *,
+    source: str = "the database",
+) -> Iterator[ReportRow]:
+    """The rows of ``records`` in record order, each added to ``agg``: the
+    one report loop of the library and the CLI.  Before any row, records of
+    another (r, n) than the aggregate's, and checkpoint ids that are not
+    records of ``source``, are refused.  Only the rows the checkpoint lacks
+    are computed; each is appended to it and flushed before it is yielded.
+    """
+    records = list(records)
+    shapes = {(rec.r, rec.n) for rec in records} | {(agg.r, agg.n)}
+    if len(shapes) > 1:
+        raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
+    prior = {row.id: row for row in load_checkpoint(checkpoint, agg.r, agg.n)} if checkpoint else {}
+    unknown = prior.keys() - {rec.id for rec in records}
+    if unknown:
+        raise FormatError(
+            f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {source}"
+        )
+    new_rows = compute_rows(rec for rec in records if rec.id not in prior)
+    sink = None  # the checkpoint, opened for the first new row
+    try:
+        for rec in records:
+            row = prior.get(rec.id)
+            if row is None:
+                row = next(new_rows)
+                if checkpoint:
+                    sink = sink or open(checkpoint, "a")
+                    append_checkpoint(sink, row)
+            agg.add(row)
+            yield row
+    finally:
+        if sink:
+            sink.close()
 
 
 @dataclass(frozen=True)

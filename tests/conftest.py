@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from orimat import SignVector, neighborly, orthogonality_degree
+from orimat import Chirotope, SignVector, neighborly, orthogonality_degree
 
 
 def all_full_vectors(n):
@@ -29,6 +29,17 @@ def o_vector_oracle(cs):
         if o > 0:
             entries[min(o - 1, kmax)] += 1
     return tuple(entries)
+
+
+def record_chirotope(rec):
+    """The chirotope of a database record, from its lex-order signs."""
+    return Chirotope(rec.n, rec.r, tuple(memoryview(rec.signs).cast("b")))
+
+
+def with_antipodes(cs):
+    """Every circuit of ``cs`` and its negative: the whole circuit set, which
+    ``CircuitSet`` halves by keeping the normalized member of each pair."""
+    return cs.members + tuple(-x for x in cs.members)
 
 
 def circuit_masks_oracle(chi):

@@ -39,7 +39,7 @@ from orimat import (
 from orimat.cyclic import alternating_circuits, o_vector_brute
 from orimat.signvec import block_profile
 
-from conftest import all_full_vectors, ort_oracle
+from conftest import all_full_vectors, ort_oracle, with_antipodes
 
 
 def report(num, ok, label):
@@ -139,7 +139,7 @@ def test_criterion_06_axiom_oracle():
     corpus += [random_realizable(3, 6, seed=s) for s in range(5)]
     corpus += [random_realizable(4, 6, seed=s) for s in range(5)]
     ok = all(
-        check_circuit_axioms(circuits_from_chirotope(chi).with_antipodes()).ok
+        check_circuit_axioms(with_antipodes(circuits_from_chirotope(chi))).ok
         for chi in corpus
     )
     a = SignVector.from_string("++0")

@@ -17,7 +17,13 @@ from orimat import (
     random_realizable,
 )
 
-from conftest import contract_oracle, delete_oracle, dual_oracle, reorient_oracle
+from conftest import (
+    contract_oracle,
+    delete_oracle,
+    dual_oracle,
+    reorient_oracle,
+    with_antipodes,
+)
 
 
 class TestAlternating:
@@ -191,7 +197,7 @@ class TestFromPoints:
     def test_random_instances_satisfy_circuit_axioms(self, seed):
         chi = random_realizable(3, 6, seed=seed)
         cs = circuits_from_chirotope(chi)
-        assert check_circuit_axioms(cs.with_antipodes())
+        assert check_circuit_axioms(with_antipodes(cs))
 
     def test_seeded_reproducible(self):
         assert random_realizable(3, 5, seed=42) == random_realizable(3, 5, seed=42)

@@ -23,7 +23,7 @@ from orimat import (
 from orimat import cli, cyclic, harness, neighborly
 from orimat.cli import main
 
-from conftest import o_vector_oracle, serialize_colex
+from conftest import o_vector_oracle, record_chirotope, serialize_colex
 
 
 def run(capsys, *argv):
@@ -278,14 +278,37 @@ class TestCValue:
         assert len(err.splitlines()) == 1
 
     def test_cache_brute_force_entry_used(self, capsys, monkeypatch, tmp_path):
+        # (10, 15) takes more than RECHECK_PAIRS kernel pairs: its line is trusted
+        assert neighborly._enumeration_cost(10, 15)[0] > neighborly.RECHECK_PAIRS
+
         def enumerate_again(*args):
             raise AssertionError("a cached brute-force cell was enumerated again")
 
         monkeypatch.setattr(cyclic, "c_value_brute", enumerate_again)
         path = tmp_path / "cvalues.cache"
-        path.write_text("6 8 2 32 brute-force\n")
-        code, out, _ = run(capsys, "cvalue", "-r", "6", "-n", "8", "--k", "2", "--cache", str(path))
-        assert code == 0 and out == "32\n"
+        path.write_text("10 15 1 20096 brute-force\n")
+        argv = ["cvalue", "-r", "10", "-n", "15", "--k", "1", "--cache", str(path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "20096\n"
+
+    @pytest.mark.parametrize(
+        "line,value",
+        [
+            ("6 8 2 30 brute-force", 32),  # c_value_brute(6, 8, 2) is 32
+            ("12 16 4 1410 brute-force", 1408),  # a largest size within RECHECK_PAIRS
+        ],
+    )
+    def test_cache_forged_brute_force_value_exits_two(self, capsys, tmp_path, line, value):
+        r, n, k = line.split()[:3]
+        path = tmp_path / "cvalues.cache"
+        path.write_text("6 9 2 18 closed-form\n" + line + "\n")
+        argv = ["cvalue", "-r", r, "-n", n, "--k", k, "--cache", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        forged = line.split()[3]
+        message = f"brute-force value {forged}, but enumeration gives {value}"
+        assert err == f"error: cache line 2: {message}\n"
+        assert path.read_text() == "6 9 2 18 closed-form\n" + line + "\n"
 
     def test_brute_force_size_refused_before_building(self, capsys):
         # (20, 38, k=1) has no closed form; C(38, 20) signs would not fit in memory
@@ -532,14 +555,21 @@ class TestReports:
         assert err.startswith("error: record 6: tope count") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("signs", [b"\x01" * 69, b"\x01" * 69 + b"\x00"])
-    def test_hand_built_bad_record_exits_two(self, capsys, monkeypatch, tmp_path, signs):
+    def test_hand_built_bad_record_exits_two_before_any_row(
+        self, capsys, monkeypatch, tmp_path, signs
+    ):
+        # a record is checked when it is built, before the report loop starts
         good = next(parse_database([random_realizable(4, 8, seed=0).serialize()], 4, 8))
-        records = [good, harness.DatabaseRecord(2, 4, 8, signs)]
-        monkeypatch.setattr(harness, "parse_database", lambda *args: iter(records))
+
+        def records(*args):
+            yield good
+            yield harness.DatabaseRecord(2, 4, 8, signs)
+
+        monkeypatch.setattr(harness, "parse_database", records)
         db = tmp_path / "db.txt"
         db.write_text("unread\n")
         code, out, err = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
-        assert code == 2 and [json.loads(line)["id"] for line in out.splitlines()] == [1]
+        assert code == 2 and out == ""
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
@@ -556,7 +586,9 @@ class TestReports:
         code, out, _ = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
         assert code == 0 and len(out.splitlines()) == count
         recs = parse_database(db.read_text().splitlines(), 4, 8)
-        oracle = [o_vector_oracle(circuits_from_chirotope(rec.chirotope())) for rec in recs]
+        oracle = [
+            o_vector_oracle(circuits_from_chirotope(record_chirotope(rec))) for rec in recs
+        ]
         assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
         assert len(calls) == ceil(count / per_call) == 3
 
@@ -587,7 +619,10 @@ def test_exit_one_only_on_verified_counterexample(case):
     assert json.loads(err.getvalue()) == agg.summary()
     assert code == (0 if agg.holds else 1)
     assert len(out.getvalue().splitlines()) == len(records)
-    ms = [sum(o_vector_oracle(circuits_from_chirotope(rec.chirotope()))[k:]) for rec in records]
+    ms = [
+        sum(o_vector_oracle(circuits_from_chirotope(record_chirotope(rec)))[k:])
+        for rec in records
+    ]
     if command == "roudneff":
         counterexample = max(ms) > c_value(r, n, k)
     else:

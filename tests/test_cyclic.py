@@ -17,8 +17,6 @@ from orimat.cyclic import (
     CValueTable,
     alternating_circuits,
     c_value_brute,
-    literature_c1,
-    literature_c1_validity,
     o_vector_brute,
 )
 from orimat.signvec import block_profile
@@ -237,6 +235,26 @@ class TestCValue:
         fresh.load(path)
         assert fresh.entry(6, 9, 2).value == 18
         assert fresh.entry(6, 9, 2).provenance == "closed-form"
+
+
+def literature_c1(r, n):
+    """The transcribed prior-work closed form for c_r(n,1), kept as data:
+    it disagrees with brute force already at (r,n) = (3,4) and (3,5)."""
+    return 2 * (
+        comb(r - 1, n - r + 1)
+        + comb(r, n - r)
+        + sum(comb(n - 1, i) for i in range(r - 2))
+    )
+
+
+def literature_c1_validity(r, n_max):
+    """Whether literature_c1 agrees with the trusted c-value, per n in
+    r+1..n_max."""
+    return {
+        n: literature_c1(r, n) == c_value(r, n, 1)
+        for n in range(r + 1, n_max + 1)
+        if (r - 1) // 2 >= 1
+    }
 
 
 class TestLiteratureFormula:

@@ -29,12 +29,13 @@ from orimat import (
     o_vector,
     parse_database,
     random_realizable,
+    report_rows,
     roudneff_report,
     tope_count_uniform,
 )
 from orimat.harness import DatabaseRecord, ReportRow, new_aggregate
 
-from conftest import o_vector_oracle, serialize_colex
+from conftest import o_vector_oracle, record_chirotope, serialize_colex
 
 
 def db_lines(r, n, seeds, with_alternating=True):
@@ -50,7 +51,7 @@ class TestParseDatabase:
         lines = ["# header", "", "++++", "  ", "++++"]
         recs = list(parse_database(lines, 3, 4))
         assert [rec.id for rec in recs] == [3, 5]
-        assert all(rec.chirotope().serialize() == "++++" for rec in recs)
+        assert all(record_chirotope(rec).serialize() == "++++" for rec in recs)
 
     def test_bad_character_names_line(self):
         with pytest.raises(FormatError, match="line 3"):
@@ -75,7 +76,7 @@ class TestParseDatabase:
     def test_colex_signs_held_in_lex_order(self):
         chi = random_realizable(3, 5, seed=4)
         (rec,) = parse_database([serialize_colex(chi)], 3, 5, base_order="colex")
-        assert rec.chirotope() == chi
+        assert record_chirotope(rec) == chi
 
 
 class TestComputeRows:
@@ -150,7 +151,9 @@ def records_of(shapes_and_chirotopes):
 
 
 def oracle_rows(recs):
-    return [(rec.id, o_vector_oracle(circuits_from_chirotope(rec.chirotope()))) for rec in recs]
+    return [
+        (rec.id, o_vector_oracle(circuits_from_chirotope(record_chirotope(rec)))) for rec in recs
+    ]
 
 
 def fold_calls(monkeypatch):
@@ -228,17 +231,68 @@ class TestBatchedRows:
             (lambda size: b"\x02" + b"\xff" * (size - 1), NonUniformError),
         ],
     )
-    def test_hand_built_bad_record_named_after_the_rows_before_it(self, r, n, signs, error):
-        good = records_of([(r, n, random_realizable(r, n, seed=s)) for s in range(2)])
-        bad = DatabaseRecord(7, r, n, signs(comb(n, r)))
-        rows = compute_rows(good + [bad] + good)
-        assert [row.id for row in [next(rows), next(rows)]] == [1, 2]
-        with pytest.raises(error, match="^record 7: [^\n]*$"):
-            next(rows)
+    def test_hand_built_bad_record_refused_when_built(self, r, n, signs, error):
+        size = comb(n, r)
+        got = len(signs(size))
+        if got != size:
+            message = f"expected {size} signs, got {got}"
+        else:
+            message = r"chirotope signs must be \+1/-1 \(uniform only\)"
+        with pytest.raises(error, match=f"^record 7: {message}$"):
+            DatabaseRecord(7, r, n, signs(size))
 
     def test_hand_built_bad_shape_named(self):
-        with pytest.raises(DomainError, match=r"^record 3: invalid rank/size \(0, 4\)$"):
-            list(compute_rows([DatabaseRecord(3, 0, 4, b"\x01")]))
+        with pytest.raises(DomainError, match=r"^record 7: invalid rank/size \(0, 4\)$"):
+            DatabaseRecord(7, 0, 4, b"\x01")
+
+
+class TestReportRows:
+    """The one report loop, with a checkpoint: (4, 8), ten records in one
+    kernel call."""
+
+    @pytest.fixture
+    def recs(self):
+        return list(parse_database(db_lines(4, 8, range(9)), 4, 8))
+
+    def test_cut_run_resumes_to_the_fresh_rows(self, recs, tmp_path, monkeypatch):
+        fresh_agg = new_aggregate("roudneff", 4, 8, 1)
+        fresh = list(report_rows(fresh_agg, recs))
+        assert len(fresh) == 10
+        path = tmp_path / "ckpt.jsonl"
+        cut = report_rows(new_aggregate("roudneff", 4, 8, 1), recs, path)
+        assert [next(cut) for _ in range(3)] == fresh[:3]
+        cut.close()
+        assert path.read_text() == "".join(row.to_json() + "\n" for row in fresh[:3])
+        appended = []
+        append = harness.append_checkpoint
+
+        def counted(sink, row):
+            appended.append(row.id)
+            append(sink, row)
+
+        monkeypatch.setattr(harness, "append_checkpoint", counted)
+        agg = new_aggregate("roudneff", 4, 8, 1)
+        assert list(report_rows(agg, recs, path)) == fresh
+        assert appended == [row.id for row in fresh[3:]]
+        assert path.read_text() == "".join(row.to_json() + "\n" for row in fresh)
+        assert agg.summary() == fresh_agg.summary()
+
+    def test_foreign_id_raises_before_any_row(self, recs, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        row = next(compute_rows(recs))
+        append_checkpoint(path, replace(row, id=99))
+        stored = path.read_bytes()
+        agg = new_aggregate("mcmullen", 4, 8, 1)
+        message = r"^checkpoint .* holds ids \[99\] that are not records of the database$"
+        with pytest.raises(FormatError, match=message):
+            next(report_rows(agg, recs, path))
+        assert path.read_bytes() == stored
+        assert agg.min_m is None
+
+    def test_records_of_another_shape_refused(self, recs):
+        agg = new_aggregate("roudneff", 3, 6, 1)
+        with pytest.raises(DomainError, match=r"mixed \(r, n\) .*\[\(3, 6\), \(4, 8\)\]"):
+            next(report_rows(agg, recs))
 
 
 class TestRoudneffReport:
@@ -276,7 +330,7 @@ class TestMcMullenReport:
         assert not agg.holds
         assert agg.min_m == 0
         zero_rec = recs[2]
-        assert m_value(circuits_from_chirotope(zero_rec.chirotope()), 1) == 0
+        assert m_value(circuits_from_chirotope(record_chirotope(zero_rec)), 1) == 0
         assert zero_rec.id in agg.zero_ids
 
     def test_holds_when_all_positive(self):
@@ -533,7 +587,7 @@ class TestCheckpoint:
     def test_o_vector_consistency_with_direct(self):
         recs = list(parse_database(db_lines(4, 6, [0, 1]), 4, 6))
         for rec, row in zip(recs, compute_rows(recs)):
-            direct = o_vector(circuits_from_chirotope(rec.chirotope()))
+            direct = o_vector(circuits_from_chirotope(record_chirotope(rec)))
             assert row.ovector == direct.entries
 
 
