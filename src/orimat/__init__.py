@@ -37,8 +37,8 @@ from .harness import (
     DatabaseRecord,
     McMullenAggregate,
     ReductionVerdict,
-    ReportRow,
     RoudneffAggregate,
+    RowBlock,
     append_checkpoint,
     compute_rows,
     deletion_contraction_audit,
@@ -109,8 +109,8 @@ __all__ = [
     "DatabaseRecord",
     "McMullenAggregate",
     "ReductionVerdict",
-    "ReportRow",
     "RoudneffAggregate",
+    "RowBlock",
     "append_checkpoint",
     "compute_rows",
     "deletion_contraction_audit",

@@ -9,6 +9,7 @@ exact combinatorial operations on the stored signs.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -225,21 +226,34 @@ def parse_signs(text: str, r: int, n: int, base_order: str = "lex") -> bytes:
     ``base_order`` names the subset order of the text: "lex" (our native
     order) or "colex" for databases using colexicographic subset order.
     """
+    return parse_sign_rows([text], r, n, base_order)
+
+
+def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex") -> bytes:
+    """The signs of several chirotope strings, each as ``parse_signs``
+    returns it, concatenated: one translate over the joined text and, for
+    colex text, one gather.  The first text that ``parse_signs`` refuses
+    raises its error."""
     check_shape(r, n)
     if base_order not in ("lex", "colex"):
         raise DomainError(f"unknown base order {base_order!r}")
     expected = comb(n, r)
-    if len(text) != expected:
-        raise FormatError(f"expected {expected} characters for (r={r}, n={n}), got {len(text)}")
     # one byte per character; a character that is not + or - becomes 0
-    signs = text.encode("ascii", "replace").translate(_INT8_OF_CHAR)
-    if 0 in signs:
-        if "0" in text:
-            raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
-        bad = sorted(set(text) - {"+", "-"})
-        raise FormatError(f"invalid characters {bad!r} in chirotope text")
+    signs = "".join(texts).encode("ascii", "replace").translate(_INT8_OF_CHAR)
+    if not set(map(len, texts)) <= {expected} or 0 in signs:
+        for text in texts:
+            if len(text) != expected:
+                raise FormatError(
+                    f"expected {expected} characters for (r={r}, n={n}), got {len(text)}"
+                )
+            bad = sorted(set(text) - {"+", "-"})
+            if "0" in bad:
+                raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
+            if bad:
+                raise FormatError(f"invalid characters {bad!r} in chirotope text")
     if base_order == "colex":
-        signs = np.frombuffer(signs, dtype=np.int8)[_colex_of_lex(r, n)].tobytes()
+        rows = np.frombuffer(signs, dtype=np.int8).reshape(len(texts), expected)
+        signs = rows[:, _colex_of_lex(r, n)].tobytes()
     return signs
 
 

@@ -227,8 +227,8 @@ def _cmd_reports(args) -> int:
         records = list(harness.parse_database(fh, r, n, args.base_order))
     if not records:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
-    for row in harness.report_rows(agg, records, args.checkpoint, source=args.file):
-        print(row.to_json() if args.format == "json" else row.to_csv())
+    for block in harness.report_rows(agg, records, args.checkpoint, source=args.file):
+        print("\n".join(block.lines(args.format)))
     print(json.dumps(agg.summary()), file=sys.stderr)
     return 0 if agg.holds else 1
 

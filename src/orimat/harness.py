@@ -3,127 +3,197 @@ record, Roudneff- and McMullen-style aggregates, the deletion/contraction
 audit, and the finite reduction check.
 
 Databases are plain text: one +/- chirotope string per line, '#' comments and
-blank lines skipped; line numbers double as record ids.  The base order of the
-text is settled when a line is parsed: ``DatabaseRecord.signs`` is in lex
-order, and nothing after ``parse_database`` takes an order.  A record is
-checked when it is built, so ``compute_rows`` takes its signs as they are.
-``report_rows`` is the one report loop of the library and the CLI: it streams
-rows into one aggregate per verdict, with c-values from the module memo
-``cyclic.c_value``, and an optional checkpoint file makes interrupted runs
-resumable.
+blank lines skipped; line numbers double as record ids.  The unit of work is
+a block of records, from the input text to the output text:
+
+- ``parse_database`` reads ``BLOCK_LINES`` lines at a time and checks a
+  block's signs with one translate (``chirotope.parse_sign_rows``); the base
+  order of the text is settled there, so ``DatabaseRecord.signs`` is in lex
+  order and nothing after the parse takes an order.  Records are built from
+  the checked bytes, so the check is paid once per record.
+- ``compute_rows`` folds ``records_per_call`` records per
+  ``neighborly.m_values`` call into a ``RowBlock``: record ids and m(M,k) as
+  arrays.  The o-vector and ``attains`` follow from m, so a block formats
+  the text of each distinct m row once.
+- ``report_rows`` is the one report loop of the library and the CLI: it
+  merges the rows of a checkpoint with the computed ones in record order,
+  appends each block's computed rows to the checkpoint before yielding it,
+  and folds each block into one aggregate per verdict, with c-values from
+  the module memo ``cyclic.c_value``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, islice
+from functools import partial
+from itertools import accumulate, compress, groupby, islice, repeat
 from math import comb
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .chirotope import Chirotope, check_shape, parse_signs
+from .chirotope import Chirotope, check_shape, parse_sign_rows, parse_signs
 from .circuits import circuits_from_chirotope
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
 from .neighborly import check_k, m_value, m_values, records_per_call
 from .signvec import MAX_GROUND_SET
 
+# The lines of a block: database lines that ``parse_database`` checks
+# together, the most rows that ``report_rows`` puts in one block, and
+# checkpoint lines that ``load_checkpoint`` checks together.  It bounds the
+# memory a block takes beside the records and rows a run keeps.
+BLOCK_LINES = 1 << 8
 
-@dataclass(frozen=True, slots=True)
-class DatabaseRecord:
+
+class DatabaseRecord(namedtuple("DatabaseRecord", "id r n signs")):
     """One database line, checked when built: ``signs`` holds C(n, r) signs
     in lex order, each byte 1 or -1 (0xff), as ``parse_signs`` returns
     them, so the record is never parsed again."""
 
-    id: int
-    r: int
-    n: int
-    signs: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        r, n, signs = self.r, self.n, self.signs
-        if (
+    def __new__(cls, id: int, r: int, n: int, signs: bytes):
+        if not (
             1 <= r <= n <= MAX_GROUND_SET
             and len(signs) == comb(n, r)
             and not signs.strip(b"\x01\xff")
         ):
-            return
-        try:
-            check_shape(r, n)
-            if len(signs) != comb(n, r):
-                raise DomainError(f"expected {comb(n, r)} signs, got {len(signs)}")
-            raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
-        except (DomainError, NonUniformError) as exc:
-            raise type(exc)(f"record {self.id}: {exc}") from None
+            try:
+                check_shape(r, n)
+                if len(signs) != comb(n, r):
+                    raise DomainError(f"expected {comb(n, r)} signs, got {len(signs)}")
+                raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
+            except (DomainError, NonUniformError) as exc:
+                raise type(exc)(f"record {id}: {exc}") from None
+        return super().__new__(cls, id, r, n, signs)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    id: int
-    ovector: tuple[int, ...]
-    m: tuple[int, ...]
-    attains: tuple[bool, ...]
-
-    def to_json(self) -> str:
-        """The bytes of ``json.dumps(vars(self))``: the fields in order,
-        tuples as arrays.  A list of ints prints as its JSON array, and a
-        list of bools does once lowercased."""
-        return (
-            f'{{"id": {self.id}, "ovector": {list(self.ovector)}, "m": {list(self.m)}, '
-            f'"attains": {str(list(self.attains)).lower()}}}'
-        )
-
-    def to_csv(self) -> str:
-        fields = (self.ovector, self.m, map(int, self.attains))
-        return ",".join([str(self.id)] + [" ".join(map(str, values)) for values in fields])
+# a record from signs that ``parse_sign_rows`` has checked, without checking
+# them again: the tuple constructor, not ``DatabaseRecord.__new__``
+_checked_record = partial(tuple.__new__, DatabaseRecord)
 
 
 def parse_database(
     lines: Iterable[str], r: int, n: int, base_order: str = "lex"
 ) -> Iterator[DatabaseRecord]:
     """Stream records from chirotope lines whose positions follow
-    ``base_order``; malformed lines raise with the offending line number."""
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    ``base_order``, ``BLOCK_LINES`` lines at a time.  A malformed line
+    raises with its line number, after the records before it."""
+    lines = iter(lines)
+    start = 1
+    while block := list(islice(lines, BLOCK_LINES)):
+        numbered = [
+            (lineno, line)
+            for lineno, line in enumerate(map(str.strip, block), start)
+            if line and line[0] != "#"
+        ]
+        start += len(block)
+        if not numbered:
             continue
+        ids, texts = zip(*numbered)
         try:
-            signs = parse_signs(line, r, n, base_order)
-        except NonUniformError as exc:
-            raise NonUniformError(f"line {lineno}: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        yield DatabaseRecord(lineno, r, n, signs)
+            signs = parse_sign_rows(texts, r, n, base_order)
+        except FormatError:
+            # the block again, one line at a time, to name the first bad line
+            for lineno, text in numbered:
+                try:
+                    signs = parse_signs(text, r, n, base_order)
+                except FormatError as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from exc
+                yield DatabaseRecord(lineno, r, n, signs)
+            continue
+        size = len(signs) // len(texts)
+        rows = [signs[i : i + size] for i in range(0, len(signs), size)]
+        yield from map(_checked_record, zip(ids, repeat(r), repeat(n), rows))
 
 
-def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[ReportRow]:
-    """Per-record rows in record order; record order does not change any row.
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """The report rows of consecutive records at one (r, n): each record's
+    id (int64) and m(M,k) for k = 0..floor((r-1)/2) (int64, rows x
+    levels).  The o-vector entries are the differences of m, and
+    ``attains`` is m against the c-values.  ``stored`` marks the rows read
+    back from a checkpoint (none when it is None); ``append_checkpoint``
+    writes the others."""
 
-    Consecutive records of one (r, n) go through ``neighborly.m_values``,
-    ``records_per_call`` of them per call, with the o-vector entries as the
-    differences of m.  A record whose tope count m(M,0) is wrong raises
-    after the rows before it.
+    r: int
+    n: int
+    ids: np.ndarray
+    m: np.ndarray
+    stored: np.ndarray | None = None
+    _lines: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def ovector(self) -> np.ndarray:
+        entries = self.m.copy()
+        entries[:, :-1] -= self.m[:, 1:]
+        return entries
+
+    @property
+    def attains(self) -> np.ndarray:
+        return self.m == _c_values(self.r, self.n)
+
+    def lines(self, fmt: str = "json") -> list[str]:
+        """One line per row, without its newline, as ``--format fmt``
+        prints it: "json" (the checkpoint's format too) or "csv".  Each
+        format is built once per block, and the text after the id once per
+        distinct m row."""
+        if fmt not in self._lines:
+            self._lines[fmt] = _format_rows(self, fmt)
+        return self._lines[fmt]
+
+
+def _c_values(r: int, n: int) -> list[int]:
+    return [c_value(r, n, k) for k in range((r + 1) // 2)]
+
+
+def _format_rows(block: RowBlock, fmt: str) -> list[str]:
+    if not len(block.ids):
+        return []
+    m = np.ascontiguousarray(block.m)
+    keys = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    c = _c_values(block.r, block.n)
+    tails = []
+    for row in m[first].tolist():
+        ovector = [a - b for a, b in zip(row, row[1:] + [0])]
+        attains = [a == b for a, b in zip(row, c)]
+        if fmt == "json":
+            tails.append(f'"ovector": {ovector}, "m": {row}, "attains": {str(attains).lower()}}}')
+        else:
+            fields = (ovector, row, map(int, attains))
+            tails.append(",".join(" ".join(map(str, values)) for values in fields))
+    rows = zip(block.ids.tolist(), which.tolist())
+    if fmt == "json":
+        return [f'{{"id": {i}, {tails[j]}' for i, j in rows]
+    return [f"{i},{tails[j]}" for i, j in rows]
+
+
+def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[RowBlock]:
+    """The rows of ``records`` in record order, one block per
+    ``neighborly.m_values`` call: consecutive records of one (r, n),
+    ``records_per_call`` of them at a time, so a grown size comes out one
+    record per block.  Record order does not change any row.  A record whose
+    tope count m(M,0) is wrong raises after the block of the rows before it.
     """
-    for (r, n), same in groupby(records, key=lambda rec: (rec.r, rec.n)):
+    for (r, n), same in groupby(records, key=attrgetter("r", "n")):
         size, topes = records_per_call(r, n), tope_count_uniform(r, n)
         while group := list(islice(same, size)):
-            signs = np.frombuffer(b"".join(rec.signs for rec in group), dtype=np.int8)
-            m = m_values(r, n, signs.reshape(len(group), -1))
-            entries = m.copy()
-            entries[:, :-1] -= m[:, 1:]
+            ids, _, _, signs = zip(*group)
+            m = m_values(r, n, np.frombuffer(b"".join(signs), dtype=np.int8).reshape(len(group), -1))
             wrong = np.flatnonzero(m[:, 0] != topes)
             upto = int(wrong[0]) if len(wrong) else len(group)
-            attains = m[:upto] == [c_value(r, n, k) for k in range(m.shape[1])]
-            rows = zip(group[:upto], entries.tolist(), m.tolist(), attains.tolist())
-            for rec, *columns in rows:
-                yield ReportRow(rec.id, *map(tuple, columns))
+            if upto:
+                yield RowBlock(r, n, np.array(ids[:upto], dtype=np.int64), m[:upto])
             if upto < len(group):
                 raise FormatError(
-                    f"record {group[upto].id}: tope count {int(m[upto, 0])} != {topes}; "
+                    f"record {ids[upto]}: tope count {int(m[upto, 0])} != {topes}; "
                     "wrong base order or corrupt data"
                 )
 
@@ -138,13 +208,16 @@ class RoudneffAggregate:
     argmax_ids: list[int] = field(default_factory=list)
     attaining: int = 0
 
-    def add(self, row: ReportRow):
-        m = row.m[self.k]
-        if m > self.max_m:
-            self.max_m, self.argmax_ids = m, []
-        if m == self.max_m:
-            self.argmax_ids.append(row.id)
-        self.attaining += m == self.c_bound
+    def add(self, block: RowBlock):
+        m = block.m[:, self.k]
+        if not len(m):
+            return
+        top = int(m.max())
+        if top > self.max_m:
+            self.max_m, self.argmax_ids = top, []
+        if top == self.max_m:
+            self.argmax_ids += block.ids[m == top].tolist()
+        self.attaining += int(np.count_nonzero(m == self.c_bound))
 
     @property
     def holds(self) -> bool:
@@ -168,11 +241,13 @@ class McMullenAggregate:
     min_m: int | None = None  # None until the first row
     zero_ids: list[int] = field(default_factory=list)
 
-    def add(self, row: ReportRow):
-        m = row.m[self.k]
-        self.min_m = m if self.min_m is None else min(self.min_m, m)
-        if m == 0:
-            self.zero_ids.append(row.id)
+    def add(self, block: RowBlock):
+        m = block.m[:, self.k]
+        if not len(m):
+            return
+        low = int(m.min())
+        self.min_m = low if self.min_m is None else min(self.min_m, low)
+        self.zero_ids += block.ids[m == 0].tolist()
 
     @property
     def holds(self) -> bool:
@@ -223,38 +298,69 @@ def report_rows(
     checkpoint: str | Path | None = None,
     *,
     source: str = "the database",
-) -> Iterator[ReportRow]:
-    """The rows of ``records`` in record order, each added to ``agg``: the
-    one report loop of the library and the CLI.  Before any row, records of
-    another (r, n) than the aggregate's, and checkpoint ids that are not
-    records of ``source``, are refused.  Only the rows the checkpoint lacks
-    are computed; each is appended to it and flushed before it is yielded.
+) -> Iterator[RowBlock]:
+    """The rows of ``records`` in record order, a block at a time, each
+    block added to ``agg``: the one report loop of the library and the CLI.
+    Before any row, records of another (r, n) than the aggregate's, and
+    checkpoint ids that are not records of ``source``, are refused.  Only
+    the rows the checkpoint lacks are computed; a block's computed rows are
+    appended to it and flushed before the block is yielded.
+
+    A block holds at most ``BLOCK_LINES`` rows and ends where the rows
+    computed so far end, so a grown size still streams one row per record,
+    and the rows before a record with a wrong tope count come out before
+    its error.
     """
     records = list(records)
-    shapes = {(rec.r, rec.n) for rec in records} | {(agg.r, agg.n)}
+    r, n = agg.r, agg.n
+    shapes = {(rec.r, rec.n) for rec in records} | {(r, n)}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
-    prior = {row.id: row for row in load_checkpoint(checkpoint, agg.r, agg.n)} if checkpoint else {}
-    unknown = prior.keys() - {rec.id for rec in records}
-    if unknown:
-        raise FormatError(
-            f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {source}"
-        )
-    new_rows = compute_rows(rec for rec in records if rec.id not in prior)
-    sink = None  # the checkpoint, opened for the first new row
+    ids = np.array([rec.id for rec in records], dtype=np.int64)
+    m = np.zeros((len(records), (r + 1) // 2), dtype=np.int64)
+    stored = np.zeros(len(records), dtype=bool)
+    if checkpoint:
+        prior = load_checkpoint(checkpoint, r, n)
+        row_of = dict(zip(prior.ids.tolist(), range(len(prior.ids))))
+        unknown = row_of.keys() - set(ids.tolist())
+        if unknown:
+            raise FormatError(
+                f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {source}"
+            )
+        at = np.array([row_of.get(i, -1) for i in ids.tolist()], dtype=np.intp)
+        stored = at >= 0
+        m[stored] = prior.m[at[stored]]
+    sink = None  # the checkpoint, opened for the first computed row
     try:
-        for rec in records:
-            row = prior.get(rec.id)
-            if row is None:
-                row = next(new_rows)
-                if checkpoint:
-                    sink = sink or open(checkpoint, "a")
-                    append_checkpoint(sink, row)
-            agg.add(row)
-            yield row
+        for block in _merged_blocks(r, n, records, ids, m, stored):
+            if checkpoint and not block.stored.all():
+                sink = sink or open(checkpoint, "a")
+                append_checkpoint(sink, block)
+            agg.add(block)
+            yield block
     finally:
         if sink:
             sink.close()
+
+
+def _merged_blocks(r, n, records, ids, m, stored) -> Iterator[RowBlock]:
+    """Blocks of the rows in record order: the stored rows already in
+    ``m``, and the others filled in as ``compute_rows`` yields them.  Each
+    block ends before the first record whose row is not known yet."""
+    todo = np.flatnonzero(~stored)
+    computed = compute_rows([records[i] for i in todo.tolist()])
+    done = taken = 0
+    while True:
+        ready = int(todo[taken]) if taken < len(todo) else len(records)
+        for start in range(done, ready, BLOCK_LINES):
+            stop = min(start + BLOCK_LINES, ready)
+            yield RowBlock(r, n, ids[start:stop], m[start:stop], stored[start:stop])
+        done = ready
+        if taken == len(todo):
+            return
+        block = next(computed)  # raises the error of the record at ``ready``
+        m[todo[taken : taken + len(block.ids)]] = block.m
+        taken += len(block.ids)
 
 
 @dataclass(frozen=True)
@@ -383,78 +489,136 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
 # -- checkpointing -----------------------------------------------------
 
 
-def load_checkpoint(path: str | Path, r: int, n: int) -> list[ReportRow]:
-    """Stored rows of an interrupted run at (r, n), in file order; none if
-    the file does not exist.
+def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
+    """Stored rows of an interrupted run at (r, n), in file order, as one
+    block; none if the file does not exist.
 
-    Each append writes one whole line, so a final line without its newline
-    was cut short: it is dropped, and cut from the file so the next append
-    starts a fresh line.  Its record is simply computed again.  Any other
-    line that is not a complete row of a uniform matroid at (r, n)
-    (``_checkpoint_error``), or repeats an id, raises ``FormatError`` with
-    its line number.
+    Each append writes whole lines, so a final line without its newline
+    was cut short.  Once every other line has passed, it is dropped and cut
+    from the file, so the next append starts a fresh line; its record is
+    simply computed again.  Any other line that is not a complete row of a
+    uniform matroid at (r, n) (``_checkpoint_error``), has an id that is not
+    a 64-bit JSON integer, or repeats an id, raises ``FormatError`` with its
+    line number and leaves the file as it was.
     """
     p = Path(path)
     if not p.exists():
-        return []
+        return _stored_block(r, n, [], [])
     data = p.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
+    block = _rows_at_once(lines, r, n)
+    if block is None:
+        block = _rows_one_at_a_time(lines, r, n)
     if tail:
         os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
-    rows: list[ReportRow] = []
+    return block
+
+
+def _stored_block(r: int, n: int, ids, m) -> RowBlock:
+    m = np.array(m, dtype=np.int64).reshape(len(ids), (r + 1) // 2)
+    return RowBlock(r, n, np.array(ids, dtype=np.int64), m, np.ones(len(ids), dtype=bool))
+
+
+def _rows_at_once(lines: list[str], r: int, n: int) -> RowBlock | None:
+    """The rows of checkpoint lines that are each exactly the line that
+    ``append_checkpoint`` writes for its row, parsed with one ``json.loads``
+    per ``BLOCK_LINES`` lines and checked as arrays; None for any other
+    file.  Such a line holds one JSON object with an integer id, m of one
+    width with m(M,0) the tope count and non-increasing down to a
+    non-negative entry, and the o-vector and ``attains`` that follow from
+    m, so every line passes ``_rows_one_at_a_time`` as well, to the same
+    row."""
+    blocks = [_stored_block(r, n, [], [])]
+    for start in range(0, len(lines), BLOCK_LINES):
+        chunk = lines[start : start + BLOCK_LINES]
+        try:
+            parsed = json.loads(f"[{','.join(chunk)}]")
+            block = _stored_block(r, n, [row["id"] for row in parsed], [row["m"] for row in parsed])
+        except (ValueError, TypeError, KeyError, OverflowError):
+            return None
+        m = block.m
+        if (
+            (m[:, 0] != tope_count_uniform(r, n)).any()
+            or (m[:, 1:] > m[:, :-1]).any()
+            or (m[:, -1] < 0).any()
+            or block.lines("json") != chunk
+        ):
+            return None
+        blocks.append(block)
+    ids = np.concatenate([block.ids for block in blocks])
+    if len(set(ids.tolist())) != len(ids):
+        return None
+    return _stored_block(r, n, ids, np.concatenate([block.m for block in blocks]))
+
+
+def _rows_one_at_a_time(lines: list[str], r: int, n: int) -> RowBlock:
+    """The rows of checkpoint lines, one ``json.loads`` and one
+    ``_checkpoint_error`` per line, blank lines skipped; the first line
+    that is not a row raises with its line number."""
+    ids: list[int] = []
+    ms: list[tuple[int, ...]] = []
     seen: set[int] = set()
     if any(map(str.strip, lines)):
         topes = tope_count_uniform(r, n)
-        c_values = [c_value(r, n, k) for k in range((r - 1) // 2 + 1)]
+        c_values = _c_values(r, n)
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
-            row = ReportRow(
-                int(d["id"]), tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
-            )
+            row_id, ovector, m, attains = d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
         except (ValueError, TypeError, KeyError) as exc:
             raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
-        error = _checkpoint_error(row, topes, c_values)
+        if type(row_id) is not int:
+            raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row_id)} is not an integer")
+        if not -(2**63) <= row_id < 2**63:
+            raise FormatError(f"checkpoint line {lineno}: id {row_id} is out of range")
+        error = _checkpoint_error(ovector, m, attains, topes, c_values)
         if error:
             raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
-        if row.id in seen:
-            raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
-        seen.add(row.id)
-        rows.append(row)
-    return rows
+        if row_id in seen:
+            raise FormatError(f"checkpoint line {lineno}: duplicate id {row_id}")
+        seen.add(row_id)
+        ids.append(row_id)
+        ms.append(m)
+    return _stored_block(r, n, ids, ms)
 
 
-def _checkpoint_error(row: ReportRow, topes: int, c_values: list[int]) -> str | None:
+def _checkpoint_error(
+    ovector: tuple, m: tuple, attains: tuple, topes: int, c_values: list[int]
+) -> str | None:
     """What makes a stored row unfit for a run at (r, n), if anything, given
     the tope count of every uniform matroid there and c_r(n,k) for k = 0..
     floor((r-1)/2): one count per k in ``ovector`` and ``m`` and one bool
     in ``attains``, m the tail sums of the o-vector, m(M,0) the tope count,
     and attains true exactly where m equals the c-value."""
     width = len(c_values)
-    if not len(row.ovector) == len(row.m) == len(row.attains) == width:
+    if not len(ovector) == len(m) == len(attains) == width:
         return f"not {width} entries in each of ovector, m and attains"
-    if {type(v) for v in row.ovector + row.m} != {int} or min(row.ovector) < 0:
+    if {type(v) for v in ovector + m} != {int} or min(ovector) < 0:
         return "an o-vector or m entry is not a non-negative integer"
-    if {type(a) for a in row.attains} != {bool}:
+    if {type(a) for a in attains} != {bool}:
         return "an attains entry is not true or false"
-    if row.m != tuple(accumulate(reversed(row.ovector)))[::-1]:
+    if m != tuple(accumulate(reversed(ovector)))[::-1]:
         return "m is not the tail sums of the o-vector"
-    if row.m[0] != topes:
-        return f"tope count {row.m[0]} != {topes}"
-    if row.attains != tuple(m == c for m, c in zip(row.m, c_values)):
+    if m[0] != topes:
+        return f"tope count {m[0]} != {topes}"
+    if attains != tuple(a == c for a, c in zip(m, c_values)):
         return "attains does not match the c-values"
     return None
 
 
-def append_checkpoint(sink: str | Path | TextIO, row: ReportRow):
-    """Append the row as one whole line: to the file named by ``sink``, or,
-    flushed at once, to ``sink`` itself, a text file open for appending that
-    a run keeps for all its rows."""
+def append_checkpoint(sink: str | Path | TextIO, block: RowBlock):
+    """Append the block's rows that are not ``stored`` as whole lines: to
+    the file named by ``sink``, or, flushed at once, to ``sink`` itself, a
+    text file open for appending that a run keeps for all its blocks."""
+    lines = block.lines("json")
+    if block.stored is not None:
+        lines = list(compress(lines, ~block.stored))
+    text = "".join(f"{line}\n" for line in lines)
     if isinstance(sink, (str, Path)):
         with open(sink, "a") as fh:
-            fh.write(row.to_json() + "\n")
+            fh.write(text)
         return
-    sink.write(row.to_json() + "\n")
+    sink.write(text)
     sink.flush()

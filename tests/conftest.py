@@ -1,10 +1,26 @@
 import itertools
+import json
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
 
-from orimat import Chirotope, SignVector, neighborly, orthogonality_degree
+from orimat import (
+    Chirotope,
+    DomainError,
+    FormatError,
+    OrimatError,
+    SignVector,
+    c_value,
+    circuits_from_chirotope,
+    harness,
+    neighborly,
+    orthogonality_degree,
+    tope_count_uniform,
+)
+from orimat.chirotope import parse_signs
 
 
 def all_full_vectors(n):
@@ -183,3 +199,171 @@ def c_values_off_by_1000(monkeypatch):
 
     monkeypatch.setattr(cyclic.CValueTable, "_compute", wrong)
     monkeypatch.setattr(cyclic, "_default_table", cyclic.CValueTable())
+
+
+# -- the per-record report path: the reference for the block pass ----------
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    """One report row, as the per-record path builds and prints it."""
+
+    id: int
+    ovector: tuple[int, ...]
+    m: tuple[int, ...]
+    attains: tuple[bool, ...]
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"id": self.id, "ovector": list(self.ovector), "m": list(self.m), "attains": list(self.attains)}
+        )
+
+    def to_csv(self) -> str:
+        fields = (self.ovector, self.m, map(int, self.attains))
+        return ",".join([str(self.id)] + [" ".join(map(str, values)) for values in fields])
+
+
+def rows_of(blocks):
+    """The rows of ``harness.RowBlock``s, one ``ReportRow`` each."""
+    return [
+        ReportRow(row_id, tuple(ovector), tuple(m), tuple(attains))
+        for block in blocks
+        for row_id, ovector, m, attains in zip(
+            block.ids.tolist(), block.ovector.tolist(), block.m.tolist(), block.attains.tolist()
+        )
+    ]
+
+
+def parse_database_oracle(lines, r, n, base_order="lex"):
+    """(line number, lex-order signs) of each record line, one
+    ``parse_signs`` per line; a bad line raises naming it."""
+    records = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            records.append((lineno, parse_signs(line, r, n, base_order)))
+        except FormatError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+    return records
+
+
+@lru_cache(maxsize=None)
+def m_oracle(r, n, signs):
+    """m(M,k) per k of one record, grown on its own circuits."""
+    chi = Chirotope(n, r, tuple(memoryview(signs).cast("b")))
+    return neighborly.o_vector(circuits_from_chirotope(chi)).m_values()
+
+
+def row_oracle(row_id, r, n, signs):
+    """The report row of one record; a wrong tope count raises."""
+    m = m_oracle(r, n, signs)
+    if m[0] != tope_count_uniform(r, n):
+        raise FormatError(
+            f"record {row_id}: tope count {m[0]} != {tope_count_uniform(r, n)}; "
+            "wrong base order or corrupt data"
+        )
+    ovector = tuple(a - b for a, b in zip(m, m[1:] + (0,)))
+    attains = tuple(mk == c_value(r, n, k) for k, mk in enumerate(m))
+    return ReportRow(row_id, ovector, m, attains)
+
+
+def load_checkpoint_oracle(path, r, n):
+    """The stored rows of a checkpoint by id, one line at a time; a torn
+    final line is cut once every other line has passed."""
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
+    rows = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            row = ReportRow(d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"]))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
+        if type(row.id) is not int:
+            raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row.id)} is not an integer")
+        if not -(2**63) <= row.id < 2**63:
+            raise FormatError(f"checkpoint line {lineno}: id {row.id} is out of range")
+        c_values = [c_value(r, n, k) for k in range((r + 1) // 2)]
+        error = harness._checkpoint_error(
+            row.ovector, row.m, row.attains, tope_count_uniform(r, n), c_values
+        )
+        if error:
+            raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
+        if row.id in rows:
+            raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
+        rows[row.id] = row
+    if tail:
+        path.write_bytes(data[: len(data) - len(tail.encode("utf-8", "surrogateescape"))])
+    return rows
+
+
+@dataclass
+class AggregateOracle:
+    """The roudneff or mcmullen verdict folded one row at a time."""
+
+    kind: str
+    r: int
+    n: int
+    k: int
+    ms: list = field(default_factory=list)  # (id, m(M,k)) per row
+
+    def summary(self):
+        ms = [m for _, m in self.ms]
+        if self.kind == "roudneff":
+            c, top = c_value(self.r, self.n, self.k), max(ms, default=0)
+            return {
+                "verdict": "holds" if top <= c else "counterexample",
+                "max_m": top,
+                "c": c,
+                "attaining": ms.count(c),
+                "argmax_ids": [i for i, m in self.ms if m == top],
+            }
+        low = min(ms, default=None)
+        return {
+            "verdict": "all-have-witness" if low else "zero-m-witnesses",
+            "min_m": low,
+            "zero_ids": [i for i, m in self.ms if m == 0],
+        }
+
+    @property
+    def holds(self):
+        return self.summary()["verdict"] in ("holds", "all-have-witness")
+
+
+def report_oracle(command, r, n, k, path, fmt="json", base_order="lex", checkpoint=None):
+    """(exit code, stdout, stderr) of ``orimat roudneff|mcmullen`` over the
+    database file ``path``, one record at a time: each row is appended to
+    the checkpoint (a path) before it is printed."""
+    out = []
+    try:
+        if not 0 <= k <= (r - 1) // 2:
+            raise DomainError(f"k={k} outside [0, {(r - 1) // 2}]")
+        agg = AggregateOracle(command, r, n, k)
+        with open(path, encoding="utf-8") as fh:
+            records = parse_database_oracle(fh, r, n, base_order)
+        if not records:
+            raise DomainError(f"empty database: no chirotope lines in {path}")
+        prior = load_checkpoint_oracle(checkpoint, r, n) if checkpoint else {}
+        unknown = prior.keys() - {row_id for row_id, _ in records}
+        if unknown:
+            raise FormatError(
+                f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {path}"
+            )
+        for row_id, signs in records:
+            row = prior.get(row_id)
+            if row is None:
+                row = row_oracle(row_id, r, n, signs)
+                if checkpoint:
+                    with open(checkpoint, "a") as fh:
+                        fh.write(row.to_json() + "\n")
+            agg.ms.append((row.id, row.m[k]))
+            out.append((row.to_json() if fmt == "json" else row.to_csv()) + "\n")
+    except OrimatError as exc:
+        return 2, "".join(out), f"error: {exc}\n"
+    return (0 if agg.holds else 1), "".join(out), json.dumps(agg.summary()) + "\n"

@@ -286,7 +286,7 @@ def test_criterion_12_database_counts():
         if recs is None:
             skip_line(12, f"database r{r}_n{n}.txt not present in ORIMAT_DB_DIR")
         cutoff = o_vector_brute(r, n).entries[1]
-        exceeding = sum(1 for row in compute_rows(recs) if row.ovector[1] > cutoff)
+        exceeding = sum(int((block.ovector[:, 1] > cutoff).sum()) for block in compute_rows(recs))
         ok = ok and exceeding == expected
     recs = _db_records(7, 10)
     agg = mcmullen_report(recs, 2)

@@ -3,6 +3,7 @@ import json
 import tempfile
 from math import ceil
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from orimat import (
 from orimat import cli, cyclic, harness, neighborly
 from orimat.cli import main
 
-from conftest import o_vector_oracle, record_chirotope, serialize_colex
+from conftest import o_vector_oracle, record_chirotope, report_oracle, serialize_colex
 
 
 def run(capsys, *argv):
@@ -746,3 +747,176 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv, "--file", str(path))
         r, n = argv[2], argv[4]
         assert (code, out, err) == (2, "", f"error: invalid rank/size ({r}, {n})\n")
+
+
+# -- the block pass against the per-record path ------------------------------
+
+
+@lru_cache(maxsize=None)
+def _record_text(r, n, seed, order):
+    chi = random_realizable(r, n, seed=seed)
+    return chi.serialize() if order == "lex" else serialize_colex(chi)
+
+
+def _flipped(text):
+    """The text with its first sign flipped: the syntax of a chirotope,
+    usually not its tope count."""
+    return ("+" if text[0] == "-" else "-") + text[1:]
+
+
+def _database_text(lines, comments, crlf):
+    out = []
+    for i, line in enumerate(lines):
+        if comments and i % 3 == 1:
+            out += ["# comment", "   "]
+        out.append(line)
+    return "".join(line + ("\r\n" if crlf else "\n") for line in out)
+
+
+def assert_block_pass_matches_oracle(tmp, argv, database, checkpoint=None):
+    """``main(argv + --file db [--checkpoint ck])`` and ``report_oracle``
+    give the same exit code, stdout, stderr and checkpoint bytes.
+    ``checkpoint`` is None (no checkpoint), "" (a fresh one) or the text of
+    the checkpoint to resume from."""
+    tmp = Path(tmp)
+    db = tmp / "db.txt"
+    db.write_bytes(database.encode())
+    command, r, n, k = argv[0], int(argv[2]), int(argv[4]), int(argv[6])
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    order = argv[argv.index("--base-order") + 1] if "--base-order" in argv else "lex"
+    outcomes = []
+    for side in ("block", "oracle"):
+        ckpt = tmp / f"{side}.jsonl"
+        if checkpoint:
+            ckpt.write_bytes(checkpoint.encode())
+        if side == "block":
+            out, err = io.StringIO(), io.StringIO()
+            extra = ["--checkpoint", str(ckpt)] if checkpoint is not None else []
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--file", str(db), *extra])
+            got = (code, out.getvalue(), err.getvalue())
+        else:
+            got = report_oracle(
+                command, r, n, k, db, fmt, order, ckpt if checkpoint is not None else None
+            )
+        outcomes.append((got, ckpt.read_bytes() if ckpt.exists() else None))
+    block, oracle = outcomes
+    assert block[0] == oracle[0]
+    assert block[1] == oracle[1]
+    return block[0][0]
+
+
+@st.composite
+def database_cases(draw):
+    r, n = draw(st.sampled_from([(4, 8), (3, 6), (5, 9)]))
+    command = draw(st.sampled_from(["roudneff", "mcmullen"]))
+    k = draw(st.integers(0, (r - 1) // 2))
+    fmt = draw(st.sampled_from(["json", "csv"]))
+    order = draw(st.sampled_from(["lex", "colex"]))
+    seeds = draw(st.lists(st.integers(0, 12), min_size=1, max_size=9))
+    lines = [_record_text(r, n, s, order) for s in seeds]
+    fault = draw(st.sampled_from([None, "bad character", "wrong tope count"]))
+    if fault:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:-1] + "x" if fault == "bad character" else _flipped(lines[at])
+    database = _database_text(lines, draw(st.booleans()), draw(st.booleans()))
+    argv = [command, "-r", str(r), "-n", str(n), "--k", str(k), "--format", fmt, "--base-order", order]
+    # None: no checkpoint; "": a fresh one; else resumed from the first
+    # rows of a complete one, the last of them torn or not
+    mode = draw(st.sampled_from([None, "", "resumed", "torn"]))
+    return argv, database, mode, draw(st.integers(0, len(seeds))), draw(st.integers(2, 5))
+
+
+def _compare_in_blocks(argv, database, mode, keep, block):
+    """``assert_block_pass_matches_oracle`` with blocks of ``block`` lines
+    and rows and kernel groups of 3 records.  ``mode`` is None (no
+    checkpoint), "" (a fresh one), or "resumed" or "torn": the first
+    ``keep`` rows of a complete run, the last of them torn in half."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_LINES", block)
+        mp.setattr(harness, "records_per_call", lambda r, n: 3)
+        checkpoint = mode
+        if mode in ("resumed", "torn"):
+            whole = Path(tmp) / "whole.jsonl"
+            db = Path(tmp) / "whole.txt"
+            db.write_text(database)
+            fmt = argv[argv.index("--format") + 1]
+            order = argv[argv.index("--base-order") + 1]
+            report_oracle(argv[0], int(argv[2]), int(argv[4]), int(argv[6]), db, fmt, order, whole)
+            rows = whole.read_text().splitlines(keepends=True)[:keep] if whole.exists() else []
+            if mode == "torn" and rows:
+                rows[-1] = rows[-1][: len(rows[-1]) // 2]
+            checkpoint = "".join(rows)
+        return assert_block_pass_matches_oracle(tmp, argv, database, checkpoint)
+
+
+@settings(max_examples=150, deadline=None)
+@given(database_cases())
+def test_block_pass_matches_the_per_record_path(case):
+    """stdout, stderr, exit code and checkpoint bytes of the block pass are
+    those of the per-record path: databases around the block sizes,
+    comments, blank lines and CRLF, lex and colex, json and csv, k = 0 and
+    1, fresh, resumed and torn checkpoints, a bad character in any line and
+    a wrong tope count anywhere in a group."""
+    _compare_in_blocks(*case)
+
+
+# (4, 8) in blocks of 4 lines and rows and groups of 3 records:
+# (records, comments/blanks/CRLF, fault, its index, checkpoint, rows kept)
+BLOCK_CASES = [
+    (3, False, None, 0, "", 0),
+    (4, False, None, 0, "", 0),
+    (5, False, None, 0, "", 0),
+    (5, True, None, 0, None, 0),
+    (7, True, None, 0, "resumed", 2),
+    (7, False, None, 0, "torn", 5),
+    (9, False, None, 0, "resumed", 9),
+    (6, False, "bad character", 5, "", 0),
+    (6, True, "bad character", 5, "resumed", 3),
+    (8, False, "wrong tope count", 4, "", 0),
+    (8, False, "wrong tope count", 4, "resumed", 4),
+    (8, True, "wrong tope count", 4, "torn", 3),
+]
+
+
+@pytest.mark.parametrize("records,messy,fault,at,mode,keep", BLOCK_CASES)
+@pytest.mark.parametrize("command,k,fmt,order", [
+    ("roudneff", 1, "json", "lex"),
+    ("mcmullen", 0, "csv", "colex"),
+])
+def test_block_pass_matches_the_per_record_path_cases(
+    command, k, fmt, order, records, messy, fault, at, mode, keep
+):
+    lines = [_record_text(4, 8, s, order) for s in range(records)]
+    if fault:
+        lines[at] = lines[at][:-1] + "x" if fault == "bad character" else _flipped(lines[at])
+    argv = [command, "-r", "4", "-n", "8", "--k", str(k), "--format", fmt, "--base-order", order]
+    code = _compare_in_blocks(argv, _database_text(lines, messy, messy), mode, keep, 4)
+    assert code == (2 if fault else 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["roudneff", "mcmullen"])
+def test_grown_size_matches_the_per_record_path(tmp_path, command, fmt):
+    # (5, 10) grows each record: one row per block, resumed from a torn row
+    lines = [_record_text(5, 10, s, "lex") for s in range(4)]
+    database = _database_text(lines, True, False)
+    argv = [command, "-r", "5", "-n", "10", "--k", "1", "--format", fmt]
+    assert not neighborly.is_dense(5, 10) and neighborly.records_per_call(5, 10) == 1
+    assert assert_block_pass_matches_oracle(tmp_path, argv, database, "") in (0, 1)
+    rows = (tmp_path / "oracle.jsonl").read_text().splitlines(keepends=True)
+    assert len(rows) == 4
+    torn = rows[0] + rows[1][:20]
+    assert_block_pass_matches_oracle(tmp_path, argv, database, torn)
+
+
+@pytest.mark.parametrize("row_id", ["1.9", '"1"', "true"])
+def test_checkpoint_id_not_an_integer_exits_two(capsys, db36, tmp_path, row_id):
+    ckpt = tmp_path / "ckpt.jsonl"
+    data = f'{{"id": {row_id}, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}}\n{{"id": 2'
+    ckpt.write_text(data)
+    argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db36)]
+    code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+    assert code == 2 and out == ""
+    assert err == f"error: checkpoint line 1: id {row_id} is not an integer\n"
+    assert ckpt.read_text() == data

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from dataclasses import replace
 from math import ceil, comb
@@ -33,9 +34,16 @@ from orimat import (
     roudneff_report,
     tope_count_uniform,
 )
-from orimat.harness import DatabaseRecord, ReportRow, new_aggregate
+from orimat.harness import DatabaseRecord, RowBlock, new_aggregate
 
-from conftest import o_vector_oracle, record_chirotope, serialize_colex
+from conftest import (
+    ReportRow,
+    load_checkpoint_oracle,
+    o_vector_oracle,
+    record_chirotope,
+    rows_of,
+    serialize_colex,
+)
 
 
 def db_lines(r, n, seeds, with_alternating=True):
@@ -73,6 +81,23 @@ class TestParseDatabase:
         with pytest.raises(DomainError, match="unknown base order 'revlex'"):
             list(parse_database(["++++"], 3, 4, base_order="revlex"))
 
+    def test_bad_line_in_a_later_block_raises_after_the_records_before_it(self, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_LINES", 3)
+        lines = ["# x", "++++", "", "++++", "++++", "+-x+", "++++"]
+        parsed = []
+        with pytest.raises(FormatError, match=r"^line 6: invalid characters \['x'\]"):
+            for rec in parse_database(lines, 3, 4):
+                parsed.append(rec.id)
+        assert parsed == [2, 4, 5]
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, size):
+        lines = db_lines(4, 7, range(6)) + ["", "# y"] + db_lines(4, 7, range(6, 9))
+        whole = list(parse_database(lines, 4, 7, "lex"))
+        monkeypatch.setattr(harness, "BLOCK_LINES", size)
+        assert list(parse_database(lines, 4, 7, "lex")) == whole
+        assert [rec.id for rec in whole] == [2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15]
+
     def test_colex_signs_held_in_lex_order(self):
         chi = random_realizable(3, 5, seed=4)
         (rec,) = parse_database([serialize_colex(chi)], 3, 5, base_order="colex")
@@ -82,7 +107,7 @@ class TestParseDatabase:
 class TestComputeRows:
     def test_row_values(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
-        (row,) = compute_rows(recs)
+        (row,) = rows_of(compute_rows(recs))
         assert row.ovector == (20, 2)
         assert row.m == (22, 2)
         assert row.attains == (True, True)
@@ -95,15 +120,15 @@ class TestComputeRows:
 
     def test_record_order_independent(self):
         recs = list(parse_database(db_lines(3, 6, range(5)), 3, 6))
-        forward = list(compute_rows(recs))
-        backward = list(compute_rows(reversed(recs)))
+        forward = rows_of(compute_rows(recs))
+        backward = rows_of(compute_rows(reversed(recs)))
         assert backward == forward[::-1]
 
     def test_colex_database_rows(self):
         chis = [random_realizable(4, 7, seed=s) for s in range(4)]
         lex = parse_database([chi.serialize() for chi in chis], 4, 7)
         colex = parse_database([serialize_colex(chi) for chi in chis], 4, 7, base_order="colex")
-        assert list(compute_rows(colex)) == list(compute_rows(lex))
+        assert rows_of(compute_rows(colex)) == rows_of(compute_rows(lex))
 
     def test_records_parsed_once(self, monkeypatch):
         recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
@@ -112,19 +137,20 @@ class TestComputeRows:
             raise AssertionError("record parsed a second time")
 
         monkeypatch.setattr(harness, "parse_signs", parse_again)
-        assert [row.id for row in compute_rows(recs)] == [rec.id for rec in recs]
+        assert [row.id for row in rows_of(compute_rows(recs))] == [rec.id for rec in recs]
 
     def test_skip_ids(self):
         recs = list(parse_database(db_lines(3, 5, [0, 1]), 3, 5))
-        rows = list(compute_rows(rec for rec in recs if rec.id != recs[1].id))
+        rows = rows_of(compute_rows(rec for rec in recs if rec.id != recs[1].id))
         assert [row.id for row in rows] == [recs[0].id, recs[2].id]
 
     def test_json_round_trip(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
-        (row,) = compute_rows(recs)
-        payload = json.loads(row.to_json())
+        (block,) = compute_rows(recs)
+        (line,) = block.lines("json")
+        payload = json.loads(line)
         assert payload == {
-            "id": row.id,
+            "id": recs[0].id,
             "ovector": [20, 2],
             "m": [22, 2],
             "attains": [True, True],
@@ -189,7 +215,7 @@ class TestBatchedRows:
             [(r, n, alternating_chirotope(r, n))]
             + [(r, n, random_realizable(r, n, seed=s)) for s in range(2)]
         )
-        rows = list(compute_rows(recs))
+        rows = rows_of(compute_rows(recs))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
 
     @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
@@ -198,7 +224,7 @@ class TestBatchedRows:
         monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * neighborly._dense_words(4, 7))
         calls = fold_calls(monkeypatch)
         recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
-        rows = list(compute_rows(recs))
+        rows = rows_of(compute_rows(recs))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
         assert len(calls) == ceil(count / 4)
 
@@ -209,7 +235,7 @@ class TestBatchedRows:
         shapes = [(3, 5), (3, 5), (4, 7), (4, 7), (4, 7), (3, 5), (2, 10), (8, 10), (8, 10), (4, 7)]
         recs = records_of([(r, n, random_realizable(r, n, seed=i)) for i, (r, n) in enumerate(shapes)])
         calls = fold_calls(monkeypatch)
-        rows = list(compute_rows(recs))
+        rows = rows_of(compute_rows(recs))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(recs)
         # one fold with a record axis per run of equal dense shapes
         assert [len(patterns) for _, _, patterns in calls] == [2, 3, 1, 1]
@@ -217,9 +243,9 @@ class TestBatchedRows:
     def test_colex_input(self):
         chis = [random_realizable(5, 9, seed=s) for s in range(3)]
         colex = list(parse_database([serialize_colex(chi) for chi in chis], 5, 9, "colex"))
-        rows = list(compute_rows(colex))
+        rows = rows_of(compute_rows(colex))
         assert [(row.id, row.ovector) for row in rows] == oracle_rows(colex)
-        assert rows == list(compute_rows(parse_database([chi.serialize() for chi in chis], 5, 9)))
+        assert rows == rows_of(compute_rows(parse_database([chi.serialize() for chi in chis], 5, 9)))
 
     @pytest.mark.parametrize("r,n", [(4, 7), (2, 10)])
     @pytest.mark.parametrize(
@@ -246,6 +272,11 @@ class TestBatchedRows:
             DatabaseRecord(7, 0, 4, b"\x01")
 
 
+def take(block, rows):
+    """The rows ``rows`` (an index or slice) of a block, as a block."""
+    return RowBlock(block.r, block.n, block.ids[rows], block.m[rows])
+
+
 class TestReportRows:
     """The one report loop, with a checkpoint: (4, 8), ten records in one
     kernel call."""
@@ -256,31 +287,36 @@ class TestReportRows:
 
     def test_cut_run_resumes_to_the_fresh_rows(self, recs, tmp_path, monkeypatch):
         fresh_agg = new_aggregate("roudneff", 4, 8, 1)
-        fresh = list(report_rows(fresh_agg, recs))
+        fresh = rows_of(report_rows(fresh_agg, recs))
         assert len(fresh) == 10
+        # blocks of three rows: a run cut after its first block has
+        # checkpointed those three rows
+        monkeypatch.setattr(harness, "BLOCK_LINES", 3)
         path = tmp_path / "ckpt.jsonl"
         cut = report_rows(new_aggregate("roudneff", 4, 8, 1), recs, path)
-        assert [next(cut) for _ in range(3)] == fresh[:3]
+        assert rows_of([next(cut)]) == fresh[:3]
         cut.close()
         assert path.read_text() == "".join(row.to_json() + "\n" for row in fresh[:3])
         appended = []
         append = harness.append_checkpoint
 
-        def counted(sink, row):
-            appended.append(row.id)
-            append(sink, row)
+        def counted(sink, block):
+            appended.extend(block.ids[~block.stored].tolist())
+            append(sink, block)
 
         monkeypatch.setattr(harness, "append_checkpoint", counted)
         agg = new_aggregate("roudneff", 4, 8, 1)
-        assert list(report_rows(agg, recs, path)) == fresh
+        blocks = list(report_rows(agg, recs, path))
+        assert rows_of(blocks) == fresh
+        assert [len(block.ids) for block in blocks] == [3, 3, 3, 1]
         assert appended == [row.id for row in fresh[3:]]
         assert path.read_text() == "".join(row.to_json() + "\n" for row in fresh)
         assert agg.summary() == fresh_agg.summary()
 
     def test_foreign_id_raises_before_any_row(self, recs, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        row = next(compute_rows(recs))
-        append_checkpoint(path, replace(row, id=99))
+        block = next(compute_rows(recs))
+        append_checkpoint(path, RowBlock(4, 8, np.array([99]), block.m[:1]))
         stored = path.read_bytes()
         agg = new_aggregate("mcmullen", 4, 8, 1)
         message = r"^checkpoint .* holds ids \[99\] that are not records of the database$"
@@ -340,8 +376,8 @@ class TestMcMullenReport:
 
 
 def hand_row(row_id, m):
-    """A report row whose only meaningful fields are its id and m-values."""
-    return ReportRow(row_id, (0,) * len(m), tuple(m), (False,) * len(m))
+    """A block of one row, of the given id and m-values, at (3, 6)."""
+    return RowBlock(3, 6, np.array([row_id]), np.array([m]))
 
 
 class TestAggregateFold:
@@ -494,32 +530,33 @@ class TestFiniteReduction:
 
 class TestCheckpoint:
     def test_missing_file(self, tmp_path):
-        assert load_checkpoint(tmp_path / "none.jsonl", 3, 6) == []
+        assert rows_of([load_checkpoint(tmp_path / "none.jsonl", 3, 6)]) == []
 
     def test_append_and_resume(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         recs = list(parse_database(db_lines(3, 6, range(4)), 3, 6))
-        rows = list(compute_rows(recs))
-        for row in rows[:2]:
-            append_checkpoint(path, row)
-        stored = load_checkpoint(path, 3, 6)
+        (block,) = compute_rows(recs)
+        rows = rows_of([block])
+        append_checkpoint(path, take(block, slice(0, 2)))
+        stored = rows_of([load_checkpoint(path, 3, 6)])
         assert stored == rows[:2]
         done = {row.id for row in stored}
-        resumed = list(compute_rows(rec for rec in recs if rec.id not in done))
+        resumed = rows_of(compute_rows(rec for rec in recs if rec.id not in done))
         assert [r.id for r in resumed] == [r.id for r in rows[2:]]
         assert stored + resumed == rows
 
     def test_torn_final_line_dropped_and_cut(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
-        rows = list(compute_rows(recs))
-        append_checkpoint(path, rows[0])
+        (block,) = compute_rows(recs)
+        rows = rows_of([block])
+        append_checkpoint(path, take(block, slice(0, 1)))
         whole = path.read_bytes()
-        path.write_bytes(whole + rows[1].to_json()[:9].encode())
-        assert load_checkpoint(path, 3, 6) == rows[:1]
+        path.write_bytes(whole + block.lines()[1][:9].encode())
+        assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:1]
         assert path.read_bytes() == whole  # the next append starts a fresh line
-        append_checkpoint(path, rows[1])
-        assert load_checkpoint(path, 3, 6) == rows[:2]
+        append_checkpoint(path, take(block, slice(1, 2)))
+        assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:2]
 
     @pytest.mark.parametrize(
         "bad", ['{"id": 1, "ovector": [3', '{"id": 1}', "[1, 2]", "\xff"]
@@ -527,16 +564,64 @@ class TestCheckpoint:
     def test_malformed_line_raises_with_line_number(self, tmp_path, bad):
         path = tmp_path / "ckpt.jsonl"
         recs = list(parse_database(db_lines(3, 6, range(2)), 3, 6))
-        row = next(compute_rows(recs[1:]))
-        path.write_bytes(bad.encode("latin-1") + b"\n" + row.to_json().encode() + b"\n")
+        line = next(compute_rows(recs[1:])).lines()[0]
+        path.write_bytes(bad.encode("latin-1") + b"\n" + line.encode() + b"\n")
         with pytest.raises(FormatError, match="line 1"):
             load_checkpoint(path, 3, 6)
 
+    @pytest.mark.parametrize("row_id", ["1.9", '"1"', "true", "1.0", "null"])
+    def test_id_that_is_not_a_json_integer_raises(self, tmp_path, row_id):
+        path = tmp_path / "ckpt.jsonl"
+        line = json.dumps(self.FITS).replace('"id": 1,', f'"id": {row_id},')
+        path.write_text(json.dumps(dict(self.FITS, id=2)) + "\n" + line + "\n")
+        message = rf"^checkpoint line 2: id {re.escape(row_id)} is not an integer$"
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path, 3, 6)
+
+    @pytest.mark.parametrize("row_id", [2**63, -(2**63) - 1, 10**30])
+    def test_id_beyond_64_bits_raises(self, tmp_path, row_id):
+        path = tmp_path / "ckpt.jsonl"
+        path.write_text(json.dumps(dict(self.FITS, id=row_id)) + "\n")
+        with pytest.raises(FormatError, match=rf"^checkpoint line 1: id {row_id} is out of range$"):
+            load_checkpoint(path, 3, 6)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"id": 1, "ovector": [3',
+            '{"id": true, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}',
+            '{"id": 2, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}',
+            '{"id": 1, "ovector": [31, 1], "m": [32, 1], "attains": [true, true]}',
+        ],
+    )
+    def test_refused_file_is_left_as_it_was(self, tmp_path, bad):
+        # a torn final line is cut only once every other line has passed
+        path = tmp_path / "ckpt.jsonl"
+        data = (json.dumps(dict(self.FITS, id=2)) + "\n" + bad + "\n" + '{"id": 3, "ov').encode()
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="^checkpoint line 2: "):
+            load_checkpoint(path, 3, 6)
+        assert path.read_bytes() == data
+
+    def test_lines_in_another_layout_read_one_at_a_time(self, tmp_path):
+        # valid rows that are not byte for byte what append_checkpoint
+        # writes load to the same rows
+        path = tmp_path / "ckpt.jsonl"
+        rows = [dict(self.FITS, id=i) for i in (4, 2, 9)]
+        path.write_text(
+            json.dumps(rows[0]) + "\n"
+            + json.dumps(rows[1], separators=(",", ":")) + "\r\n"
+            + "\n"
+            + json.dumps(dict(rows[2], note="x")) + "\n"
+        )
+        expected = [ReportRow(i, (30, 2), (32, 2), (True, True)) for i in (4, 2, 9)]
+        assert rows_of([load_checkpoint(path, 3, 6)]) == expected
+
     def test_duplicate_id_raises(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        row = next(compute_rows(parse_database(db_lines(3, 6, range(1)), 3, 6)))
-        append_checkpoint(path, row)
-        append_checkpoint(path, row)
+        first = take(next(compute_rows(parse_database(db_lines(3, 6, range(1)), 3, 6))), slice(0, 1))
+        append_checkpoint(path, first)
+        append_checkpoint(path, first)
         with pytest.raises(FormatError, match="line 2: duplicate id"):
             load_checkpoint(path, 3, 6)
 
@@ -557,6 +642,10 @@ class TestCheckpoint:
             ({"m": [32, 3]}, "tail sums"),
             ({"ovector": [28, 2], "m": [30, 2]}, "tope count 30 != 32"),
             ({"ovector": [31, 1], "m": [32, 1]}, "attains does not match"),
+            # each line as append_checkpoint would write it
+            ({"ovector": [34, -2], "m": [32, -2], "attains": [True, False]}, "not a non-negative integer"),
+            ({"ovector": [-2, 34], "m": [32, 34], "attains": [True, False]}, "not a non-negative integer"),
+            ({"ovector": [28, 2], "m": [30, 2], "attains": [False, True]}, "tope count 30 != 32"),
         ],
     )
     def test_row_that_does_not_fit_the_shape_raises(self, tmp_path, change, error):
@@ -570,7 +659,7 @@ class TestCheckpoint:
     def test_row_of_another_shape_raises(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         path.write_text(json.dumps(self.FITS) + "\n")
-        assert load_checkpoint(path, 3, 6) == [ReportRow(1, (30, 2), (32, 2), (True, True))]
+        assert rows_of([load_checkpoint(path, 3, 6)]) == [ReportRow(1, (30, 2), (32, 2), (True, True))]
         for r, n in [(5, 8), (3, 7), (4, 6)]:
             message = rf"^checkpoint line 1: .* \(r, n\) = \({r}, {n}\)$"
             with pytest.raises(FormatError, match=message):
@@ -578,29 +667,46 @@ class TestCheckpoint:
 
     def test_append_to_an_open_file_flushes_each_line(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        rows = list(compute_rows(parse_database(db_lines(3, 6, range(2)), 3, 6)))
+        (block,) = compute_rows(parse_database(db_lines(3, 6, range(2)), 3, 6))
+        rows = rows_of([block])
         with open(path, "a") as fh:
-            for i, row in enumerate(rows, 1):
-                append_checkpoint(fh, row)
-                assert load_checkpoint(path, 3, 6) == rows[:i]
+            for i in range(1, len(rows) + 1):
+                append_checkpoint(fh, take(block, slice(i - 1, i)))
+                assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:i]
 
     def test_o_vector_consistency_with_direct(self):
         recs = list(parse_database(db_lines(4, 6, [0, 1]), 4, 6))
-        for rec, row in zip(recs, compute_rows(recs)):
+        for rec, row in zip(recs, rows_of(compute_rows(recs))):
             direct = o_vector(circuits_from_chirotope(record_chirotope(rec)))
             assert row.ovector == direct.entries
 
 
+INT64 = st.integers(-(2**62), 2**62)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(-(2**70), 2**70),
-    st.lists(st.integers(-(2**70), 2**70), max_size=6),
-    st.lists(st.integers(-(2**70), 2**70), max_size=6),
-    st.lists(st.booleans(), max_size=6),
+    st.sampled_from([(1, 3), (3, 6), (5, 9), (7, 14), (11, 12)]).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            st.lists(st.tuples(INT64, st.lists(INT64, min_size=(shape[0] + 1) // 2, max_size=(shape[0] + 1) // 2)), max_size=6),
+        )
+    )
 )
-def test_to_json_is_json_dumps(row_id, ovector, m, attains):
-    row = ReportRow(row_id, tuple(ovector), tuple(m), tuple(attains))
-    assert row.to_json() == json.dumps(vars(row))
+def test_to_json_is_json_dumps(case):
+    # any ids and m, valid rows or not: each line is json.dumps of its row
+    # and the csv line holds the same fields; rows sharing m share their text
+    (r, n), rows = case
+    ids = [row_id for row_id, _ in rows]
+    m = np.array([ms for _, ms in rows], dtype=np.int64).reshape(len(rows), (r + 1) // 2)
+    block = RowBlock(r, n, np.array(ids, dtype=np.int64), m)
+    c = [c_value(r, n, k) for k in range((r + 1) // 2)]
+    expected = [
+        ReportRow(row_id, tuple(a - b for a, b in zip(ms, ms[1:] + [0])), tuple(ms), tuple(x == y for x, y in zip(ms, c)))
+        for row_id, ms in rows
+    ]
+    assert block.lines("json") == [json.dumps(vars(row)) for row in expected]
+    assert block.lines("csv") == [row.to_csv() for row in expected]
 
 
 @st.composite
@@ -623,11 +729,64 @@ def test_checkpoint_round_trip(case, flip):
     r, n, row = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.jsonl"
-        append_checkpoint(path, row)
+        append_checkpoint(path, RowBlock(r, n, np.array([row.id]), np.array([row.m])))
         assert path.read_text() == json.dumps(vars(row)) + "\n"
-        assert load_checkpoint(path, r, n) == [row]
+        assert rows_of([load_checkpoint(path, r, n)]) == [row]
         if flip:  # any other attains is refused
             wrong = replace(row, attains=(not row.attains[0],) + row.attains[1:])
             path.write_text(wrong.to_json() + "\n")
             with pytest.raises(FormatError, match="attains"):
                 load_checkpoint(path, r, n)
+
+
+# how a stored (3, 6) row's line can differ from the line append_checkpoint
+# writes: some keep it a row, the others make it unfit
+LINE_EDITS = {
+    "none": lambda line: line,
+    "compact": lambda line: line.replace(", ", ","),
+    "crlf": lambda line: line + "\r",
+    "extra key": lambda line: line[:-1] + ', "note": 1}',
+    "float id": lambda line: line.replace(", ", ".0, ", 1),
+    "string id": lambda line: line.replace('{"id": ', '{"id": "', 1).replace(", ", '", ', 1),
+    "m edited": lambda line: line.replace('"m": [32, ', '"m": [32, 1', 1),
+    "attains flipped": lambda line: line.replace('"attains": [true', '"attains": [false', 1),
+    "cut": lambda line: line[: len(line) // 2],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(0, 2),
+            # mostly unedited, so that whole files take the block check
+            st.one_of(st.just("none"), st.sampled_from(sorted(LINE_EDITS))),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from(["", "\n", '{"id": 9, "ovec']),
+)
+def test_load_checkpoint_matches_one_line_at_a_time(rows, tail):
+    # the rows, the refusal and the file left behind are those of the
+    # per-line reader, for files checked three lines at a time
+    c = [c_value(3, 6, k) for k in range(2)]
+    lines = []
+    for row_id, m1, edit in rows:
+        m = [32, m1]
+        line = json.dumps({"id": row_id, "ovector": [32 - m1, m1], "m": m, "attains": [True, m1 == c[1]]})
+        lines.append(LINE_EDITS[edit](line))
+    data = ("".join(line + "\n" for line in lines) + tail).encode()
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_LINES", 3)  # duplicates across blocks too
+        for load in (load_checkpoint, load_checkpoint_oracle):
+            path = Path(tmp) / "ckpt.jsonl"
+            path.write_bytes(data)
+            try:
+                got = load(path, 3, 6)
+                got = rows_of([got]) if load is load_checkpoint else list(got.values())
+            except FormatError as exc:
+                got = str(exc)
+            outcomes.append((got, path.read_bytes()))
+    assert outcomes[0] == outcomes[1]
