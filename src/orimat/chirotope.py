@@ -126,35 +126,24 @@ class Chirotope:
         return self._gather(self.n, m, slice(None, None, -1), factor)
 
     def delete(self, e: int) -> "Chirotope":
-        """Restrict to [n] \\ e; elements above e renumbered down by one.
-
-        The r-subsets avoiding e, in lex order, are the r-subsets of the
-        renumbered ground set in lex order.
-        """
+        """Restrict to [n] \\ e; elements above e renumbered down by one
+        (``minor_gather``)."""
         if not 1 <= e <= self.n:
             raise DomainError(f"element {e} outside ground set [1..{self.n}]")
         if self.n - 1 < self.r:
             raise DomainError("deletion would collapse the rank")
-        bit = np.uint64(1 << (e - 1))
-        avoid = np.flatnonzero((_subset_masks(self.r, self.n) & bit) == 0)
-        return self._gather(self.n - 1, self.r, avoid, 1)
+        (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=False)
+        return self._gather(self.n - 1, self.r, index, factor)
 
     def contract(self, e: int) -> "Chirotope":
-        """Contract e: new sign of S is chi(e, S) on original labels.
-
-        The r-subsets holding e, in lex order, are e joined to the
-        (r-1)-subsets of the renumbered ground set in lex order; moving e to
-        the front of one passes the elements below e.
-        """
+        """Contract e: new sign of S is chi(e, S) on original labels
+        (``minor_gather``)."""
         if not 1 <= e <= self.n:
             raise DomainError(f"element {e} outside ground set [1..{self.n}]")
         if self.r < 2:
             raise DomainError("contraction would collapse the rank")
-        bit = np.uint64(1 << (e - 1))
-        masks = _subset_masks(self.r, self.n)
-        hold = np.flatnonzero(masks & bit)
-        below = masks[hold] & (bit - np.uint64(1))
-        return self._gather(self.n - 1, self.r - 1, hold, _parity_sign(below))
+        (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=True)
+        return self._gather(self.n - 1, self.r - 1, index, factor)
 
     def contract_set(self, elements) -> tuple["Chirotope", tuple[int, ...]]:
         """Contract several elements; returns the minor and the surviving
@@ -198,6 +187,19 @@ def _subset_masks(r: int, n: int) -> np.ndarray:
     )
     masks.flags.writeable = False
     return masks
+
+
+def minor_gather(r: int, n: int, elements, contract: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(index, factor): the lex-order signs of M \\ e, or of M / e when
+    ``contract``, for e = elements[i] are signs[index[i]] * factor[i].  The
+    r-subsets avoiding e are those of the renumbered ground set in lex
+    order.  Those holding e are e joined to its (r-1)-subsets in lex order,
+    and chi(e, S) moves e to the front past the elements below e."""
+    masks = _subset_masks(r, n)
+    bits = np.uint64(1) << (np.array(elements, dtype=np.uint64) - np.uint64(1))
+    index = np.nonzero(((masks & bits[:, None]) != 0) == contract)[1].reshape(len(bits), -1)
+    below = bits - np.uint64(1) if contract else np.zeros_like(bits)
+    return index, _parity_sign(masks[index] & below[:, None])
 
 
 def _parity_sign(masks: np.ndarray) -> np.ndarray:

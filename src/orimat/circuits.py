@@ -108,22 +108,25 @@ def circuit_negatives(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     return h != h[..., :1]
 
 
-def circuits_from_signs(r: int, n: int, signs: np.ndarray) -> CircuitSet:
-    """The normalized circuits of the chirotope whose lex-order signs are
-    the int8 array ``signs`` (``circuit_negatives``)."""
-    if n == r:
-        none = np.zeros(0, dtype=np.uint64)
-        return CircuitSet(n, r, none, none)
-    _, bits, support, _ = _facet_table(r, n)
-    minus = np.where(circuit_negatives(r, n, signs), bits, 0).sum(axis=1, dtype=np.uint64)
-    plus = support - minus
-    plus.flags.writeable = minus.flags.writeable = False
-    return CircuitSet(n, r, plus, minus)
+def circuit_minus(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+    """The minus masks (uint64) of the normalized circuits, one per support
+    in lex order, of the chirotopes whose lex-order signs are the int8 array
+    ``signs`` (``circuit_negatives``); leading axes are carried through."""
+    negative = circuit_negatives(r, n, signs).view(np.uint8)
+    # einsum is 2-3x faster than a sum over the short last axis
+    return np.einsum("...ci,ci->...c", negative, _facet_table(r, n)[1])
 
 
 def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
-    """The circuit signs on every (r+1)-subset of [n] (``circuits_from_signs``)."""
-    return circuits_from_signs(chi.r, chi.n, np.array(chi.signs, dtype=np.int8))
+    """The normalized circuits of chi on every (r+1)-subset of [n]
+    (``circuit_minus``)."""
+    if chi.n == chi.r:
+        none = np.zeros(0, dtype=np.uint64)
+        return CircuitSet(chi.n, chi.r, none, none)
+    minus = circuit_minus(chi.r, chi.n, np.array(chi.signs, dtype=np.int8))
+    plus = _facet_table(chi.r, chi.n)[2] - minus
+    plus.flags.writeable = minus.flags.writeable = False
+    return CircuitSet(chi.n, chi.r, plus, minus)
 
 
 def cocircuits(chi: Chirotope) -> CircuitSet:

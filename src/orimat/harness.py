@@ -37,11 +37,10 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .chirotope import Chirotope, check_shape, parse_sign_rows, parse_signs
-from .circuits import circuits_from_chirotope
+from .chirotope import Chirotope, check_shape, minor_gather, parse_sign_rows, parse_signs
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
-from .neighborly import check_k, m_value, m_values, records_per_call
+from .neighborly import check_k, m_counts, m_values, records_per_call
 from .signvec import MAX_GROUND_SET
 
 # The lines of a block: database lines that ``parse_database`` checks
@@ -178,9 +177,10 @@ def _format_rows(block: RowBlock, fmt: str) -> list[str]:
 def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[RowBlock]:
     """The rows of ``records`` in record order, one block per
     ``neighborly.m_values`` call: consecutive records of one (r, n),
-    ``records_per_call`` of them at a time, so a grown size comes out one
-    record per block.  Record order does not change any row.  A record whose
-    tope count m(M,0) is wrong raises after the block of the rows before it.
+    ``records_per_call`` of them at a time: a table fold at a dense size,
+    one growth group at any other.  Record order does not change any row.
+    A record whose tope count m(M,0) is wrong raises after the block of the
+    rows before it.
     """
     for (r, n), same in groupby(records, key=attrgetter("r", "n")):
         size, topes = records_per_call(r, n), tope_count_uniform(r, n)
@@ -378,22 +378,24 @@ class AuditTriple:
 def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     """Per element e: m(M,k) <= m(M\\e,k) + m(M/e,k).
 
-    When the contraction's rank makes k inadmissible its contribution is 0.
+    The n deletions are one stack of chirotopes and the n contractions
+    another (``chirotope.minor_gather``), each counted by one batched grow
+    at level k+1.  When k is inadmissible at the contractions' rank r-1
+    they are not built and contribute 0.
     """
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")
     check_k(chi.r, k)
-    m_full = m_value(circuits_from_chirotope(chi), k)
-    out = []
-    for e in range(1, chi.n + 1):
-        m_del = m_value(circuits_from_chirotope(chi.delete(e)), k)
-        contracted = chi.contract(e)
-        if k <= (contracted.r - 1) // 2:
-            m_con = m_value(circuits_from_chirotope(contracted), k)
-        else:
-            m_con = 0
-        out.append(AuditTriple(e, m_full, m_del, m_con))
-    return out
+    r, n, elements = chi.r, chi.n, range(1, chi.n + 1)
+    signs = np.array(chi.signs, dtype=np.int8)
+    m_full = int(m_counts(r, n, signs[None], k)[0])
+    index, factor = minor_gather(r, n, elements, contract=False)
+    m_del = m_counts(r, n - 1, signs[index] * factor, k).tolist()
+    m_con = [0] * n
+    if k <= (r - 2) // 2:
+        index, factor = minor_gather(r, n, elements, contract=True)
+        m_con = m_counts(r - 1, n - 1, signs[index] * factor, k).tolist()
+    return [AuditTriple(e, m_full, d, c) for e, d, c in zip(elements, m_del, m_con)]
 
 
 @dataclass

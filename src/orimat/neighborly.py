@@ -10,36 +10,33 @@ ort = min over circuits of min(sep, r+1 - sep): every circuit of a uniform
 rank-r matroid has r+1 elements, so its agreements with a full sign vector
 are r+1 - sep.  It is used in two ways:
 
-- Every ``CircuitSet`` enumeration, single sign vectors and the ball test
-  pass uint64 masks in tiles of about BLOCK_ELEMENTS entries:
-  table = supp(X) & M and pattern = X^-.
+- Every enumeration outside the dense database batches, single sign
+  vectors and the ball test pass masks (``_ort_masks``) in tiles of about
+  TILE_BYTES of masks: table = supp(X) & M and pattern = X^-.
 - Database batches at a dense size (``is_dense``: the full sweep is at most
   DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
-  build the level-bit table.  A circuit's pattern is its r+1 signs packed
-  into one uint8, smallest element first; that element is always +, so 2^r
-  patterns per circuit cover them all.  For each circuit, pattern and level
-  t = 1..floor((r+1)/2), ``_level_table`` holds the bitset of the 2^(n-1)
-  candidates whose ort against that circuit is at least t, in uint64
-  words.  It is built one circuit at a time on first use and cached per
-  (r, n): C(n, r+1) * 2^r * floor((r+1)/2) * ceil(2^(n-1)/64) words, 29 KB
-  at (4,8), 258 KB at (5,9) and at most 1.5 MB, at (7,10).  A chirotope's
-  counts are then one gathered row per circuit, an AND over the circuits
-  and a popcount per level (``_dense_fold``): level t counts the candidates
-  with ort at least t, m(M,t-1)/2.  ``m_values`` folds up to
-  _BATCH_ENTRIES = 2^15 gathered words per call (``records_per_call``: 146
-  records at (4,8), 32 at (5,9)); database rows come out at about 340k
-  rows/s at (4,8) and 195k rows/s at (5,9) (2 vCPU, Python 3.11, numpy
-  2.4).  At any other size ``m_values`` grows one record per call.
+  read the level-bit table (``_level_table``), the bitsets of the
+  candidates whose ort against each circuit with each sign pattern is at
+  least each level.  A chirotope's counts are then one gathered row per
+  circuit, an AND over the circuits and a popcount per level
+  (``_dense_fold``): level t counts the candidates with ort at least t,
+  m(M,t-1)/2.
 
-The enumeration (``_grow``) is a growth fold.  Every circuit has a largest
+The enumeration (``_grow``) is a growth fold over a stack of K chirotopes
+of one (r, n), a ``CircuitSet`` being K = 1.  Every circuit has a largest
 element j, and a tope restricts to a tope of the deletion, so candidates on
 [j-1] are extended by +-j and only the circuits whose largest element is j
 are folded into their running minimum; a candidate is dropped once that
-minimum falls below the level asked for (1 for o-vectors and the tope
-list, k+1 for m(M,k) and the search).  The sign vectors on the first r+1
-elements are swept against their one circuit.  Sizes are refused before
-anything is allocated by closed forms for the kernel pairs and the largest
-candidate array (``_enumeration_cost``).
+minimum falls below the level asked for (1 for o-vectors, k+1 for m(M,k)
+and the search).  The records share their circuit supports, so their
+candidates are one flat array with a record index, and each tile repeats
+every record's circuit minus masks over its candidates.  Masks take the
+narrowest unsigned dtype that holds n bits.  Records grow in groups whose
+largest candidate arrays fit _BATCH_ENTRIES together (``_group_size``).
+Sizes are refused before anything is allocated by closed forms for the
+kernel pairs and the largest candidate array (``_enumeration_cost``).  In
+process on 2 vCPU (Python 3.11, numpy 2.4), grown database rows come out at
+about 8k rows/s at (5,10), 2.8k at (6,11) and 0.7k at (6,12).
 """
 
 from __future__ import annotations
@@ -50,20 +47,21 @@ from math import comb
 
 import numpy as np
 
-from .circuits import CircuitSet, _facet_table, circuit_negatives, circuits_from_signs
+from .circuits import CircuitSet, _facet_table, circuit_minus, circuit_negatives
 from .errors import DimensionError, DomainError
 from .signvec import MAX_GROUND_SET, SignVector
 
 TOPE_GRAPH_MAX_N = 16
-# Entries per circuits x candidates tile of the kernel.
-BLOCK_ELEMENTS = 1 << 13
+# Bytes of candidate masks per circuits x candidates tile of the kernel;
+# 256 KB ran faster on the largest enumerations but took more memory.
+TILE_BYTES = 1 << 17
 # A database batch at a size whose full sweep is at most this many circuit x
 # sign-vector pairs, at a rank up to DENSE_RANK, reads the level-bit table;
 # every other enumeration grows.
 DENSE_PAIRS = 1 << 15
 DENSE_RANK = 7
-# uint64 words gathered from the level-bit table per ``m_values`` call: it
-# bounds the working arrays of one call to a few hundred KB.
+# Entries of the largest array of one ``m_values`` call: table words
+# gathered at a dense size, candidates of one growth group otherwise.
 _BATCH_ENTRIES = 1 << 15
 # Limits on an enumeration, checked before anything is allocated: kernel
 # pairs and the largest candidate array.
@@ -86,7 +84,7 @@ def ort(cs: CircuitSet, t: SignVector) -> int:
     if not t.is_full():
         raise DomainError("ort requires a full-support sign vector")
     masks = np.array([t.minus], dtype=np.uint64)
-    return int(_ort_masks(cs.plus, cs.minus, masks, cs.r + 1)[0])
+    return int(_ort_masks(cs.plus | cs.minus, cs.minus[:, None], masks, None, cs.r + 1)[0])
 
 
 def is_tope(cs: CircuitSet, t: SignVector) -> bool:
@@ -95,45 +93,48 @@ def is_tope(cs: CircuitSet, t: SignVector) -> bool:
     return t.is_full() and ort(cs, t) > 0
 
 
-def _ort_of(table: np.ndarray, pattern: np.ndarray, width: int) -> np.ndarray:
+def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
     """The kernel: minimum orthogonality degree (uint8) of each candidate
     against circuits of ``width`` = r+1 elements each, folded over the
-    circuit axis (axis -2) of ``table ^ pattern``.
+    circuit axis (axis -2).
 
-    Each entry of ``table`` holds a candidate's signs on one circuit's
-    support and each entry of ``pattern`` that circuit's signs, bit set for
-    -.  Their xor counts the separations sep, and the agreements are
-    width - sep.  That is min(min sep, width - max sep) over circuits, but
-    one reduction is cheaper than two on tiles a few candidates wide.  Any
-    leading axis, such as one per database record, is carried through.
+    Each entry of ``separated`` is table ^ pattern, a candidate's signs on
+    one circuit's support xor that circuit's signs, bit set for -: its
+    popcount is the separations sep, and the agreements are width - sep.
+    ort = min(min sep, width - max sep) over circuits, so no second array
+    of the tile's size is built.  Any leading axis is carried through.
     """
-    sep = np.bitwise_count(table ^ pattern)
-    return np.minimum(sep, width - sep, out=sep).min(axis=-2)
+    sep = np.bitwise_count(separated)
+    return np.minimum(sep.min(axis=-2), width - sep.max(axis=-2))
 
 
 def _ort_masks(
-    plus: np.ndarray, minus: np.ndarray, masks: np.ndarray, width: int
+    support: np.ndarray, minus: np.ndarray, masks: np.ndarray, records, width: int
 ) -> np.ndarray:
-    """ort (uint8) of each full sign vector, given by its uint64 minus-mask,
-    against the circuits of ``width`` elements with the (non-empty) plus and
-    minus mask arrays ``plus`` and ``minus``.
-
-    Each tile of about BLOCK_ELEMENTS circuit x candidate entries feeds the kernel
-    with table = supp(X) & M and pattern = X^-: |supp(X) & (X^- xor M)|
-    is the popcount of their xor, because X^- lies inside supp(X).
-    """
-    minus = minus[:, None]
-    support = plus[:, None] | minus
-    total = len(masks)
-    cols = max(1, min(total, BLOCK_ELEMENTS))
-    rows = max(1, BLOCK_ELEMENTS // cols)
+    """ort (uint8) of full sign vectors, given by their minus-masks and
+    ascending record indices, against circuits of ``width`` elements with
+    the masks ``support`` and, per record, ``minus`` (circuits x records),
+    all of one dtype: each tile has table = supp(X) & M and pattern = X^- of
+    the candidate's record, as |supp(X) & (X^- xor M)| is the popcount of
+    their xor.  A record's pattern column is repeated over its consecutive
+    candidates; a single record's column broadcasts and ``records`` is not
+    read."""
+    per_tile = max(1, TILE_BYTES // masks.itemsize)
+    total, stacked = len(masks), minus.shape[1] > 1
+    cols = max(1, min(total, per_tile))
+    rows = max(1, per_tile // cols)
     best = np.empty(total, dtype=np.uint8)
     for start in range(0, total, cols):
         chunk = masks[start : start + cols]
+        if stacked:
+            repeats = np.bincount(records[start : start + cols], minlength=minus.shape[1])
         run = None
-        for lo in range(0, len(minus), rows):
-            tile = slice(lo, lo + rows)
-            low = _ort_of(support[tile] & chunk, minus[tile], width)
+        for lo in range(0, len(support), rows):
+            pattern = minus[lo : lo + rows]
+            if stacked:
+                pattern = np.repeat(pattern, repeats, axis=1)
+            table = support[lo : lo + rows, None] & chunk
+            low = _ort_of(np.bitwise_xor(table, pattern, out=table), width)
             run = low if run is None else np.minimum(run, low, out=run)
         best[start : start + len(chunk)] = run
     return best
@@ -183,7 +184,7 @@ def _level_table(r: int, n: int) -> np.ndarray:
     table = np.zeros((len(bits) << r, len(levels), 8 * words), dtype=np.uint8)
     for c, circuit in enumerate(bits):
         signs = _pack((masks[:, None] & circuit) != 0)
-        orts = _ort_of(signs[None], patterns, r + 1)
+        orts = _ort_of(signs[None] ^ patterns, r + 1)
         at_least = np.packbits(orts[:, None] >= levels, axis=-1, bitorder="little")
         table[c << r : (c + 1) << r, :, : at_least.shape[-1]] = at_least
     table = table.view(np.uint64).reshape(len(table), -1)
@@ -203,26 +204,29 @@ def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
 def records_per_call(r: int, n: int) -> int:
     """The records that one ``m_values`` call takes at (r, n): as many as
     _BATCH_ENTRIES gathered table words allow at a dense size, otherwise
-    one, so the rows of a grown size come out one record at a time."""
-    return max(1, _BATCH_ENTRIES // _dense_words(r, n)) if is_dense(r, n) else 1
+    one growth group (``_group_size``)."""
+    return max(1, _BATCH_ENTRIES // _dense_words(r, n)) if is_dense(r, n) else _group_size(r, n)
 
 
 def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
     chirotopes whose lex-order signs are the rows of the int8 array
-    ``signs``.
-
-    At a dense size (``is_dense``) that is one fold over the level-bit
-    table: the popcount of level t's bitset is the number of candidates
-    with ort at least t, m(M,t-1)/2.  At any other size each record grows
-    (``o_vector``).
-    """
+    ``signs``: one fold over the level-bit table at a dense size, otherwise
+    the tail sums of the ort counts of the records grown at level 1."""
     levels = (r + 1) // 2
     if not is_dense(r, n):
-        rows = [o_vector(circuits_from_signs(r, n, row)).m_values() for row in signs]
-        return np.array(rows, dtype=np.int64).reshape(len(signs), levels)
+        counts = _ort_counts(r, n, circuit_minus(r, n, signs), 1)
+        return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
     at_least = np.bitwise_count(_dense_fold(r, n, _pack(circuit_negatives(r, n, signs))))
     return 2 * at_least.reshape(len(signs), levels, -1).sum(axis=-1, dtype=np.int64)
+
+
+def m_counts(r: int, n: int, signs: np.ndarray, k: int) -> np.ndarray:
+    """m(M,k) (int64) of each of the K chirotopes whose lex-order signs are
+    the rows of the int8 array ``signs``, grown together at level k+1.  k is
+    checked before any enumeration."""
+    check_k(r, k)
+    return 2 * _ort_counts(r, n, circuit_minus(r, n, signs), k + 1)[:, k + 1 :].sum(axis=1)
 
 
 def check_k(r: int, k: int, lo: int = 0):
@@ -270,55 +274,85 @@ def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     return pairs, max([1 << r] + levels)
 
 
+def _group_size(r: int, n: int) -> int:
+    """Records per ``_grow`` at (r, n), sized from the closed form: at
+    least one, and as many as fit _BATCH_ENTRIES and the budget."""
+    pairs, candidates = _enumeration_cost(r, n)
+    _check_budget(pairs, candidates)
+    return max(1, min(_BATCH_ENTRIES, CANDIDATE_BUDGET) // candidates)
+
+
 @lru_cache(maxsize=32)
-def _growth_order(r: int, n: int) -> np.ndarray:
+def _growth_order(r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The permutation that sorts the lex-ordered circuits of a uniform
-    rank-r matroid on [n] by support mask.  Sorting by mask groups them by
-    largest element: the first C(j, r+1) lie inside [j], so the circuits
-    whose largest element is j are positions C(j-1, r+1)..C(j, r+1)-1."""
-    order = np.argsort(_facet_table(r, n)[2], kind="stable")
-    order.flags.writeable = False
-    return order
+    rank-r matroid on [n] by support mask, and the sorted supports in the
+    narrowest unsigned dtype that holds n bits.  The first C(j, r+1) lie
+    inside [j], so those with largest element j are C(j-1, r+1)..C(j, r+1)-1."""
+    supports = _facet_table(r, n)[2]
+    order = np.argsort(supports, kind="stable")
+    support = supports[order].astype(np.min_scalar_type((1 << n) - 1))
+    order.flags.writeable = support.flags.writeable = False
+    return order, support
 
 
-def _grow(cs: CircuitSet, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minus-masks (uint64, ascending) and ort values (uint8) of sign
-    vectors with element 1 fixed to +, among them every one whose ort is at
-    least ``level``; candidates below ``level`` may or may not be present.
+def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
+    """Record indices, minus-masks and ort values (uint8) of sign vectors
+    with element 1 fixed to + of the K chirotopes at (r, n) whose circuit
+    minus masks are the rows of ``minus`` (uint64, lex order): every one
+    with ort at least ``level``, and maybe some below it.
 
-    The growth fold of the module docstring.  A running minimum only falls,
-    so dropping one below ``level`` loses nothing, and after element n it is
-    the exact ort.  The +j copies go after the -j ones, so the masks stay
-    ascending.
+    A running minimum only falls, so dropping one below ``level`` loses
+    nothing, and after element n it is the exact ort.  Each candidate is
+    followed by its copy with j negative, so a record's candidates stay
+    consecutive, but its masks are not ascending.
     """
-    cs.require_nonempty()
-    r, n = cs.r, cs.n
-    check_enumeration_size(r, n)
-    order = _growth_order(r, n)
-    plus, minus = cs.plus[order], cs.minus[order]
-    masks = np.arange(1 << r, dtype=np.uint64) << np.uint64(1)
-    run = _ort_masks(plus[:1], minus[:1], masks, r + 1)
+    pairs, candidates = _enumeration_cost(r, n)
+    _check_budget(pairs, len(minus) * candidates)
+    order, support = _growth_order(r, n)
+    dtype = support.dtype
+    stack = minus.T[order].astype(dtype)
+    records = np.repeat(np.arange(len(minus), dtype=np.min_scalar_type(len(minus) - 1)), 1 << r)
+    masks = np.tile(np.arange(1 << r, dtype=dtype) << dtype.type(1), len(minus))
+    run = _ort_masks(support[:1], stack[:1], masks, records, r + 1)
     lo = 1
     for j in range(r + 2, n + 1):
         keep = run >= level
-        masks, run = masks[keep], run[keep]
+        masks, records, run = masks[keep], records[keep], run[keep]
         if not len(masks):
             break
-        masks = np.concatenate([masks, masks | np.uint64(1 << (j - 1))])
+        masks = np.stack([masks, masks | dtype.type(1 << (j - 1))], axis=1).ravel()
+        records = records.repeat(2)
         hi = comb(j, r + 1)
-        run = np.minimum(np.tile(run, 2), _ort_masks(plus[lo:hi], minus[lo:hi], masks, r + 1))
+        run = np.minimum(
+            run.repeat(2), _ort_masks(support[lo:hi], stack[lo:hi], masks, records, r + 1)
+        )
         lo = hi
     keep = run >= level
-    return masks[keep], run[keep]
+    return records[keep], masks[keep], run[keep]
+
+
+def _ort_counts(r: int, n: int, minus: np.ndarray, level: int) -> np.ndarray:
+    """Per record, the sign vectors with element 1 fixed to + of each ort
+    (int64, K x (floor((r+1)/2) + 1); the fold caps ort at the last
+    column), exact from ``level`` up, grown in groups of ``_group_size``."""
+    width = (r + 1) // 2 + 1
+    size = _group_size(r, n)
+    counts = []
+    for group in np.split(minus, range(size, len(minus), size)):
+        records, _, orts = _grow(r, n, group, level)
+        cells = records.astype(np.intp) * width + orts
+        counts.append(np.bincount(cells, minlength=len(group) * width))
+    return np.concatenate(counts).reshape(len(minus), width)
 
 
 def first_index_at_least(cs: CircuitSet, level: int) -> int | None:
     """Enumeration index (minus-mask over elements 2..n, shifted down by one
     bit) of the first sign vector with element 1 fixed to + whose ort is at
     least ``level``; None if there is none."""
-    masks, orts = _grow(cs, level)
-    hits = np.flatnonzero(orts >= level)
-    return int(masks[hits[0]]) >> 1 if hits.size else None
+    cs.require_nonempty()
+    _, masks, orts = _grow(cs.r, cs.n, cs.minus[None], level)
+    hits = masks[orts >= level]
+    return int(hits.min()) >> 1 if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -349,16 +383,17 @@ class OVector:
 def o_vector(cs: CircuitSet) -> OVector:
     """Count topes by exact ort over the halved enumeration space; entries are
     doubled for the antipodal half."""
-    # the kernel's fold caps ort at floor((r+1)/2), the last entry's level
-    counts = np.bincount(_grow(cs, 1)[1], minlength=(cs.r + 1) // 2 + 1)
+    cs.require_nonempty()
+    counts = _ort_counts(cs.r, cs.n, cs.minus[None], 1)[0]
     return OVector(cs.r, cs.n, tuple((2 * counts[1:]).tolist()))
 
 
 def enumerate_topes(cs: CircuitSet):
     """Yield every tope (both antipodes), element-1-positive ones first."""
-    masks, orts = _grow(cs, 1)
+    cs.require_nonempty()
+    _, masks, orts = _grow(cs.r, cs.n, cs.minus[None], 1)
     full = (1 << cs.n) - 1
-    positives = [SignVector(cs.n, full & ~m, m) for m in masks[orts > 0].tolist()]
+    positives = [SignVector(cs.n, full & ~m, m) for m in np.sort(masks[orts > 0]).tolist()]
     yield from positives
     yield from (-t for t in positives)
 
@@ -371,7 +406,8 @@ def m_value(cs: CircuitSet, k: int) -> int:
     """Number of k-neighborly reorientations, m(M,k): the topes with ort at
     least k+1, grown at that level.  k is checked before any enumeration."""
     check_k(cs.r, k)
-    return 2 * int((_grow(cs, k + 1)[1] > k).sum())
+    cs.require_nonempty()
+    return int(2 * _ort_counts(cs.r, cs.n, cs.minus[None], k + 1)[0, k + 1 :].sum())
 
 
 def ball_k_neighborly(cs: CircuitSet, t: SignVector, k: int) -> bool:
@@ -385,7 +421,8 @@ def ball_k_neighborly(cs: CircuitSet, t: SignVector, k: int) -> bool:
     flips = sum(comb(cs.n, d) for d in range(1, k + 1))
     _check_budget(len(cs.plus) * flips, flips)
     flipped = np.uint64(t.minus) ^ _flip_masks(cs.n, k)
-    return bool((_ort_masks(cs.plus, cs.minus, flipped, cs.r + 1) > 0).all())
+    orts = _ort_masks(cs.plus | cs.minus, cs.minus[:, None], flipped, None, cs.r + 1)
+    return bool((orts > 0).all())
 
 
 def _flip_masks(n: int, k: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from orimat import (
     tope_count_uniform,
 )
 from orimat.chirotope import parse_signs
+from orimat.circuits import CircuitSet
 
 
 def all_full_vectors(n):
@@ -90,13 +91,48 @@ def first_index_oracle(cs, level):
     return None
 
 
+def sign_product_orts(cs, minus_masks):
+    """ort of the full sign vectors with the given minus-masks against the
+    circuits of ``cs``, from int8 sign products and none of the kernel's
+    bit masks: a circuit X of r+1 elements and a full sign vector T agree on
+    (r+1 + X.T)/2 elements and separate on (r+1 - X.T)/2, so ort is the
+    minimum over circuits of (r+1 - |X.T|)/2."""
+    elements = range(1, cs.n + 1)
+    circuits = np.array([[x.sign(e) for e in elements] for x in cs.members], dtype=np.int8)
+    minus = np.array([[m >> (e - 1) & 1 for e in elements] for m in minus_masks], dtype=np.int8)
+    products = (1 - 2 * minus).reshape(-1, cs.n) @ circuits.T.astype(np.int16)
+    return ((cs.r + 1 - np.abs(products)) // 2).min(axis=1, initial=cs.r + 1)
+
+
 def full_sweep_orts(cs):
     """ort of every sign vector with element 1 positive, in enumeration
-    order: all 2^(n-1) candidates against all circuits through the uint64
-    mask producer, the full sweep that the growth fold replaces beyond small
-    sizes and an independent check on the dense table."""
-    masks = np.arange(1 << (cs.n - 1), dtype=np.uint64) << np.uint64(1)
-    return neighborly._ort_masks(cs.plus, cs.minus, masks, cs.r + 1)
+    order (minus-mask 2j for candidate j), by ``sign_product_orts``: the
+    full sweep that the growth fold replaces, and an independent check on
+    it and on the dense table."""
+    return sign_product_orts(cs, [2 * j for j in range(1 << (cs.n - 1))])
+
+
+def m_sweep_oracle(chi, k):
+    """m(M,k) of a chirotope from the full sweep over its circuits as
+    ``circuit_masks_oracle`` derives them, one support at a time."""
+    masks = circuit_masks_oracle(chi)
+    cs = CircuitSet(chi.n, chi.r, *(np.array(m, dtype=np.uint64) for m in zip(*masks)))
+    return 2 * int((full_sweep_orts(cs) > k).sum())
+
+
+def audit_oracle(chi, k):
+    """(e, m(M,k), m(M\\e,k), m(M/e,k)) per element, one minor at a time
+    through the per-subset minors and the full sweep; a contraction where k
+    is inadmissible at rank r-1 counts 0."""
+    m_full = m_sweep_oracle(chi, k)
+    triples = []
+    for e in range(1, chi.n + 1):
+        deleted = Chirotope(chi.n - 1, chi.r, delete_oracle(chi, e))
+        m_con = 0
+        if k <= (chi.r - 2) // 2:
+            m_con = m_sweep_oracle(Chirotope(chi.n - 1, chi.r - 1, contract_oracle(chi, e)), k)
+        triples.append((e, m_full, m_sweep_oracle(deleted, k), m_con))
+    return triples
 
 
 def pattern_orts_oracle(r, n):

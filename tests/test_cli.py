@@ -638,6 +638,27 @@ class TestAuditAndReduce:
         lines = out.strip().splitlines()
         assert len(lines) == 6 and all("holds=True" in line for line in lines)
 
+    def test_audit_at_rank_one_counts_no_contraction(self, capsys):
+        # M/e has rank 0, where no k is admissible: it contributes 0
+        code, out, err = run(capsys, "audit", "-r", "1", "-n", "3", "--k", "0")
+        assert code == 0 and err == ""
+        lines = out.strip().splitlines()
+        assert len(lines) == 3 and all("m_contract=0 " in line for line in lines)
+
+    def test_grown_database_record_over_the_budget_exits_two(self, capsys, monkeypatch, tmp_path):
+        def kernel(*args):
+            raise AssertionError("the kernel ran before the budget check")
+
+        db = tmp_path / "db.txt"
+        db.write_text("\n".join(_record_text(5, 10, s, "lex") for s in range(3)) + "\n")
+        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        monkeypatch.setattr(
+            neighborly, "CANDIDATE_BUDGET", neighborly._enumeration_cost(5, 10)[1] - 1
+        )
+        code, out, err = run(capsys, "roudneff", "-r", "5", "-n", "10", "--k", "1", "--file", str(db))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
+
     def test_reduce_confirmed(self, capsys):
         code, out, _ = run(capsys, "reduce", "-r", "3", "--k", "1")
         assert code == 0 and out.strip().splitlines()[-1] == "confirmed"
@@ -897,12 +918,16 @@ def test_block_pass_matches_the_per_record_path_cases(
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", ["roudneff", "mcmullen"])
-def test_grown_size_matches_the_per_record_path(tmp_path, command, fmt):
-    # (5, 10) grows each record: one row per block, resumed from a torn row
+def test_grown_size_matches_the_per_record_path(tmp_path, monkeypatch, command, fmt):
+    # (5, 10) grows its records together; with the candidate budget at three
+    # records' largest arrays they come in blocks of 3 and 1, resumed from a
+    # torn row
     lines = [_record_text(5, 10, s, "lex") for s in range(4)]
     database = _database_text(lines, True, False)
     argv = [command, "-r", "5", "-n", "10", "--k", "1", "--format", fmt]
-    assert not neighborly.is_dense(5, 10) and neighborly.records_per_call(5, 10) == 1
+    candidates = neighborly._enumeration_cost(5, 10)[1]
+    monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * candidates)
+    assert not neighborly.is_dense(5, 10) and neighborly.records_per_call(5, 10) == 3
     assert assert_block_pass_matches_oracle(tmp_path, argv, database, "") in (0, 1)
     rows = (tmp_path / "oracle.jsonl").read_text().splitlines(keepends=True)
     assert len(rows) == 4

@@ -63,11 +63,12 @@ class TestSearch:
         with pytest.raises(DomainError, match="budget"):
             search_k_neighborly(alternating_chirotope(39, 40), 0)
 
-    @pytest.mark.parametrize("block", [8, neighborly.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("tile", [8, 8192])
     @pytest.mark.parametrize("r,n", [(3, 6), (4, 7), (5, 8), (6, 9)])
-    def test_first_witness_matches_scan_oracle(self, monkeypatch, r, n, block):
-        # with 8, the walk crosses tiles before most first hits
-        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
+    def test_first_witness_matches_scan_oracle(self, monkeypatch, r, n, tile):
+        # tiles of 8 and 8192 bytes: with 8, the walk crosses tiles before
+        # most first hits
+        monkeypatch.setattr(neighborly, "TILE_BYTES", tile)
         for seed in range(3):
             chi = random_realizable(r, n, seed=seed)
             cs = circuits_from_chirotope(chi)

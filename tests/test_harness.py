@@ -38,6 +38,7 @@ from orimat.harness import DatabaseRecord, RowBlock, new_aggregate
 
 from conftest import (
     ReportRow,
+    audit_oracle,
     load_checkpoint_oracle,
     o_vector_oracle,
     record_chirotope,
@@ -455,6 +456,18 @@ class TestAudit:
         chi = random_realizable(4, 7, seed=seed)
         for k in (0, 1):
             assert all(t.holds for t in deletion_contraction_audit(chi, k))
+
+    @pytest.mark.parametrize(
+        "r,n,seed",
+        [(1, 3, 0), (1, 6, 1), (2, 4, 2), (2, 7, 3), (3, 5, 4), (3, 7, 5), (4, 7, 6),
+         (5, 8, 7), (6, 9, 8), (7, 10, 9)],
+    )
+    def test_stacked_minors_match_the_per_minor_oracle(self, r, n, seed):
+        chi = random_realizable(r, n, seed=seed)
+        for k in range((r - 1) // 2 + 1):
+            triples = deletion_contraction_audit(chi, k)
+            got = [(t.element, t.m_full, t.m_delete, t.m_contract) for t in triples]
+            assert got == audit_oracle(chi, k), k
 
     def test_too_few_elements(self):
         with pytest.raises(DomainError):

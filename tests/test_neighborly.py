@@ -29,6 +29,7 @@ from orimat import (
     tope_graph_edges,
 )
 
+from orimat.circuits import circuit_minus
 from orimat.signvec import _elements_from_mask
 
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
     o_vector_oracle,
     ort_oracle,
     pattern_orts_oracle,
+    sign_product_orts,
 )
 
 
@@ -131,16 +133,16 @@ class TestOVector:
     def test_block_split_deterministic(self, monkeypatch):
         cs = circuits_from_chirotope(random_realizable(5, 9, seed=3))
         expected = o_vector(cs)
-        for block in (1, 7, 64, 1 << 20):
-            monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
-            assert o_vector(cs) == expected, block
+        for tile in (1, 7, 64, 1 << 20):
+            monkeypatch.setattr(neighborly, "TILE_BYTES", tile)
+            assert o_vector(cs) == expected, tile
 
     @pytest.mark.parametrize(
         "r,n,seed", [(3, 6, 0), (3, 7, 1), (4, 7, 2), (4, 8, 3), (5, 8, 4), (6, 9, 5)]
     )
     def test_random_matches_oracle(self, monkeypatch, r, n, seed):
         cs = circuits_from_chirotope(random_realizable(r, n, seed=seed))
-        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", 32)  # several tiles
+        monkeypatch.setattr(neighborly, "TILE_BYTES", 32)  # several tiles
         assert o_vector(cs).entries == o_vector_oracle(cs)
 
     def test_infeasible_size_refused(self, monkeypatch):
@@ -185,22 +187,22 @@ def growth_case(r, n, m):
 
 class TestGrowth:
     """The growth path on every restriction M|[m], m = r+1..n, of a random
-    chirotope at (r, n), the sizes its fold passes through, with tiles of 1
-    and 7 entries included, against the oracles."""
+    chirotope at (r, n), the sizes its fold passes through, with tiles of 1,
+    7 and 8192 bytes, against the oracles."""
 
     @pytest.mark.parametrize(
-        "r,n,m,block",
+        "r,n,m,tile",
         [
-            (r, n, m, block)
+            (r, n, m, tile)
             for r, n in GROWTH_SIZES
             for m in range(r + 1, n + 1)
-            # 1-entry tiles cost one Python iteration per pair: kept to n <= 8
-            for block in ([1] if n <= 8 else []) + [7, neighborly.BLOCK_ELEMENTS]
+            # 1-byte tiles cost one Python iteration per pair: kept to n <= 8
+            for tile in ([1] if n <= 8 else []) + [7, 8192]
         ],
     )
-    def test_matches_oracles(self, monkeypatch, r, n, m, block):
+    def test_matches_oracles(self, monkeypatch, r, n, m, tile):
         chi, cs, entries, first, topes = growth_case(r, n, m)
-        monkeypatch.setattr(neighborly, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(neighborly, "TILE_BYTES", tile)
         assert o_vector(cs).entries == entries
         for k, index in enumerate(first):
             assert m_value(cs, k) == sum(entries[k:])
@@ -215,12 +217,14 @@ class TestGrowth:
 
     def test_database_sizes_take_the_dense_call(self):
         # (4,8) and (5,9) sweep 7168 and 21504 pairs and fold 146 and 32
-        # records per call; (6,12) sweeps about 1.6e6 and grows one at a time
+        # records per call; (6,12) sweeps about 1.6e6 and grows 25 records
+        # at a time, 2^15 // 1276 candidates
         assert neighborly.is_dense(4, 8) and neighborly.is_dense(5, 9)
         assert not neighborly.is_dense(6, 12)
         assert neighborly.records_per_call(4, 8) == 146
         assert neighborly.records_per_call(5, 9) == 32
-        assert neighborly.records_per_call(6, 12) == 1
+        assert neighborly._enumeration_cost(6, 12)[1] == 1276
+        assert neighborly.records_per_call(6, 12) == 25
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -230,12 +234,13 @@ class TestGrowth:
         level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
         cs = circuits_from_chirotope(random_realizable(r, n, seed=data.draw(st.integers(0, 999))))
         orts = full_sweep_orts(cs)
-        masks, got = neighborly._grow(cs, level)
+        _, masks, got = neighborly._grow(r, n, cs.minus[None], level)
         m = [m_value(cs, k) for k in range((r - 1) // 2 + 1)]
         keep = got >= level
         expected = np.flatnonzero(orts >= level)
-        assert (masks[keep] >> np.uint64(1)).tolist() == expected.tolist()
-        assert got[keep].tolist() == orts[expected].tolist()
+        order = np.argsort(masks[keep])
+        assert (masks[keep][order] >> np.uint64(1)).tolist() == expected.tolist()
+        assert got[keep][order].tolist() == orts[expected].tolist()
         assert m == [2 * int((orts > k).sum()) for k in range(len(m))]
 
     def test_enumeration_cost_is_the_sum_of_levels(self):
@@ -262,6 +267,114 @@ class TestGrowth:
             15: 20, 16: 20, 17: 21, 18: 22, 19: 22, 20: 23, 21: 24,
             22: 24, 23: 25, 24: 25,
         }
+
+
+def record_stack(r, n, seeds):
+    """The lex-order signs (int8, one row per seed) of random chirotopes at
+    (r, n) and their circuit minus masks (``circuit_minus``)."""
+    signs = np.array([random_realizable(r, n, seed=s).signs for s in seeds], dtype=np.int8)
+    return signs, circuit_minus(r, n, signs)
+
+
+def record_slices(count, records, *arrays):
+    """Per record index 0..count-1, the entries of each array that belong
+    to it."""
+    return [tuple(a[records == i] for a in arrays) for i in range(count)]
+
+
+class TestRecordAxis:
+    """One grow over a stack of K chirotopes of one (r, n): record by
+    record it matches the K = 1 grow and the kernel-free oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_stack_matches_single_records_and_oracle(self, data):
+        r = data.draw(st.integers(1, 6), label="r")
+        n = data.draw(st.integers(r + 1, min(r + 5, 11)), label="n")
+        level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
+        seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4), label="seeds")
+        tile = data.draw(st.sampled_from([3, 7, 64, neighborly.TILE_BYTES]), label="tile")
+        signs, minus = record_stack(r, n, seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighborly, "TILE_BYTES", tile)
+            records, masks, orts = neighborly._grow(r, n, minus, level)
+            singles = [neighborly._grow(r, n, minus[i : i + 1], level)[1:] for i in range(len(seeds))]
+        m_levels = neighborly.m_values(r, n, signs)
+        per_k = [neighborly.m_counts(r, n, signs, k) for k in range((r - 1) // 2 + 1)]
+        assert masks.dtype == np.min_scalar_type((1 << n) - 1)
+        for i, (got, single) in enumerate(zip(record_slices(len(seeds), records, masks, orts), singles)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, single)), i
+            cs = circuits_from_chirotope(random_realizable(r, n, seed=seeds[i]))
+            oracle = full_sweep_orts(cs)
+            keep = got[1] >= level
+            order = np.argsort(got[0][keep])
+            expected = np.flatnonzero(oracle >= level)
+            assert (got[0][keep][order] >> 1).tolist() == expected.tolist()
+            assert got[1][keep][order].tolist() == oracle[expected].tolist()
+            m = [2 * int((oracle > k).sum()) for k in range(len(per_k))]
+            assert m_levels[i].tolist() == m == [int(c[i]) for c in per_k]
+            first = neighborly.first_index_at_least(cs, level)
+            assert first == (int(expected[0]) if expected.size else None)
+
+    @pytest.mark.parametrize(
+        "n,dtype",
+        [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+         (32, np.uint32), (33, np.uint64), (64, np.uint64)],
+    )
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_mask_dtype_boundaries(self, r, n, dtype):
+        # every tope is found: the grown masks are distinct, each has the
+        # oracle's ort, and there are as many as a uniform matroid has
+        signs, minus = record_stack(r, n, range(3))
+        records, masks, orts = neighborly._grow(r, n, minus, 1)
+        assert masks.dtype == dtype and neighborly._growth_order(r, n)[1].dtype == dtype
+        for i, (got_masks, got_orts) in enumerate(record_slices(3, records, masks, orts)):
+            single = neighborly._grow(r, n, minus[i : i + 1], 1)[1:]
+            assert np.array_equal(got_masks, single[0]) and np.array_equal(got_orts, single[1])
+            topes = got_masks[got_orts > 0]
+            assert 2 * len(np.unique(topes)) == 2 * len(topes) == tope_count_uniform(r, n)
+            cs = circuits_from_chirotope(random_realizable(r, n, seed=i))
+            oracle = sign_product_orts(cs, topes.tolist())
+            assert oracle.tolist() == got_orts[got_orts > 0].tolist()
+            assert neighborly.first_index_at_least(cs, 1) == int(topes.min()) >> 1
+        assert neighborly.m_counts(r, n, signs, 0).tolist() == [tope_count_uniform(r, n)] * 3
+
+
+class TestGrowthGroups:
+    """Records grow in groups sized from the closed-form cost before any
+    array is allocated."""
+
+    def test_groups_split_within_the_candidate_budget(self, monkeypatch):
+        signs, minus = record_stack(5, 10, range(7))
+        expected = neighborly.m_values(5, 10, signs)
+        candidates = neighborly._enumeration_cost(5, 10)[1]
+        grow, stacks = neighborly._grow, []
+
+        def counted(r, n, group, level):
+            stacks.append(len(group))
+            return grow(r, n, group, level)
+
+        monkeypatch.setattr(neighborly, "_grow", counted)
+        monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * candidates)
+        assert neighborly.records_per_call(5, 10) == 3
+        assert np.array_equal(neighborly.m_values(5, 10, signs), expected)
+        assert stacks == [3, 3, 1]
+        stacks.clear()
+        assert neighborly.m_counts(5, 10, signs, 1).tolist() == expected[:, 1].tolist()
+        assert stacks == [3, 3, 1]
+
+    def test_one_record_over_the_budget_is_refused_before_the_kernel(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("the kernel ran before the budget check")
+
+        signs, _ = record_stack(5, 10, range(2))
+        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        monkeypatch.setattr(
+            neighborly, "CANDIDATE_BUDGET", neighborly._enumeration_cost(5, 10)[1] - 1
+        )
+        for count in (lambda: neighborly.m_values(5, 10, signs), lambda: neighborly.records_per_call(5, 10)):
+            with pytest.raises(DomainError, match="budget"):
+                count()
 
 
 LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
@@ -302,13 +415,14 @@ class TestLevelTable:
         calls = []
         kernel = neighborly._ort_of
 
-        def counted(table, pattern, width):
-            calls.append(table.shape)
-            return kernel(table, pattern, width)
+        def counted(separated, width):
+            calls.append(separated.shape)
+            return kernel(separated, width)
 
         monkeypatch.setattr(neighborly, "_ort_of", counted)
         table = neighborly._level_table.__wrapped__(4, 8)
-        assert calls == [(1, 128)] * comb(8, 5)
+        # one circuit per call: its 2^4 patterns against the 128 candidates
+        assert calls == [(16, 1, 128)] * comb(8, 5)
         assert np.array_equal(table, neighborly._level_table(4, 8))
 
     def test_database_sizes(self):
