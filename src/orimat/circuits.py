@@ -66,11 +66,16 @@ class CircuitSet:
         return not len(self.plus)
 
     def require_nonempty(self):
-        if self.empty:
-            raise EmptyCircuitSetError(
-                f"rank {self.r} on {self.n} elements has no circuits; "
-                "orthogonality statistics are undefined"
-            )
+        require_circuits(self.r, self.n)
+
+
+def require_circuits(r: int, n: int):
+    """Refuse rank r on n <= r elements: a uniform matroid there has no
+    circuits, so ort, o-vectors and m(M,k) are undefined."""
+    if n <= r:
+        raise EmptyCircuitSetError(
+            f"rank {r} on {n} elements has no circuits; orthogonality statistics are undefined"
+        )
 
 
 @lru_cache(maxsize=32)
@@ -108,13 +113,19 @@ def circuit_negatives(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     return h != h[..., :1]
 
 
+def pack_signs(negative: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sum of ``weights`` where the bool ``negative`` is set, over the
+    last axis: the minus masks with element bits (``circuit_minus``), a
+    uint8 of r+1 <= 8 signs with weights 1 << i.  einsum is 2-7x faster
+    than a sum or a uint8 matmul over such a short axis."""
+    return np.einsum("...i,...i->...", negative.view(np.uint8), weights)
+
+
 def circuit_minus(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     """The minus masks (uint64) of the normalized circuits, one per support
     in lex order, of the chirotopes whose lex-order signs are the int8 array
     ``signs`` (``circuit_negatives``); leading axes are carried through."""
-    negative = circuit_negatives(r, n, signs).view(np.uint8)
-    # einsum is 2-3x faster than a sum over the short last axis
-    return np.einsum("...ci,ci->...c", negative, _facet_table(r, n)[1])
+    return pack_signs(circuit_negatives(r, n, signs), _facet_table(r, n)[1])
 
 
 def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:

@@ -248,13 +248,16 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    db_map = {}
+    specs = []
     for db_arg in args.db:
         try:
             rank_s, n_s, path = db_arg.split(":", 2)
-            r_prime, n_prime = int(rank_s), int(n_s)
+            specs.append((int(rank_s), int(n_s), path))
         except ValueError:
             raise FormatError(f"--db expects RANK:N:PATH, got {db_arg!r}") from None
+    harness.check_reduction_inputs(args.rank, args.k, [spec[:2] for spec in specs])
+    db_map = {}
+    for r_prime, n_prime, path in specs:
         with _open(path) as fh:
             db_map[(r_prime, n_prime)] = list(
                 harness.parse_database(fh, r_prime, n_prime, args.base_order)

@@ -11,10 +11,10 @@ a block of records, from the input text to the output text:
   order of the text is settled there, so ``DatabaseRecord.signs`` is in lex
   order and nothing after the parse takes an order.  Records are built from
   the checked bytes, so the check is paid once per record.
-- ``compute_rows`` folds ``records_per_call`` records per
-  ``neighborly.m_values`` call into a ``RowBlock``: record ids and m(M,k) as
-  arrays.  The o-vector and ``attains`` follow from m, so a block formats
-  the text of each distinct m row once.
+- ``compute_rows`` makes one ``neighborly.m_values`` call per
+  ``BLOCK_LINES`` records of one (r, n) into a ``RowBlock``: record ids and
+  m(M,k) as arrays.  The o-vector and ``attains`` follow from m, so a block
+  formats the text of each distinct m row once.
 - ``report_rows`` is the one report loop of the library and the CLI: it
   merges the rows of a checkpoint with the computed ones in record order,
   appends each block's computed rows to the checkpoint before yielding it,
@@ -40,13 +40,14 @@ import numpy as np
 from .chirotope import Chirotope, check_shape, minor_gather, parse_sign_rows, parse_signs
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError, NonUniformError
-from .neighborly import check_k, m_counts, m_values, records_per_call
+from .neighborly import check_k, m_counts, m_values
 from .signvec import MAX_GROUND_SET
 
 # The lines of a block: database lines that ``parse_database`` checks
-# together, the most rows that ``report_rows`` puts in one block, and
-# checkpoint lines that ``load_checkpoint`` checks together.  It bounds the
-# memory a block takes beside the records and rows a run keeps.
+# together, records that ``compute_rows`` counts in one ``m_values`` call,
+# the most rows that ``report_rows`` puts in one block, and checkpoint lines
+# that ``load_checkpoint`` checks together.  It bounds the memory a block
+# takes beside the records and rows a run keeps.
 BLOCK_LINES = 1 << 8
 
 
@@ -175,23 +176,21 @@ def _format_rows(block: RowBlock, fmt: str) -> list[str]:
 
 
 def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[RowBlock]:
-    """The rows of ``records`` in record order, one block per
-    ``neighborly.m_values`` call: consecutive records of one (r, n),
-    ``records_per_call`` of them at a time: a table fold at a dense size,
-    one growth group at any other.  Record order does not change any row.
-    A record whose tope count m(M,0) is wrong raises after the block of the
-    rows before it.
+    """The rows of ``records`` in record order, one block, and one
+    ``neighborly.m_values`` call, per ``BLOCK_LINES`` consecutive records of
+    one (r, n).  Record order does not change any row.  A record whose tope
+    count m(M,0) is wrong raises after the block of the rows before it.
     """
     for (r, n), same in groupby(records, key=attrgetter("r", "n")):
-        size, topes = records_per_call(r, n), tope_count_uniform(r, n)
-        while group := list(islice(same, size)):
-            ids, _, _, signs = zip(*group)
-            m = m_values(r, n, np.frombuffer(b"".join(signs), dtype=np.int8).reshape(len(group), -1))
+        topes = tope_count_uniform(r, n)
+        while block := list(islice(same, BLOCK_LINES)):
+            ids, _, _, signs = zip(*block)
+            m = m_values(r, n, np.frombuffer(b"".join(signs), dtype=np.int8).reshape(len(block), -1))
             wrong = np.flatnonzero(m[:, 0] != topes)
-            upto = int(wrong[0]) if len(wrong) else len(group)
+            upto = int(wrong[0]) if len(wrong) else len(block)
             if upto:
                 yield RowBlock(r, n, np.array(ids[:upto], dtype=np.int64), m[:upto])
-            if upto < len(group):
+            if upto < len(block):
                 raise FormatError(
                     f"record {ids[upto]}: tope count {int(m[upto, 0])} != {topes}; "
                     "wrong base order or corrupt data"
@@ -307,9 +306,9 @@ def report_rows(
     appended to it and flushed before the block is yielded.
 
     A block holds at most ``BLOCK_LINES`` rows and ends where the rows
-    computed so far end, so a grown size still streams one row per record,
-    and the rows before a record with a wrong tope count come out before
-    its error.
+    computed so far end, so rows are appended ``BLOCK_LINES`` at a time
+    (about 0.4 s of work at (6,12)), and the rows before a record with a
+    wrong tope count come out before its error.
     """
     records = list(records)
     r, n = agg.r, agg.n
@@ -424,11 +423,15 @@ def finite_reduction_check(
     cases need a supplied database and are checked record by record.  The
     inductive step's recurrence is checked on the cells above each base case
     (``_recurrence_mismatches``); a mismatch also withholds "confirmed".
+    A ``db_map`` key the reduction does not read, or an entry with records
+    at another (r, n) than its key, is refused before any row.
     """
-    if r < 1:
-        raise DomainError(f"invalid rank r={r}: the reduction needs r >= 1")
-    check_k(r, k)
-    db_map = db_map or {}
+    db_map = {size: list(records) for size, records in (db_map or {}).items()}
+    check_reduction_inputs(r, k, db_map)
+    for size, records in db_map.items():
+        others = {(rec.r, rec.n) for rec in records} - {size}
+        if others:
+            raise DomainError(f"the database for (r, n) = {size} holds records at {sorted(others)}")
     detail: list[str] = []
     missing: list[tuple[int, int]] = []
     confirmed = True
@@ -460,6 +463,23 @@ def finite_reduction_check(
     detail.extend(mismatches)
     confirmed = confirmed and not mismatches
     return ReductionVerdict(r, k, confirmed and not missing, detail, missing)
+
+
+def check_reduction_inputs(r: int, k: int, sizes: Iterable[tuple[int, int]]):
+    """Refuse, before any database is read, a rank below 1, a k outside its
+    range at rank r, or a database size other than the base cases the
+    reduction reads, (r', 2(r'-k)+1) for 3 <= r' <= r with k admissible and
+    more than r'+2 elements, that is r' >= 2k+2; the refusal names both."""
+    if r < 1:
+        raise DomainError(f"invalid rank r={r}: the reduction needs r >= 1")
+    check_k(r, k)
+    read = [(r_prime, 2 * (r_prime - k) + 1) for r_prime in range(max(3, 2 * k + 2), r + 1)]
+    for size in sizes:
+        if size not in read:
+            raise DomainError(
+                f"the reduction at rank {r}, k={k} reads no database at (r, n) = {size}; "
+                f"it reads {', '.join(map(str, read)) or 'none'}"
+            )
 
 
 def _recurrence_mismatches(r: int, k: int) -> list[str]:

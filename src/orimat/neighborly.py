@@ -31,12 +31,14 @@ minimum falls below the level asked for (1 for o-vectors, k+1 for m(M,k)
 and the search).  The records share their circuit supports, so their
 candidates are one flat array with a record index, and each tile repeats
 every record's circuit minus masks over its candidates.  Masks take the
-narrowest unsigned dtype that holds n bits.  Records grow in groups whose
-largest candidate arrays fit _BATCH_ENTRIES together (``_group_size``).
+narrowest unsigned dtype that holds n bits.  ``m_values`` takes any number
+of records and owns every batch below it: table gathers of _BATCH_ENTRIES
+words, or growth groups whose largest candidate arrays fit _BATCH_ENTRIES
+together (``_group_size``), each batch's circuits derived as it runs.
 Sizes are refused before anything is allocated by closed forms for the
 kernel pairs and the largest candidate array (``_enumeration_cost``).  In
 process on 2 vCPU (Python 3.11, numpy 2.4), grown database rows come out at
-about 8k rows/s at (5,10), 2.8k at (6,11) and 0.7k at (6,12).
+about 8k rows/s at (5,10), 2.3k at (6,11) and 0.6k at (6,12).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from math import comb
 import numpy as np
 
 from .circuits import CircuitSet, _facet_table, circuit_minus, circuit_negatives
+from .circuits import pack_signs, require_circuits
 from .errors import DimensionError, DomainError
 from .signvec import MAX_GROUND_SET, SignVector
 
@@ -147,15 +150,6 @@ def is_dense(r: int, n: int) -> bool:
     return 1 <= r <= DENSE_RANK and r < n and comb(n, r + 1) << (n - 1) <= DENSE_PAIRS
 
 
-def _pack(negative: np.ndarray) -> np.ndarray:
-    """Bit i set iff ``negative[..., i]``: the r+1 <= 8 signs of a
-    circuit's support, smallest element first, packed into one uint8.  A
-    product with the bit weights is 2-3x faster than ``np.packbits`` over
-    such a short last axis at (4,8) and (5,9)."""
-    weights = np.uint8(1) << np.arange(negative.shape[-1], dtype=np.uint8)
-    return negative.view(np.uint8) @ weights
-
-
 def _dense_words(r: int, n: int) -> int:
     """uint64 words that one record gathers from the level-bit table at a
     dense size: one row of levels x words per circuit."""
@@ -168,7 +162,7 @@ def _level_table(r: int, n: int) -> np.ndarray:
 
     Row c * 2^r + (p >> 1) belongs to circuit c (lex order of supports, as
     ``circuit_negatives`` gives them) with pattern p, its r+1 signs
-    packed by ``_pack``; bit 0 of p, the smallest element, is always +.
+    packed by ``pack_signs``; bit 0 of p, the smallest element, is always +.
     The row holds one bitset per level t = 1..floor((r+1)/2), each of
     ceil(2^(n-1) / 64) uint64 words: bit j % 8 of its byte j // 8 is set iff
     candidate j (minus-mask 2j, element 1 fixed to +) has ort at least t
@@ -177,13 +171,14 @@ def _level_table(r: int, n: int) -> np.ndarray:
     beyond the table itself.
     """
     bits = _facet_table(r, n)[1]
+    weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
     masks = np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)
     patterns = np.arange(0, 1 << (r + 1), 2, dtype=np.uint8)[:, None, None]
     levels = np.arange(1, (r + 1) // 2 + 1, dtype=np.uint8)[:, None]
     words = -(-len(masks) // 64)
     table = np.zeros((len(bits) << r, len(levels), 8 * words), dtype=np.uint8)
     for c, circuit in enumerate(bits):
-        signs = _pack((masks[:, None] & circuit) != 0)
+        signs = pack_signs((masks[:, None] & circuit) != 0, weights)
         orts = _ort_of(signs[None] ^ patterns, r + 1)
         at_least = np.packbits(orts[:, None] >= levels, axis=-1, bitorder="little")
         table[c << r : (c + 1) << r, :, : at_least.shape[-1]] = at_least
@@ -201,32 +196,40 @@ def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
     return np.bitwise_and.reduce(np.take(_level_table(r, n), rows.T, axis=0), axis=0)
 
 
-def records_per_call(r: int, n: int) -> int:
-    """The records that one ``m_values`` call takes at (r, n): as many as
-    _BATCH_ENTRIES gathered table words allow at a dense size, otherwise
-    one growth group (``_group_size``)."""
-    return max(1, _BATCH_ENTRIES // _dense_words(r, n)) if is_dense(r, n) else _group_size(r, n)
-
-
 def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
     chirotopes whose lex-order signs are the rows of the int8 array
-    ``signs``: one fold over the level-bit table at a dense size, otherwise
-    the tail sums of the ort counts of the records grown at level 1."""
-    levels = (r + 1) // 2
+    ``signs``, any K: level-bit table folds of _BATCH_ENTRIES gathered words
+    at a dense size, otherwise the tail sums of the ort counts grown at
+    level 1 (``_grown_counts``), circuits derived a batch at a time."""
+    require_circuits(r, n)
     if not is_dense(r, n):
-        counts = _ort_counts(r, n, circuit_minus(r, n, signs), 1)
+        counts = _grown_counts(r, n, signs, 1)
         return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    at_least = np.bitwise_count(_dense_fold(r, n, _pack(circuit_negatives(r, n, signs))))
-    return 2 * at_least.reshape(len(signs), levels, -1).sum(axis=-1, dtype=np.int64)
+    levels, size = (r + 1) // 2, max(1, _BATCH_ENTRIES // _dense_words(r, n))
+    weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
+    m = []
+    for batch in np.split(signs, range(size, len(signs), size)):
+        fold = _dense_fold(r, n, pack_signs(circuit_negatives(r, n, batch), weights))
+        at_least = np.bitwise_count(fold).reshape(len(batch), levels, fold.shape[-1] // levels)
+        m.append(at_least.sum(axis=-1, dtype=np.int64))
+    return 2 * np.concatenate(m)
 
 
 def m_counts(r: int, n: int, signs: np.ndarray, k: int) -> np.ndarray:
     """m(M,k) (int64) of each of the K chirotopes whose lex-order signs are
-    the rows of the int8 array ``signs``, grown together at level k+1.  k is
-    checked before any enumeration."""
+    the rows of the int8 array ``signs``, grown at level k+1
+    (``_grown_counts``).  k is checked before any enumeration."""
     check_k(r, k)
-    return 2 * _ort_counts(r, n, circuit_minus(r, n, signs), k + 1)[:, k + 1 :].sum(axis=1)
+    return 2 * _grown_counts(r, n, signs, k + 1)[:, k + 1 :].sum(axis=1)
+
+
+def _grown_counts(r: int, n: int, signs: np.ndarray, level: int) -> np.ndarray:
+    """``_ort_counts`` of the chirotopes whose lex-order signs are the rows
+    of ``signs``, one growth group (``_group_size``) at a time."""
+    size = _group_size(r, n)
+    groups = np.split(signs, range(size, len(signs), size))
+    return np.concatenate([_ort_counts(r, n, circuit_minus(r, n, group), level) for group in groups])
 
 
 def check_k(r: int, k: int, lo: int = 0):
@@ -334,15 +337,12 @@ def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ..
 def _ort_counts(r: int, n: int, minus: np.ndarray, level: int) -> np.ndarray:
     """Per record, the sign vectors with element 1 fixed to + of each ort
     (int64, K x (floor((r+1)/2) + 1); the fold caps ort at the last
-    column), exact from ``level`` up, grown in groups of ``_group_size``."""
+    column), exact from ``level`` up: one ``_grow`` of the K records whose
+    circuit minus masks are the rows of ``minus``."""
     width = (r + 1) // 2 + 1
-    size = _group_size(r, n)
-    counts = []
-    for group in np.split(minus, range(size, len(minus), size)):
-        records, _, orts = _grow(r, n, group, level)
-        cells = records.astype(np.intp) * width + orts
-        counts.append(np.bincount(cells, minlength=len(group) * width))
-    return np.concatenate(counts).reshape(len(minus), width)
+    records, _, orts = _grow(r, n, minus, level)
+    cells = records.astype(np.intp) * width + orts
+    return np.bincount(cells, minlength=len(minus) * width).reshape(len(minus), width)
 
 
 def first_index_at_least(cs: CircuitSet, level: int) -> int | None:

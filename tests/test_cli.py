@@ -1,7 +1,6 @@
 import io
 import json
 import tempfile
-from math import ceil
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -574,16 +573,23 @@ class TestReports:
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
-        # (4, 8): 56 circuits x 2 levels x 2 words per record, 146 records per fold
-        per_call = neighborly.records_per_call(4, 8)
-        count = 2 * per_call + 3
+        # (4, 8): 56 circuits x 2 levels x 2 words per record, 146 records
+        # per fold; 295 records are blocks of 256 and 39, one ``m_values``
+        # call each, and folds of 146, 110 and 39
+        per_fold = neighborly._BATCH_ENTRIES // neighborly._dense_words(4, 8)
+        count = 2 * per_fold + 3
         db = tmp_path / "db.txt"
         db.write_text(
             "\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(count)) + "\n"
         )
-        calls = []
-        fold = neighborly._dense_fold
-        monkeypatch.setattr(neighborly, "_dense_fold", lambda *args: calls.append(1) or fold(*args))
+        calls, blocks = [], []
+        fold, m_values = neighborly._dense_fold, harness.m_values
+        monkeypatch.setattr(
+            neighborly, "_dense_fold", lambda r, n, p: calls.append(len(p)) or fold(r, n, p)
+        )
+        monkeypatch.setattr(
+            harness, "m_values", lambda r, n, signs: blocks.append(len(signs)) or m_values(r, n, signs)
+        )
         code, out, _ = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
         assert code == 0 and len(out.splitlines()) == count
         recs = parse_database(db.read_text().splitlines(), 4, 8)
@@ -591,7 +597,8 @@ class TestReports:
             o_vector_oracle(circuits_from_chirotope(record_chirotope(rec))) for rec in recs
         ]
         assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
-        assert len(calls) == ceil(count / per_call) == 3
+        assert blocks == [harness.BLOCK_LINES, count - harness.BLOCK_LINES] == [256, 39]
+        assert calls == [per_fold, 256 - per_fold, 39] == [146, 110, 39]
 
 
 @st.composite
@@ -659,6 +666,18 @@ class TestAuditAndReduce:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_mcmullen_without_circuits_exits_two(self, capsys, tmp_path, r):
+        # a rank-r matroid on r elements has no circuits: refused before any
+        # row, and before the checkpoint is opened
+        db, checkpoint = tmp_path / "one.txt", tmp_path / "ck.jsonl"
+        db.write_text("+\n")
+        argv = ["mcmullen", "-r", str(r), "-n", str(r), "--k", "0", "--file", str(db)]
+        code, out, err = run(capsys, *argv, "--checkpoint", str(checkpoint))
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {r} on {r} elements has no circuits; orthogonality statistics are undefined\n"
+        assert not checkpoint.exists()
+
     def test_reduce_confirmed(self, capsys):
         code, out, _ = run(capsys, "reduce", "-r", "3", "--k", "1")
         assert code == 0 and out.strip().splitlines()[-1] == "confirmed"
@@ -685,6 +704,19 @@ class TestAuditAndReduce:
             *(f"--db={r}:{n}:{colex_copy(p, r, n)}" for (r, n), p in dbs.items()),
         )
         assert colex == lex
+
+    @pytest.mark.parametrize(
+        "r,k,size,reads",
+        [(4, 1, "4:8", "(4, 7)"), (3, 1, "3:5", "none"), (6, 1, "6:12", "(4, 7), (5, 9), (6, 11)")],
+    )
+    def test_reduce_refuses_a_database_it_does_not_read(self, capsys, tmp_path, r, k, size, reads):
+        # refused before any file is opened: neither path exists
+        absent = tmp_path / "absent.txt"
+        argv = ["reduce", "-r", str(r), "--k", str(k), f"--db={size}:{absent}"]
+        code, out, err = run(capsys, *argv, f"--db=4:7:{absent}")
+        named = "(" + size.replace(":", ", ") + ")"
+        assert (code, out) == (2, "")
+        assert err == f"error: the reduction at rank {r}, k={k} reads no database at (r, n) = {named}; it reads {reads}\n"
 
     def test_reduce_invalid_rank(self, capsys):
         code, out, err = run(capsys, "reduce", "-r", "0", "--k", "0")
@@ -849,13 +881,12 @@ def database_cases(draw):
 
 
 def _compare_in_blocks(argv, database, mode, keep, block):
-    """``assert_block_pass_matches_oracle`` with blocks of ``block`` lines
-    and rows and kernel groups of 3 records.  ``mode`` is None (no
+    """``assert_block_pass_matches_oracle`` with blocks of ``block`` lines,
+    rows and records per ``m_values`` call.  ``mode`` is None (no
     checkpoint), "" (a fresh one), or "resumed" or "torn": the first
     ``keep`` rows of a complete run, the last of them torn in half."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_LINES", block)
-        mp.setattr(harness, "records_per_call", lambda r, n: 3)
         checkpoint = mode
         if mode in ("resumed", "torn"):
             whole = Path(tmp) / "whole.jsonl"
@@ -882,7 +913,7 @@ def test_block_pass_matches_the_per_record_path(case):
     _compare_in_blocks(*case)
 
 
-# (4, 8) in blocks of 4 lines and rows and groups of 3 records:
+# (4, 8) in blocks of 4 lines, rows and records per ``m_values`` call:
 # (records, comments/blanks/CRLF, fault, its index, checkpoint, rows kept)
 BLOCK_CASES = [
     (3, False, None, 0, "", 0),
@@ -895,6 +926,7 @@ BLOCK_CASES = [
     (6, False, "bad character", 5, "", 0),
     (6, True, "bad character", 5, "resumed", 3),
     (8, False, "wrong tope count", 4, "", 0),
+    (8, False, "wrong tope count", 6, "", 0),
     (8, False, "wrong tope count", 4, "resumed", 4),
     (8, True, "wrong tope count", 4, "torn", 3),
 ]
@@ -920,14 +952,14 @@ def test_block_pass_matches_the_per_record_path_cases(
 @pytest.mark.parametrize("command", ["roudneff", "mcmullen"])
 def test_grown_size_matches_the_per_record_path(tmp_path, monkeypatch, command, fmt):
     # (5, 10) grows its records together; with the candidate budget at three
-    # records' largest arrays they come in blocks of 3 and 1, resumed from a
-    # torn row
+    # records' largest arrays the one block of 4 grows in groups of 3 and 1,
+    # resumed from a torn row
     lines = [_record_text(5, 10, s, "lex") for s in range(4)]
     database = _database_text(lines, True, False)
     argv = [command, "-r", "5", "-n", "10", "--k", "1", "--format", fmt]
     candidates = neighborly._enumeration_cost(5, 10)[1]
     monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * candidates)
-    assert not neighborly.is_dense(5, 10) and neighborly.records_per_call(5, 10) == 3
+    assert not neighborly.is_dense(5, 10) and neighborly._group_size(5, 10) == 3
     assert assert_block_pass_matches_oracle(tmp_path, argv, database, "") in (0, 1)
     rows = (tmp_path / "oracle.jsonl").read_text().splitlines(keepends=True)
     assert len(rows) == 4

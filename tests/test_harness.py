@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from orimat import (
     DomainError,
+    EmptyCircuitSetError,
     FormatError,
     NonUniformError,
     alternating_chirotope,
@@ -42,6 +43,7 @@ from conftest import (
     load_checkpoint_oracle,
     o_vector_oracle,
     record_chirotope,
+    row_oracle,
     rows_of,
     serialize_colex,
 )
@@ -144,6 +146,36 @@ class TestComputeRows:
         recs = list(parse_database(db_lines(3, 5, [0, 1]), 3, 5))
         rows = rows_of(compute_rows(rec for rec in recs if rec.id != recs[1].id))
         assert [row.id for row in rows] == [recs[0].id, recs[2].id]
+
+    def test_blocks_cut_at_block_lines_within_each_shape(self, monkeypatch):
+        # runs of 4 (3,6), 2 (4,7) and 5 (3,6) records in blocks of 3: one
+        # ``m_values`` call per block, and no block spans two runs
+        runs = [(3, 6, range(4)), (4, 7, range(2)), (3, 6, range(4, 9))]
+        recs = [rec for r, n, seeds in runs for rec in parse_database(db_lines(r, n, seeds, False), r, n)]
+        calls, m_values = [], harness.m_values
+        monkeypatch.setattr(
+            harness, "m_values", lambda r, n, signs: calls.append((r, n, len(signs))) or m_values(r, n, signs)
+        )
+        monkeypatch.setattr(harness, "BLOCK_LINES", 3)
+        blocks = list(compute_rows(recs))
+        shapes = [(3, 6, 3), (3, 6, 1), (4, 7, 2), (3, 6, 3), (3, 6, 2)]
+        assert [(block.r, block.n, len(block.ids)) for block in blocks] == calls == shapes
+        assert rows_of(blocks) == [row_oracle(rec.id, rec.r, rec.n, rec.signs) for rec in recs]
+
+    @pytest.mark.parametrize("block", [4, 256])
+    def test_wrong_tope_count_in_a_block_raises_after_the_rows_before_it(self, monkeypatch, block):
+        # the record of line 8 is the third of its block of 4, and the
+        # seventh of 9 in one block of 256
+        lines = db_lines(4, 7, range(9), False)
+        lines[7] = ("+" if lines[7][0] == "-" else "-") + lines[7][1:]
+        recs = list(parse_database(lines, 4, 7))
+        monkeypatch.setattr(harness, "BLOCK_LINES", block)
+        rows = compute_rows(recs)
+        sizes = []
+        with pytest.raises(FormatError, match=r"^record 8: tope count \d+ != 84; "):
+            for rows_block in rows:
+                sizes.append(len(rows_block.ids))
+        assert sizes == ([4, 2] if block == 4 else [6])
 
     def test_json_round_trip(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
@@ -375,6 +407,14 @@ class TestMcMullenReport:
         agg = mcmullen_report(recs, 1)
         assert agg.holds and agg.min_m >= 2 and agg.zero_ids == []
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_circuits_refused_before_any_row(self, r):
+        # a rank-r matroid on r elements has no circuits, so m(M,k) is undefined
+        recs = list(parse_database(["+"], r, r))
+        for call in (lambda: mcmullen_report(recs, 0), lambda: next(compute_rows(recs))):
+            with pytest.raises(EmptyCircuitSetError, match=f"^rank {r} on {r} elements has no circuits"):
+                call()
+
 
 def hand_row(row_id, m):
     """A block of one row, of the given id and m-values, at (3, 6)."""
@@ -531,6 +571,45 @@ class TestFiniteReduction:
         detail = finite_reduction_check(5, 1).detail
         assert sum("!= brute force" in line for line in detail) == 6
         assert not any("!= closed form" in line for line in detail)
+
+    def test_records_at_another_size_than_their_key_refused_before_any_row(self, monkeypatch):
+        # (5, 9) records given as the (6, 11) base case would be checked
+        # against c_5(9, 1) under the heading of rank 6
+        db_map = {
+            (4, 7): list(parse_database(db_lines(4, 7, range(2)), 4, 7)),
+            (6, 11): list(parse_database(db_lines(5, 9, range(2)), 5, 9)),
+        }
+
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(harness, "m_values", no_rows)
+        message = r"^the database for \(r, n\) = \(6, 11\) holds records at \[\(5, 9\)\]$"
+        with pytest.raises(DomainError, match=message):
+            finite_reduction_check(6, 1, db_map)
+
+    @pytest.mark.parametrize(
+        "r,k,size,reads",
+        [(4, 1, (4, 8), "(4, 7)"), (5, 1, (5, 10), "(4, 7), (5, 9)"), (3, 1, (3, 5), "none"),
+         (4, 0, (4, 7), "(3, 7), (4, 9)")],
+    )
+    def test_database_the_reduction_does_not_read_refused(self, monkeypatch, r, k, size, reads):
+        monkeypatch.setattr(harness, "m_values", lambda *args: pytest.fail("a row was computed"))
+        db_map = {size: [], (4, 7): list(parse_database(db_lines(4, 7, range(2)), 4, 7))}
+        message = f"the reduction at rank {r}, k={k} reads no database at (r, n) = {size}; it reads {reads}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            finite_reduction_check(r, k, db_map)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_databases_read_are_the_missing_ones(self, r):
+        for k in range((r - 1) // 2 + 1):
+            missing = finite_reduction_check(r, k).missing
+            harness.check_reduction_inputs(r, k, missing)
+            for r_prime, n_prime in missing:
+                for other in ((r_prime, n_prime - 1), (r_prime, n_prime + 1), (r_prime + 1, n_prime)):
+                    if other not in missing:
+                        with pytest.raises(DomainError, match="reads no database"):
+                            harness.check_reduction_inputs(r, k, [other])
 
     def test_supplied_base_databases(self):
         db_map = {

@@ -217,14 +217,14 @@ class TestGrowth:
 
     def test_database_sizes_take_the_dense_call(self):
         # (4,8) and (5,9) sweep 7168 and 21504 pairs and fold 146 and 32
-        # records per call; (6,12) sweeps about 1.6e6 and grows 25 records
-        # at a time, 2^15 // 1276 candidates
+        # records per table gather; (6,12) sweeps about 1.6e6 and grows 25
+        # records at a time, 2^15 // 1276 candidates
         assert neighborly.is_dense(4, 8) and neighborly.is_dense(5, 9)
         assert not neighborly.is_dense(6, 12)
-        assert neighborly.records_per_call(4, 8) == 146
-        assert neighborly.records_per_call(5, 9) == 32
+        assert neighborly._BATCH_ENTRIES // neighborly._dense_words(4, 8) == 146
+        assert neighborly._BATCH_ENTRIES // neighborly._dense_words(5, 9) == 32
         assert neighborly._enumeration_cost(6, 12)[1] == 1276
-        assert neighborly.records_per_call(6, 12) == 25
+        assert neighborly._group_size(6, 12) == 25
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -356,7 +356,7 @@ class TestGrowthGroups:
 
         monkeypatch.setattr(neighborly, "_grow", counted)
         monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * candidates)
-        assert neighborly.records_per_call(5, 10) == 3
+        assert neighborly._group_size(5, 10) == 3
         assert np.array_equal(neighborly.m_values(5, 10, signs), expected)
         assert stacks == [3, 3, 1]
         stacks.clear()
@@ -372,9 +372,59 @@ class TestGrowthGroups:
         monkeypatch.setattr(
             neighborly, "CANDIDATE_BUDGET", neighborly._enumeration_cost(5, 10)[1] - 1
         )
-        for count in (lambda: neighborly.m_values(5, 10, signs), lambda: neighborly.records_per_call(5, 10)):
+        for count in (lambda: neighborly.m_values(5, 10, signs), lambda: neighborly.m_counts(5, 10, signs, 0)):
             with pytest.raises(DomainError, match="budget"):
                 count()
+
+
+class TestMValuesBatches:
+    """``m_values`` takes any K records and batches the kernel itself: table
+    gathers of _BATCH_ENTRIES words at a dense size, growth groups at any
+    other, each batch's circuits derived on their own."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("r,n", [(4, 8), (5, 10)])
+    def test_any_count_matches_single_records_and_oracle(self, monkeypatch, r, n, count):
+        # batches of 3 records: a partial one (1, 2), one (3), several (6),
+        # several and a partial one (7)
+        signs, _ = record_stack(r, n, range(count))
+        singles = [neighborly.m_values(r, n, signs[i : i + 1]) for i in range(count)]
+        dense = neighborly.is_dense(r, n)
+        assert dense == (n == 8)
+        if dense:
+            monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 3 * neighborly._dense_words(r, n))
+        else:
+            monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * neighborly._enumeration_cost(r, n)[1])
+        derived, kernel = [], []
+        derive = neighborly.circuit_negatives if dense else neighborly.circuit_minus
+        run = neighborly._dense_fold if dense else neighborly._grow
+
+        def derived_per_batch(r, n, batch):
+            derived.append(len(batch))
+            return derive(r, n, batch)
+
+        def kernel_per_batch(r, n, batch, *level):
+            kernel.append(len(batch))
+            return run(r, n, batch, *level)
+
+        monkeypatch.setattr(neighborly, derive.__name__, derived_per_batch)
+        monkeypatch.setattr(neighborly, run.__name__, kernel_per_batch)
+        m = neighborly.m_values(r, n, signs)
+        batches = [3] * (count // 3) + [count % 3] * (count % 3 > 0)
+        assert derived == kernel == batches
+        assert m.shape == (count, (r + 1) // 2) and m.dtype == np.int64
+        for i in range(count):
+            chi = random_realizable(r, n, seed=i)
+            oracle = full_sweep_orts(circuits_from_chirotope(chi))
+            expected = [2 * int((oracle > k).sum()) for k in range((r + 1) // 2)]
+            assert m[i].tolist() == singles[i][0].tolist() == expected, i
+        assert neighborly.m_values(r, n, signs[:0]).shape == (0, (r + 1) // 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_circuits_refused(self, r):
+        signs = np.ones((2, 1), dtype=np.int8)
+        with pytest.raises(EmptyCircuitSetError, match=f"rank {r} on {r} elements has no circuits"):
+            neighborly.m_values(r, r, signs)
 
 
 LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
