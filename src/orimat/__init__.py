@@ -36,6 +36,7 @@ from .harness import (
     AuditTriple,
     DatabaseRecord,
     McMullenAggregate,
+    RecordBlock,
     ReductionVerdict,
     RoudneffAggregate,
     RowBlock,
@@ -108,6 +109,7 @@ __all__ = [
     "AuditTriple",
     "DatabaseRecord",
     "McMullenAggregate",
+    "RecordBlock",
     "ReductionVerdict",
     "RoudneffAggregate",
     "RowBlock",

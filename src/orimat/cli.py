@@ -224,10 +224,10 @@ def _cmd_reports(args) -> int:
     r, n = args.rank, args.elements
     agg = harness.new_aggregate(args.command, r, n, args.k)
     with _open(args.file) as fh:
-        records = list(harness.parse_database(fh, r, n, args.base_order))
-    if not records:
+        blocks = list(harness.parse_database(fh, r, n, args.base_order, blocks=True))
+    if not blocks:
         raise DomainError(f"empty database: no chirotope lines in {args.file}")
-    for block in harness.report_rows(agg, records, args.checkpoint, source=args.file):
+    for block in harness.report_rows(agg, blocks, args.checkpoint, source=args.file):
         print("\n".join(block.lines(args.format)))
     print(json.dumps(agg.summary()), file=sys.stderr)
     return 0 if agg.holds else 1
@@ -260,7 +260,7 @@ def _cmd_reduce(args) -> int:
     for r_prime, n_prime, path in specs:
         with _open(path) as fh:
             db_map[(r_prime, n_prime)] = list(
-                harness.parse_database(fh, r_prime, n_prime, args.base_order)
+                harness.parse_database(fh, r_prime, n_prime, args.base_order, blocks=True)
             )
     verdict = harness.finite_reduction_check(args.rank, args.k, db_map)
     for line in verdict.detail:

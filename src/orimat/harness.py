@@ -7,19 +7,26 @@ blank lines skipped; line numbers double as record ids.  The unit of work is
 a block of records, from the input text to the output text:
 
 - ``parse_database`` reads ``BLOCK_LINES`` lines at a time and checks a
-  block's signs with one translate (``chirotope.parse_sign_rows``); the base
-  order of the text is settled there, so ``DatabaseRecord.signs`` is in lex
-  order and nothing after the parse takes an order.  Records are built from
-  the checked bytes, so the check is paid once per record.
-- ``compute_rows`` makes one ``neighborly.m_values`` call per
-  ``BLOCK_LINES`` records of one (r, n) into a ``RowBlock``: record ids and
-  m(M,k) as arrays.  The o-vector and ``attains`` follow from m, so a block
-  formats the text of each distinct m row once.
+  block's signs with one translate (``chirotope.parse_sign_rows``) into a
+  ``RecordBlock``: the record ids (int64) and their lex-order signs (int8,
+  rows x C(n, r)).  The base order of the text is settled there, so nothing
+  after the parse takes an order, and the check is paid once per block.
+  It yields one ``DatabaseRecord`` at a time, or, as the CLI reads them,
+  the blocks themselves.
+- ``compute_rows`` hands ``neighborly.m_values`` row slices of a block's
+  signs, at most ``BLOCK_LINES`` records of one (r, n) at a time, and makes
+  each result a ``RowBlock``: record ids and m(M,k) as arrays.  The
+  o-vector and ``attains`` follow from m, so a block formats the text of
+  each distinct m row once.
 - ``report_rows`` is the one report loop of the library and the CLI: it
   merges the rows of a checkpoint with the computed ones in record order,
   appends each block's computed rows to the checkpoint before yielding it,
   and folds each block into one aggregate per verdict, with c-values from
-  the module memo ``cyclic.c_value``.
+  the module memo ``cyclic.c_value``.  Before a verdict that fails, it
+  counts the records the verdict names again from their signs.
+
+Records given one at a time (``DatabaseRecord``) are packed into blocks once,
+where they enter ``compute_rows`` or ``report_rows`` (``_record_blocks``).
 """
 
 from __future__ import annotations
@@ -29,9 +36,8 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress, groupby, islice, repeat
+from itertools import accumulate, compress, groupby, islice
 from math import comb
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -79,38 +85,87 @@ class DatabaseRecord(namedtuple("DatabaseRecord", "id r n signs")):
 _checked_record = partial(tuple.__new__, DatabaseRecord)
 
 
+@dataclass(frozen=True, eq=False)
+class RecordBlock:
+    """Consecutive database records of one (r, n): their ids (int64) and
+    their lex-order signs (int8, rows x C(n, r)), each 1 or -1.  Blocks come
+    from the block parser of ``parse_database``, which checks the text, or
+    from ``_record_blocks``, which packs records checked when built, so no
+    sign is checked again."""
+
+    r: int
+    n: int
+    ids: np.ndarray
+    signs: np.ndarray
+
+    def records(self) -> Iterator[DatabaseRecord]:
+        """The records one at a time, built from the checked signs."""
+        for row_id, signs in zip(self.ids.tolist(), self.signs):
+            yield _checked_record((row_id, self.r, self.n, signs.tobytes()))
+
+
 def parse_database(
-    lines: Iterable[str], r: int, n: int, base_order: str = "lex"
-) -> Iterator[DatabaseRecord]:
-    """Stream records from chirotope lines whose positions follow
-    ``base_order``, ``BLOCK_LINES`` lines at a time.  A malformed line
-    raises with its line number, after the records before it."""
-    lines = iter(lines)
+    lines: Iterable[str], r: int, n: int, base_order: str = "lex", *, blocks: bool = False
+) -> Iterator[DatabaseRecord] | Iterator[RecordBlock]:
+    """The records of chirotope lines whose positions follow
+    ``base_order``, parsed ``BLOCK_LINES`` lines at a time as they are
+    read: one ``DatabaseRecord`` at a time, or with ``blocks`` one
+    ``RecordBlock`` per parsed block.  A malformed line raises with its line
+    number, after the records before it."""
+    for block in _parse_blocks(iter(lines), r, n, base_order):
+        if blocks:
+            yield block
+        else:
+            yield from block.records()
+
+
+def _parse_blocks(lines: Iterator[str], r: int, n: int, base_order: str) -> Iterator[RecordBlock]:
+    """One ``RecordBlock`` per ``BLOCK_LINES`` lines that hold a record,
+    its signs checked with one ``parse_sign_rows``.  A block that holds a
+    bad line is parsed again one line at a time, to name the first bad
+    line: the records before it come out as a block, then it raises."""
     start = 1
     while block := list(islice(lines, BLOCK_LINES)):
-        numbered = [
-            (lineno, line)
-            for lineno, line in enumerate(map(str.strip, block), start)
-            if line and line[0] != "#"
-        ]
+        stripped = [line.strip() for line in block]
+        texts = [line for line in stripped if line and line[0] != "#"]
+        ids = np.arange(start, start + len(block), dtype=np.int64)
+        if len(texts) < len(block):
+            ids = ids[[bool(line) and line[0] != "#" for line in stripped]]
         start += len(block)
-        if not numbered:
+        if not texts:
             continue
-        ids, texts = zip(*numbered)
         try:
             signs = parse_sign_rows(texts, r, n, base_order)
         except FormatError:
-            # the block again, one line at a time, to name the first bad line
-            for lineno, text in numbered:
+            for good, text in enumerate(texts):
                 try:
-                    signs = parse_signs(text, r, n, base_order)
+                    parse_signs(text, r, n, base_order)
                 except FormatError as exc:
-                    raise type(exc)(f"line {lineno}: {exc}") from exc
-                yield DatabaseRecord(lineno, r, n, signs)
+                    if good:
+                        signs = parse_sign_rows(texts[:good], r, n, base_order)
+                        yield _record_block(r, n, ids[:good], signs)
+                    raise type(exc)(f"line {ids[good]}: {exc}") from exc
+        yield _record_block(r, n, ids, signs)
+
+
+def _record_block(r: int, n: int, ids, signs: bytes) -> RecordBlock:
+    """The block of the records ``ids`` whose checked signs are ``signs``,
+    one record after another."""
+    rows = np.frombuffer(signs, dtype=np.int8).reshape(len(ids), -1)
+    return RecordBlock(r, n, np.asarray(ids, dtype=np.int64), rows)
+
+
+def _record_blocks(items: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[RecordBlock]:
+    """``items`` as ``RecordBlock``s: a block as it is, and each run of
+    records of one (r, n) packed ``BLOCK_LINES`` at a time.  This is the one
+    place where records are taken apart."""
+    for (r, n, packed), run in groupby(items, key=lambda x: (x.r, x.n, isinstance(x, RecordBlock))):
+        if packed:
+            yield from run
             continue
-        size = len(signs) // len(texts)
-        rows = [signs[i : i + size] for i in range(0, len(signs), size)]
-        yield from map(_checked_record, zip(ids, repeat(r), repeat(n), rows))
+        while chunk := list(islice(run, BLOCK_LINES)):
+            ids, _, _, signs = zip(*chunk)
+            yield _record_block(r, n, ids, b"".join(signs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,22 +230,25 @@ def _format_rows(block: RowBlock, fmt: str) -> list[str]:
     return [f"{i},{tails[j]}" for i, j in rows]
 
 
-def compute_rows(records: Iterable[DatabaseRecord]) -> Iterator[RowBlock]:
-    """The rows of ``records`` in record order, one block, and one
-    ``neighborly.m_values`` call, per ``BLOCK_LINES`` consecutive records of
-    one (r, n).  Record order does not change any row.  A record whose tope
-    count m(M,0) is wrong raises after the block of the rows before it.
+def compute_rows(records: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[RowBlock]:
+    """The rows of ``records``, records or ``RecordBlock``s, in record
+    order: one ``neighborly.m_values`` call on a row slice of a block's
+    signs, and one block of rows, per ``BLOCK_LINES`` records of a block
+    (``_record_blocks`` packs runs of records that many at a time).  Record
+    order does not change any row.  A record whose tope count m(M,0) is
+    wrong raises after the block of the rows before it.
     """
-    for (r, n), same in groupby(records, key=attrgetter("r", "n")):
+    for block in _record_blocks(records):
+        r, n = block.r, block.n
         topes = tope_count_uniform(r, n)
-        while block := list(islice(same, BLOCK_LINES)):
-            ids, _, _, signs = zip(*block)
-            m = m_values(r, n, np.frombuffer(b"".join(signs), dtype=np.int8).reshape(len(block), -1))
+        for start in range(0, len(block.ids), BLOCK_LINES):
+            ids = block.ids[start : start + BLOCK_LINES]
+            m = m_values(r, n, block.signs[start : start + BLOCK_LINES])
             wrong = np.flatnonzero(m[:, 0] != topes)
-            upto = int(wrong[0]) if len(wrong) else len(block)
+            upto = int(wrong[0]) if len(wrong) else len(ids)
             if upto:
-                yield RowBlock(r, n, np.array(ids[:upto], dtype=np.int64), m[:upto])
-            if upto < len(block):
+                yield RowBlock(r, n, ids[:upto], m[:upto])
+            if upto < len(ids):
                 raise FormatError(
                     f"record {ids[upto]}: tope count {int(m[upto, 0])} != {topes}; "
                     "wrong base order or corrupt data"
@@ -221,6 +279,10 @@ class RoudneffAggregate:
     @property
     def holds(self) -> bool:
         return self.max_m <= self.c_bound
+
+    def named(self, m: np.ndarray) -> np.ndarray:
+        """Which of the m(M,k) values ``m`` a counterexample names."""
+        return m == self.max_m
 
     def summary(self) -> dict:
         return {
@@ -254,6 +316,10 @@ class McMullenAggregate:
         that n <= nu(r,k)); each zero id witnesses nu(r,k) < n."""
         return self.min_m is not None and self.min_m > 0
 
+    def named(self, m: np.ndarray) -> np.ndarray:
+        """Which of the m(M,k) values ``m`` are zero-m witnesses."""
+        return m == 0
+
     def summary(self) -> dict:
         return {
             "verdict": "all-have-witness" if self.holds else "zero-m-witnesses",
@@ -271,12 +337,12 @@ def new_aggregate(kind: str, r: int, n: int, k: int):
     return McMullenAggregate(r, n, k)
 
 
-def roudneff_report(records: Iterable[DatabaseRecord], k: int) -> RoudneffAggregate:
+def roudneff_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> RoudneffAggregate:
     """Max m(M,k) over the database against the bound c_r(n,k)."""
     return _report("roudneff", records, k)
 
 
-def mcmullen_report(records: Iterable[DatabaseRecord], k: int) -> McMullenAggregate:
+def mcmullen_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> McMullenAggregate:
     """Min m(M,k) over the database; zero-m records bound nu(r,k) from above."""
     return _report("mcmullen", records, k)
 
@@ -293,45 +359,58 @@ def _report(kind, records, k):
 
 def report_rows(
     agg: RoudneffAggregate | McMullenAggregate,
-    records: Iterable[DatabaseRecord],
+    records: Iterable[DatabaseRecord | RecordBlock],
     checkpoint: str | Path | None = None,
     *,
     source: str = "the database",
 ) -> Iterator[RowBlock]:
-    """The rows of ``records`` in record order, a block at a time, each
-    block added to ``agg``: the one report loop of the library and the CLI.
-    Before any row, records of another (r, n) than the aggregate's, and
-    checkpoint ids that are not records of ``source``, are refused.  Only
-    the rows the checkpoint lacks are computed; a block's computed rows are
-    appended to it and flushed before the block is yielded.
+    """The rows of ``records``, records or ``RecordBlock``s, in record
+    order, a block at a time, each block added to ``agg``: the one report
+    loop of the library and the CLI.  Before any row, records of another
+    (r, n) than the aggregate's, and checkpoint ids that are not records of
+    ``source``, are refused.  Only the rows the checkpoint lacks are
+    computed; a block's computed rows are appended to it and flushed before
+    the block is yielded.
 
     A block holds at most ``BLOCK_LINES`` rows and ends where the rows
     computed so far end, so rows are appended ``BLOCK_LINES`` at a time
     (about 0.4 s of work at (6,12)), and the rows before a record with a
-    wrong tope count come out before its error.
+    wrong tope count come out before its error.  After the last block, a
+    verdict that fails is checked (``_recount_named``) before it is left to
+    the caller.
     """
-    records = list(records)
     r, n = agg.r, agg.n
-    shapes = {(rec.r, rec.n) for rec in records} | {(r, n)}
+    empty = RecordBlock(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
+    blocks = list(_record_blocks(records)) or [empty]
+    shapes = {(block.r, block.n) for block in blocks} | {(r, n)}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
-    ids = np.array([rec.id for rec in records], dtype=np.int64)
-    m = np.zeros((len(records), (r + 1) // 2), dtype=np.int64)
-    stored = np.zeros(len(records), dtype=bool)
+    # the whole database as one block, so that the records not stored are
+    # one cut from it
+    whole = RecordBlock(
+        r, n, np.concatenate([b.ids for b in blocks]), np.concatenate([b.signs for b in blocks])
+    )
+    ids = whole.ids
+    m = np.zeros((len(ids), (r + 1) // 2), dtype=np.int64)
+    stored = np.zeros(len(ids), dtype=bool)
     if checkpoint:
         prior = load_checkpoint(checkpoint, r, n)
-        row_of = dict(zip(prior.ids.tolist(), range(len(prior.ids))))
-        unknown = row_of.keys() - set(ids.tolist())
-        if unknown:
+        order = np.argsort(prior.ids, kind="stable")
+        known = prior.ids[order]  # ids of the stored rows, sorted; each once
+        unknown = known[~np.isin(known, ids)]
+        if len(unknown):
             raise FormatError(
-                f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {source}"
+                f"checkpoint {checkpoint} holds ids {unknown.tolist()} that are not records of {source}"
             )
-        at = np.array([row_of.get(i, -1) for i in ids.tolist()], dtype=np.intp)
-        stored = at >= 0
-        m[stored] = prior.m[at[stored]]
+        if len(known):
+            at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
+            stored = known[at] == ids
+            m[stored] = prior.m[order[at[stored]]]
     sink = None  # the checkpoint, opened for the first computed row
     try:
-        for block in _merged_blocks(r, n, records, ids, m, stored):
+        todo = whole if not stored.any() else RecordBlock(r, n, ids[~stored], whole.signs[~stored])
+        computed = compute_rows([todo])
+        for block in _merged_blocks(r, n, ids, m, stored, computed):
             if checkpoint and not block.stored.all():
                 sink = sink or open(checkpoint, "a")
                 append_checkpoint(sink, block)
@@ -340,17 +419,18 @@ def report_rows(
     finally:
         if sink:
             sink.close()
+    if not agg.holds:
+        _recount_named(agg, whole, m, stored, checkpoint)
 
 
-def _merged_blocks(r, n, records, ids, m, stored) -> Iterator[RowBlock]:
+def _merged_blocks(r, n, ids, m, stored, computed) -> Iterator[RowBlock]:
     """Blocks of the rows in record order: the stored rows already in
-    ``m``, and the others filled in as ``compute_rows`` yields them.  Each
-    block ends before the first record whose row is not known yet."""
+    ``m``, and the others filled in as ``computed`` yields them.  Each block
+    ends before the first record whose row is not known yet."""
     todo = np.flatnonzero(~stored)
-    computed = compute_rows([records[i] for i in todo.tolist()])
     done = taken = 0
     while True:
-        ready = int(todo[taken]) if taken < len(todo) else len(records)
+        ready = int(todo[taken]) if taken < len(todo) else len(ids)
         for start in range(done, ready, BLOCK_LINES):
             stop = min(start + BLOCK_LINES, ready)
             yield RowBlock(r, n, ids[start:stop], m[start:stop], stored[start:stop])
@@ -360,6 +440,36 @@ def _merged_blocks(r, n, records, ids, m, stored) -> Iterator[RowBlock]:
         block = next(computed)  # raises the error of the record at ``ready``
         m[todo[taken : taken + len(block.ids)]] = block.m
         taken += len(block.ids)
+
+
+def _recount_named(agg, whole: RecordBlock, m, stored, checkpoint):
+    """Refuse a failing verdict unless each record it names counts again,
+    from its signs, to the m(M,k) of its row.  ``m_counts`` grows at level
+    k+1: at a dense size another engine than the table fold that made the
+    rows, and at any size a check that a stored row belongs to its record.
+    A mismatch raises naming the record and, for a stored row, its
+    checkpoint line."""
+    k = agg.k
+    named = np.flatnonzero(agg.named(m[:, k]))
+    if not len(named):
+        return
+    recount = m_counts(agg.r, agg.n, whole.signs[named], k)
+    wrong = np.flatnonzero(recount != m[named, k])
+    if len(wrong):
+        i = int(named[wrong[0]])
+        row_id = int(whole.ids[i])
+        row = f"checkpoint line {_checkpoint_line(checkpoint, row_id)}" if stored[i] else "its computed row"
+        got, kept = int(recount[wrong[0]]), int(m[i, k])
+        raise FormatError(f"record {row_id}: m(M,{k}) recounts to {got}, not the {kept} of {row}")
+
+
+def _checkpoint_line(path: str | Path, row_id: int) -> int | None:
+    """The line number of the row of ``row_id`` in a checkpoint that
+    ``load_checkpoint`` has read."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip() and json.loads(line)["id"] == row_id:
+                return lineno
 
 
 @dataclass(frozen=True)
@@ -413,7 +523,7 @@ class ReductionVerdict:
 def finite_reduction_check(
     r: int,
     k: int,
-    db_map: dict[tuple[int, int], Iterable[DatabaseRecord]] | None = None,
+    db_map: dict[tuple[int, int], Iterable[DatabaseRecord | RecordBlock]] | None = None,
 ) -> ReductionVerdict:
     """Reduce the bound m(M,k) <= c_r(n,k) for all n >= 2(r-k)+1 to its base
     cases: every rank r' <= r at n' = 2(r'-k)+1 elements.

@@ -561,11 +561,14 @@ class TestReports:
         # a record is checked when it is built, before the report loop starts
         good = next(parse_database([random_realizable(4, 8, seed=0).serialize()], 4, 8))
 
-        def records(*args):
+        def records():
             yield good
             yield harness.DatabaseRecord(2, 4, 8, signs)
 
-        monkeypatch.setattr(harness, "parse_database", records)
+        def blocks(*args, **kwargs):
+            yield from harness._record_blocks(records())
+
+        monkeypatch.setattr(harness, "parse_database", blocks)
         db = tmp_path / "db.txt"
         db.write_text("unread\n")
         code, out, err = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1", "--file", str(db))
@@ -599,6 +602,25 @@ class TestReports:
         assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
         assert blocks == [harness.BLOCK_LINES, count - harness.BLOCK_LINES] == [256, 39]
         assert calls == [per_fold, 256 - per_fold, 39] == [146, 110, 39]
+
+    @pytest.mark.parametrize("command,m", [("roudneff", 18), ("mcmullen", 0)])
+    def test_forged_consistent_checkpoint_row_exits_two(self, capsys, tmp_path, command, m):
+        # record 1 of these 20 (4, 8) records has m(M,1) = 4; its stored row
+        # is edited to a counterexample (c = 16) or a zero-m witness that
+        # still passes every check of the checkpoint loader
+        db = tmp_path / "db.txt"
+        db.write_text("\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(20)) + "\n")
+        ckpt = tmp_path / "ck.jsonl"
+        argv = [command, "-r", "4", "-n", "8", "--k", "1", "--file", str(db), "--checkpoint", str(ckpt)]
+        _, fresh, _ = run(capsys, *argv)
+        lines = ckpt.read_text().splitlines()
+        assert json.loads(lines[0])["m"] == [128, 4]
+        lines[0] = json.dumps({"id": 1, "ovector": [128 - m, m], "m": [128, m], "attains": [True, False]})
+        ckpt.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: record 1: m(M,1) recounts to 4, not the {m} of checkpoint line 1\n"
+        assert out.splitlines()[1:] == fresh.splitlines()[1:]
 
 
 @st.composite
@@ -977,3 +999,65 @@ def test_checkpoint_id_not_an_integer_exits_two(capsys, db36, tmp_path, row_id):
     assert code == 2 and out == ""
     assert err == f"error: checkpoint line 1: id {row_id} is not an integer\n"
     assert ckpt.read_text() == data
+
+
+# the block pass around ``BLOCK_LINES`` = 256 records: distinct records
+# repeat every GRID_SEEDS lines, so the per-record oracle counts each once
+GRID_SEEDS = 50
+
+
+@pytest.mark.parametrize("mode", ["fresh", "torn", "wrong tope count"])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("r,n,command", [(4, 8, "roudneff"), (5, 9, "mcmullen"), (5, 10, "roudneff")])
+def test_block_pass_matches_the_per_record_path_around_a_block(r, n, command, count, mode):
+    # fresh: a new checkpoint; torn: resumed from the first half of the
+    # rows, the last of them torn; a wrong tope count: the middle record is
+    # the first with one sign flipped, which breaks its tope count
+    lines = [_record_text(r, n, s % GRID_SEEDS, "lex") for s in range(count)]
+    if mode == "wrong tope count":
+        lines[count // 2] = _flipped(lines[0])
+    argv = [command, "-r", str(r), "-n", str(n), "--k", "1", "--format", "json", "--base-order", "lex"]
+    checkpoint = "torn" if mode == "torn" else ""
+    code = _compare_in_blocks(argv, _database_text(lines, False, False), checkpoint, count // 2 + 1, 256)
+    assert (code == 2) == (mode == "wrong tope count")
+
+
+def count_records(monkeypatch):
+    """The ``DatabaseRecord``s built from now on, checked or not, as a
+    growing list."""
+    built = []
+    new, checked = harness.DatabaseRecord.__new__, harness._checked_record
+    monkeypatch.setattr(
+        harness.DatabaseRecord, "__new__", staticmethod(lambda cls, *args: built.append(args) or new(cls, *args))
+    )
+    monkeypatch.setattr(harness, "_checked_record", lambda fields: built.append(fields) or checked(fields))
+    return built
+
+
+@pytest.mark.parametrize("command", ["roudneff", "mcmullen"])
+def test_database_pass_builds_no_record(capsys, monkeypatch, tmp_path, command):
+    # 600 records run fresh, then resumed from the first 300 rows, the last
+    # of them torn
+    lines = [_record_text(4, 8, s % GRID_SEEDS, "lex") for s in range(600)]
+    db, ckpt = tmp_path / "db.txt", tmp_path / "ck.jsonl"
+    db.write_text("\n".join(lines) + "\n")
+    argv = [command, "-r", "4", "-n", "8", "--k", "1", "--file", str(db), "--checkpoint", str(ckpt)]
+    built = count_records(monkeypatch)
+    fresh = run(capsys, *argv)
+    rows = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(rows[:299]) + rows[299][:20])
+    assert run(capsys, *argv) == fresh and len(fresh[1].splitlines()) == 600
+    assert built == []
+    # both ways of building a record are counted
+    rec = next(parse_database(lines, 4, 8))
+    harness.DatabaseRecord(rec.id, 4, 8, rec.signs)
+    assert len(built) == 2
+
+
+def test_reduce_builds_no_record(capsys, monkeypatch, tmp_path):
+    db = tmp_path / "db47.txt"
+    db.write_text("\n".join(_record_text(4, 7, s, "lex") for s in range(300)) + "\n")
+    built = count_records(monkeypatch)
+    code, out, _ = run(capsys, "reduce", "-r", "5", "--k", "1", f"--db=4:7:{db}")
+    assert code == 0 and "rank 4, n=7: max m" in out
+    assert built == []

@@ -49,6 +49,18 @@ from conftest import (
 )
 
 
+def read_until_error(items):
+    """The items read before a ``FormatError``, and its message (None if
+    none was raised)."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except FormatError as exc:
+        return got, str(exc)
+    return got, None
+
+
 def db_lines(r, n, seeds, with_alternating=True):
     lines = ["# synthetic database"]
     if with_alternating:
@@ -105,6 +117,24 @@ class TestParseDatabase:
         chi = random_realizable(3, 5, seed=4)
         (rec,) = parse_database([serialize_colex(chi)], 3, 5, base_order="colex")
         assert record_chirotope(rec) == chi
+
+    @pytest.mark.parametrize("bad", [None, 12])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_records_are_the_rows_of_the_blocks(self, monkeypatch, size, bad):
+        # 15 lines with comments and a blank; a bad character on line 13
+        # lies in a later block at every size
+        lines = db_lines(4, 7, range(6)) + ["", "# y"] + db_lines(4, 7, range(6, 9))
+        if bad is not None:
+            lines[bad] = lines[bad][:-1] + "x"
+        monkeypatch.setattr(harness, "BLOCK_LINES", size)
+        records, record_error = read_until_error(parse_database(lines, 4, 7))
+        blocks, block_error = read_until_error(parse_database(lines, 4, 7, blocks=True))
+        assert record_error == block_error == (None if bad is None else "line 13: invalid characters ['x'] in chirotope text")
+        assert {(block.r, block.n) for block in blocks} == {(4, 7)}
+        assert all(0 < len(block.ids) <= size for block in blocks)
+        rows = [(i, row.tobytes()) for block in blocks for i, row in zip(block.ids.tolist(), block.signs)]
+        assert [(rec.id, rec.signs) for rec in records] == rows
+        assert [rec.id for rec in records] == [2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15][: 8 if bad else None]
 
 
 class TestComputeRows:
@@ -362,6 +392,82 @@ class TestReportRows:
         agg = new_aggregate("roudneff", 3, 6, 1)
         with pytest.raises(DomainError, match=r"mixed \(r, n\) .*\[\(3, 6\), \(4, 8\)\]"):
             next(report_rows(agg, recs))
+
+    def test_ids_in_any_order_resume_to_the_fresh_rows(self, recs, tmp_path):
+        # records out of id order, one id twice: each takes the stored row
+        # of its id, and only the others are computed and appended
+        shuffled = [recs[i] for i in (7, 2, 9, 0, 5, 2, 1, 8, 3, 6, 4)]
+        fresh = rows_of(report_rows(new_aggregate("mcmullen", 4, 8, 1), shuffled))
+        path = tmp_path / "ckpt.jsonl"
+        append_checkpoint(path, next(compute_rows([recs[2], recs[9], recs[4]])))
+        stored = path.read_text()
+        agg = new_aggregate("mcmullen", 4, 8, 1)
+        blocks = list(report_rows(agg, shuffled, path))
+        assert rows_of(blocks) == fresh
+        assert [flag for block in blocks for flag in block.stored.tolist()] == [
+            rec.id in (recs[2].id, recs[9].id, recs[4].id) for rec in shuffled
+        ]
+        appended = path.read_text()[len(stored) :].splitlines()
+        assert [json.loads(line)["id"] for line in appended] == [7 + 2, 0 + 2, 5 + 2, 1 + 2, 8 + 2, 3 + 2, 6 + 2]
+
+
+class TestVerdictRecount:
+    """A failing verdict is recounted from the signs of the records it
+    names before it is left to the caller."""
+
+    @pytest.fixture
+    def recs(self):
+        # (4, 8) at k = 1, c = 16: record 1 has m(M,1) = 4
+        return list(parse_database([random_realizable(4, 8, seed=s).serialize() for s in range(20)], 4, 8))
+
+    @pytest.mark.parametrize(
+        "kind,forged,blank",
+        [
+            ("roudneff", '{"id": 1, "ovector": [110, 18], "m": [128, 18], "attains": [true, false]}', False),
+            ("mcmullen", '{"id": 1, "ovector": [128, 0], "m": [128, 0], "attains": [true, false]}', False),
+            ("roudneff", '{"id": 1, "ovector": [110, 18], "m": [128, 18], "attains": [true, false]}', True),
+        ],
+    )
+    def test_forged_stored_row_named_with_its_line(self, recs, tmp_path, kind, forged, blank):
+        path = tmp_path / "ckpt.jsonl"
+        for block in compute_rows(recs):
+            append_checkpoint(path, block)
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0])["m"] == [128, 4]
+        lines[0] = forged
+        # a blank first line is skipped by the loader, and moves the row to line 2
+        path.write_text("\n" * blank + "\n".join(lines) + "\n")
+        stored = path.read_bytes()
+        m = json.loads(forged)["m"][1]
+        message = f"^record 1: m\\(M,1\\) recounts to 4, not the {m} of checkpoint line {1 + blank}$"
+        agg = new_aggregate(kind, 4, 8, 1)
+        with pytest.raises(FormatError, match=message):
+            list(report_rows(agg, recs, path))
+        assert path.read_bytes() == stored
+
+    def test_computed_row_that_does_not_recount_raises(self, recs, monkeypatch):
+        # with the bound at 0, every record is a counterexample at k = 0
+        monkeypatch.setattr(harness, "m_counts", lambda r, n, signs, k: np.full(len(signs), 2))
+        monkeypatch.setattr(harness, "c_value", lambda r, n, k: 0)
+        with pytest.raises(FormatError, match=r"^record 1: m\(M,0\) recounts to 2, not the 128 of its computed row$"):
+            roudneff_report(recs, 0)
+
+    def test_genuine_witnesses_recount_and_stand(self, monkeypatch):
+        # seed 1 at (3, 6) has m(M,1) = 0 (line 4); the recount agrees,
+        # unless it is made to disagree
+        recs = list(parse_database(db_lines(3, 6, [0, 1, 2]), 3, 6))
+        agg = mcmullen_report(recs, 1)
+        assert agg.summary()["verdict"] == "zero-m-witnesses" and agg.zero_ids == [recs[2].id] == [4]
+        monkeypatch.setattr(harness, "m_counts", lambda r, n, signs, k: np.full(len(signs), 2))
+        with pytest.raises(FormatError, match=r"^record 4: m\(M,1\) recounts to 2, not the 0 of its computed row$"):
+            mcmullen_report(recs, 1)
+
+    @pytest.mark.parametrize("kind,k", [("roudneff", 1), ("mcmullen", 0)])
+    def test_verdict_that_holds_recounts_nothing(self, recs, monkeypatch, kind, k):
+        monkeypatch.setattr(harness, "m_counts", lambda *args: pytest.fail("a record was recounted"))
+        agg = new_aggregate(kind, 4, 8, k)
+        list(report_rows(agg, recs))
+        assert agg.holds
 
 
 class TestRoudneffReport:
