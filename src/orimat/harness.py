@@ -24,6 +24,9 @@ a block of records, from the input text to the output text:
   and folds each block into one aggregate per verdict, with c-values from
   the module memo ``cyclic.c_value``.  Before a verdict that fails, it
   counts the records the verdict names again from their signs.
+- ``load_checkpoint`` reads exactly the lines ``append_checkpoint``
+  writes, one row per line, with one ``json.loads`` per ``BLOCK_LINES``
+  lines; any other line, blank or a row in another layout, is refused.
 
 Records given one at a time (``DatabaseRecord``) are packed into blocks once,
 where they enter ``compute_rows`` or ``report_rows`` (``_record_blocks``).
@@ -36,7 +39,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress, groupby, islice
+from itertools import accumulate, compress, groupby, islice, takewhile
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -88,20 +91,45 @@ _checked_record = partial(tuple.__new__, DatabaseRecord)
 @dataclass(frozen=True, eq=False)
 class RecordBlock:
     """Consecutive database records of one (r, n): their ids (int64) and
-    their lex-order signs (int8, rows x C(n, r)), each 1 or -1.  Blocks come
-    from the block parser of ``parse_database``, which checks the text, or
-    from ``_record_blocks``, which packs records checked when built, so no
-    sign is checked again."""
+    their lex-order signs (int8, rows x C(n, r)), each 1 or -1.  A block
+    built by hand is checked when built, each record as ``DatabaseRecord``
+    checks the bytes of its signs, and the first bad record raises naming
+    it; ids must be an int64 array.  Blocks from the block parser of ``parse_database``, which checks
+    the text, from ``_record_blocks``, which packs records checked when
+    built, and the cuts ``report_rows`` makes of them are built by
+    ``_checked_block``, so no sign is checked again."""
 
     r: int
     n: int
     ids: np.ndarray
     signs: np.ndarray
 
+    def __post_init__(self):
+        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype == np.int64 and self.ids.ndim == 1):
+            raise DomainError("record ids must be a 1-D int64 numpy array")
+        rows = np.ascontiguousarray(self.signs).view(np.uint8)  # the bytes of each record's signs
+        if rows.ndim != 2 or len(rows) > len(self.ids):
+            shape = np.shape(self.signs)
+            raise DomainError(f"{len(self.ids)} records need one row of signs each, not shape {shape}")
+        fits = 1 <= self.r <= self.n <= MAX_GROUND_SET and rows.shape[1] == comb(self.n, self.r)
+        bad = np.flatnonzero(~(np.isin(rows, (1, 0xFF)).all(axis=1) & fits))
+        first = int(bad[0]) if len(bad) else len(rows)
+        if first < len(self.ids):  # raises: the record's signs do not pass
+            signs = rows[first].tobytes() if first < len(rows) else b""
+            DatabaseRecord(int(self.ids[first]), self.r, self.n, signs)
+
     def records(self) -> Iterator[DatabaseRecord]:
         """The records one at a time, built from the checked signs."""
         for row_id, signs in zip(self.ids.tolist(), self.signs):
             yield _checked_record((row_id, self.r, self.n, signs.tobytes()))
+
+
+def _checked_block(r: int, n: int, ids: np.ndarray, signs: np.ndarray) -> RecordBlock:
+    """The block of signs that are already checked, built without checking
+    them again."""
+    block = object.__new__(RecordBlock)
+    block.__dict__.update(r=r, n=n, ids=ids, signs=signs)
+    return block
 
 
 def parse_database(
@@ -152,7 +180,7 @@ def _record_block(r: int, n: int, ids, signs: bytes) -> RecordBlock:
     """The block of the records ``ids`` whose checked signs are ``signs``,
     one record after another."""
     rows = np.frombuffer(signs, dtype=np.int8).reshape(len(ids), -1)
-    return RecordBlock(r, n, np.asarray(ids, dtype=np.int64), rows)
+    return _checked_block(r, n, np.asarray(ids, dtype=np.int64), rows)
 
 
 def _record_blocks(items: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[RecordBlock]:
@@ -349,7 +377,7 @@ def mcmullen_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> 
 
 def _report(kind, records, k):
     records = list(records)
-    if not records:
+    if not any(len(x.ids) if isinstance(x, RecordBlock) else 1 for x in records):
         raise DomainError("empty database")
     agg = new_aggregate(kind, records[0].r, records[0].n, k)
     for _ in report_rows(agg, records):
@@ -380,21 +408,21 @@ def report_rows(
     the caller.
     """
     r, n = agg.r, agg.n
-    empty = RecordBlock(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
+    empty = _checked_block(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
     blocks = list(_record_blocks(records)) or [empty]
     shapes = {(block.r, block.n) for block in blocks} | {(r, n)}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     # the whole database as one block, so that the records not stored are
     # one cut from it
-    whole = RecordBlock(
+    whole = _checked_block(
         r, n, np.concatenate([b.ids for b in blocks]), np.concatenate([b.signs for b in blocks])
     )
     ids = whole.ids
     m = np.zeros((len(ids), (r + 1) // 2), dtype=np.int64)
-    stored = np.zeros(len(ids), dtype=bool)
+    line = np.zeros(len(ids), dtype=np.int64)  # each record's checkpoint line, 0 for none
     if checkpoint:
-        prior = load_checkpoint(checkpoint, r, n)
+        prior = load_checkpoint(checkpoint, r, n)  # one row per line, in file order
         order = np.argsort(prior.ids, kind="stable")
         known = prior.ids[order]  # ids of the stored rows, sorted; each once
         unknown = known[~np.isin(known, ids)]
@@ -404,11 +432,13 @@ def report_rows(
             )
         if len(known):
             at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
-            stored = known[at] == ids
-            m[stored] = prior.m[order[at[stored]]]
+            found = known[at] == ids
+            line[found] = order[at[found]] + 1
+            m[found] = prior.m[line[found] - 1]
+    stored = line > 0
     sink = None  # the checkpoint, opened for the first computed row
     try:
-        todo = whole if not stored.any() else RecordBlock(r, n, ids[~stored], whole.signs[~stored])
+        todo = whole if not stored.any() else _checked_block(r, n, ids[~stored], whole.signs[~stored])
         computed = compute_rows([todo])
         for block in _merged_blocks(r, n, ids, m, stored, computed):
             if checkpoint and not block.stored.all():
@@ -420,7 +450,7 @@ def report_rows(
         if sink:
             sink.close()
     if not agg.holds:
-        _recount_named(agg, whole, m, stored, checkpoint)
+        _recount_named(agg, whole, m, line)
 
 
 def _merged_blocks(r, n, ids, m, stored, computed) -> Iterator[RowBlock]:
@@ -442,13 +472,13 @@ def _merged_blocks(r, n, ids, m, stored, computed) -> Iterator[RowBlock]:
         taken += len(block.ids)
 
 
-def _recount_named(agg, whole: RecordBlock, m, stored, checkpoint):
+def _recount_named(agg, whole: RecordBlock, m, line):
     """Refuse a failing verdict unless each record it names counts again,
     from its signs, to the m(M,k) of its row.  ``m_counts`` grows at level
     k+1: at a dense size another engine than the table fold that made the
     rows, and at any size a check that a stored row belongs to its record.
     A mismatch raises naming the record and, for a stored row, its
-    checkpoint line."""
+    checkpoint line (``line``, 0 for a computed row)."""
     k = agg.k
     named = np.flatnonzero(agg.named(m[:, k]))
     if not len(named):
@@ -458,18 +488,9 @@ def _recount_named(agg, whole: RecordBlock, m, stored, checkpoint):
     if len(wrong):
         i = int(named[wrong[0]])
         row_id = int(whole.ids[i])
-        row = f"checkpoint line {_checkpoint_line(checkpoint, row_id)}" if stored[i] else "its computed row"
+        row = f"checkpoint line {line[i]}" if line[i] else "its computed row"
         got, kept = int(recount[wrong[0]]), int(m[i, k])
         raise FormatError(f"record {row_id}: m(M,{k}) recounts to {got}, not the {kept} of {row}")
-
-
-def _checkpoint_line(path: str | Path, row_id: int) -> int | None:
-    """The line number of the row of ``row_id`` in a checkpoint that
-    ``load_checkpoint`` has read."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip() and json.loads(line)["id"] == row_id:
-                return lineno
 
 
 @dataclass(frozen=True)
@@ -622,28 +643,34 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
 
 
 def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
-    """Stored rows of an interrupted run at (r, n), in file order, as one
-    block; none if the file does not exist.
+    """Stored rows of an interrupted run at (r, n), one per line, in file
+    order, as one block; none if the file does not exist.
 
-    Each append writes whole lines, so a final line without its newline
-    was cut short.  Once every other line has passed, it is dropped and cut
-    from the file, so the next append starts a fresh line; its record is
-    simply computed again.  Any other line that is not a complete row of a
-    uniform matroid at (r, n) (``_checkpoint_error``), has an id that is not
-    a 64-bit JSON integer, or repeats an id, raises ``FormatError`` with its
-    line number and leaves the file as it was.
-    """
+    Each append writes whole lines, so a final line without its newline was
+    cut short.  Once every other line has passed, it is dropped and cut from
+    the file, so the next append starts a fresh line; its record is simply
+    computed again.  The first other line that is not the line
+    ``append_checkpoint`` writes for a row of a new id raises
+    ``FormatError`` naming it, and leaves the file as it was."""
     p = Path(path)
     if not p.exists():
         return _stored_block(r, n, [], [])
     data = p.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
-    block = _rows_at_once(lines, r, n)
-    if block is None:
-        block = _rows_one_at_a_time(lines, r, n)
+    chunks = (lines[start : start + BLOCK_LINES] for start in range(0, len(lines), BLOCK_LINES))
+    passed = takewhile(lambda block: block is not None, (_rows_at_once(chunk, r, n) for chunk in chunks))
+    blocks = [_stored_block(r, n, [], []), *passed]
+    # a line that repeats an id comes before any line of a refused chunk
+    ids = np.concatenate([block.ids for block in blocks])
+    first = np.unique(ids, return_index=True)[1]  # the first line of each id
+    if len(first) < len(ids):
+        i = int(np.flatnonzero(~np.isin(np.arange(len(ids)), first))[0])
+        raise FormatError(f"checkpoint line {i + 1}: duplicate id {ids[i]}")
+    if len(ids) < len(lines):  # a chunk was refused; each line before it holds a row
+        _refuse_line(lines[len(ids) : len(ids) + BLOCK_LINES], len(ids), set(ids.tolist()), r, n)
     if tail:
         os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
-    return block
+    return _stored_block(r, n, ids, np.concatenate([block.m for block in blocks]))
 
 
 def _stored_block(r: int, n: int, ids, m) -> RowBlock:
@@ -651,51 +678,29 @@ def _stored_block(r: int, n: int, ids, m) -> RowBlock:
     return RowBlock(r, n, np.array(ids, dtype=np.int64), m, np.ones(len(ids), dtype=bool))
 
 
-def _rows_at_once(lines: list[str], r: int, n: int) -> RowBlock | None:
+def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
     """The rows of checkpoint lines that are each exactly the line that
-    ``append_checkpoint`` writes for its row, parsed with one ``json.loads``
-    per ``BLOCK_LINES`` lines and checked as arrays; None for any other
-    file.  Such a line holds one JSON object with an integer id, m of one
-    width with m(M,0) the tope count and non-increasing down to a
-    non-negative entry, and the o-vector and ``attains`` that follow from
-    m, so every line passes ``_rows_one_at_a_time`` as well, to the same
-    row."""
-    blocks = [_stored_block(r, n, [], [])]
-    for start in range(0, len(lines), BLOCK_LINES):
-        chunk = lines[start : start + BLOCK_LINES]
-        try:
-            parsed = json.loads(f"[{','.join(chunk)}]")
-            block = _stored_block(r, n, [row["id"] for row in parsed], [row["m"] for row in parsed])
-        except (ValueError, TypeError, KeyError, OverflowError):
-            return None
-        m = block.m
-        if (
-            (m[:, 0] != tope_count_uniform(r, n)).any()
-            or (m[:, 1:] > m[:, :-1]).any()
-            or (m[:, -1] < 0).any()
-            or block.lines("json") != chunk
-        ):
-            return None
-        blocks.append(block)
-    ids = np.concatenate([block.ids for block in blocks])
-    if len(set(ids.tolist())) != len(ids):
+    ``append_checkpoint`` writes for its row, with one ``json.loads`` and
+    array checks; None for any other chunk.  Such a line holds an integer
+    id, m with m(M,0) the tope count, and the o-vector (non-negative) and
+    ``attains`` that follow from m."""
+    try:
+        parsed = json.loads(f"[{','.join(chunk)}]")
+        block = _stored_block(r, n, [row["id"] for row in parsed], [row["m"] for row in parsed])
+    except (ValueError, TypeError, KeyError, OverflowError):
         return None
-    return _stored_block(r, n, ids, np.concatenate([block.m for block in blocks]))
+    if (block.m[:, 0] != tope_count_uniform(r, n)).any() or (block.ovector < 0).any():
+        return None
+    return block if block.lines("json") == chunk else None
 
 
-def _rows_one_at_a_time(lines: list[str], r: int, n: int) -> RowBlock:
-    """The rows of checkpoint lines, one ``json.loads`` and one
-    ``_checkpoint_error`` per line, blank lines skipped; the first line
-    that is not a row raises with its line number."""
-    ids: list[int] = []
-    ms: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    if any(map(str.strip, lines)):
-        topes = tope_count_uniform(r, n)
-        c_values = _c_values(r, n)
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+def _refuse_line(chunk: list[str], start: int, seen: set[int], r: int, n: int):
+    """Raise naming the first line of a chunk that ``_rows_at_once``
+    refused (numbered from ``start`` + 1) that is not a row at (r, n),
+    repeats an id of ``seen``, or is a row in another layout; every refused
+    chunk holds one."""
+    topes, c_values = tope_count_uniform(r, n), _c_values(r, n)
+    for lineno, line in enumerate(chunk, start + 1):
         try:
             d = json.loads(line)
             row_id, ovector, m, attains = d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
@@ -710,10 +715,9 @@ def _rows_one_at_a_time(lines: list[str], r: int, n: int) -> RowBlock:
             raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
         if row_id in seen:
             raise FormatError(f"checkpoint line {lineno}: duplicate id {row_id}")
+        if line != _stored_block(r, n, [row_id], [m]).lines("json")[0]:
+            raise FormatError(f"checkpoint line {lineno}: row {row_id} is not in the layout a run writes")
         seen.add(row_id)
-        ids.append(row_id)
-        ms.append(m)
-    return _stored_block(r, n, ids, ms)
 
 
 def _checkpoint_error(

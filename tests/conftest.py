@@ -306,16 +306,16 @@ def row_oracle(row_id, r, n, signs):
 
 
 def load_checkpoint_oracle(path, r, n):
-    """The stored rows of a checkpoint by id, one line at a time; a torn
+    """The stored rows of a checkpoint by id, one line at a time: a line is
+    a row only if it is ``ReportRow.to_json()`` of its id and m.  A torn
     final line is cut once every other line has passed."""
     if not path.exists():
         return {}
     data = path.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
+    c_values = [c_value(r, n, k) for k in range((r + 1) // 2)]
     rows = {}
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         try:
             d = json.loads(line)
             row = ReportRow(d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"]))
@@ -325,7 +325,6 @@ def load_checkpoint_oracle(path, r, n):
             raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row.id)} is not an integer")
         if not -(2**63) <= row.id < 2**63:
             raise FormatError(f"checkpoint line {lineno}: id {row.id} is out of range")
-        c_values = [c_value(r, n, k) for k in range((r + 1) // 2)]
         error = harness._checkpoint_error(
             row.ovector, row.m, row.attains, tope_count_uniform(r, n), c_values
         )
@@ -333,6 +332,10 @@ def load_checkpoint_oracle(path, r, n):
             raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
         if row.id in rows:
             raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
+        ovector = tuple(a - b for a, b in zip(row.m, row.m[1:] + (0,)))
+        written = ReportRow(row.id, ovector, row.m, tuple(m == c for m, c in zip(row.m, c_values)))
+        if line != written.to_json():
+            raise FormatError(f"checkpoint line {lineno}: row {row.id} is not in the layout a run writes")
         rows[row.id] = row
     if tail:
         path.write_bytes(data[: len(data) - len(tail.encode("utf-8", "surrogateescape"))])

@@ -334,6 +334,44 @@ class TestBatchedRows:
         with pytest.raises(DomainError, match=r"^record 7: invalid rank/size \(0, 4\)$"):
             DatabaseRecord(7, 0, 4, b"\x01")
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "signs x2", "second record's signs x2", "an id without signs", "rows 69 wide", "int64 signs",
+            "float ids", "ids in a list",
+        ],
+    )
+    def test_hand_built_bad_block_refused_when_built(self, case):
+        # each record of a block built by hand is checked as DatabaseRecord
+        # checks it, from the bytes of its row of signs
+        rec = next(parse_database(db_lines(4, 8, [0], with_alternating=False), 4, 8))
+        row = np.frombuffer(rec.signs, dtype=np.int8)[None]
+        one, two = np.array([1]), np.array([1, 2])
+        uniform = r"chirotope signs must be \+1/-1 \(uniform only\)"
+        not_ids = "record ids must be a 1-D int64 numpy array"
+        ids, signs, error, message = {
+            "signs x2": (one, row * 2, NonUniformError, f"record 1: {uniform}"),
+            "second record's signs x2": (two, np.vstack([row, row * 2]), NonUniformError, f"record 2: {uniform}"),
+            "an id without signs": (two, row, DomainError, "record 2: expected 70 signs, got 0"),
+            "rows 69 wide": (one, row[:, :69], DomainError, "record 1: expected 70 signs, got 69"),
+            "int64 signs": (one, row.astype(np.int64), DomainError, "record 1: expected 70 signs, got 560"),
+            "float ids": (np.array([1.5]), row, DomainError, not_ids),
+            "ids in a list": ([1], row, DomainError, not_ids),
+        }[case]
+        with pytest.raises(error, match=f"^{message}$"):
+            harness.RecordBlock(4, 8, ids, signs)
+
+    def test_parsed_blocks_and_their_cuts_not_checked_again(self, tmp_path, monkeypatch):
+        lines = db_lines(4, 8, range(5))
+        blocks = list(parse_database(lines, 4, 8, blocks=True))
+        recs = list(parse_database(lines, 4, 8))
+        fresh = rows_of(report_rows(new_aggregate("roudneff", 4, 8, 1), recs))
+        path = tmp_path / "ckpt.jsonl"
+        append_checkpoint(path, next(compute_rows(recs[:2])))
+        monkeypatch.setattr(harness.RecordBlock, "__post_init__", lambda self: pytest.fail("checked again"))
+        for database in (blocks, recs):
+            assert rows_of(report_rows(new_aggregate("roudneff", 4, 8, 1), database, path)) == fresh
+
 
 def take(block, rows):
     """The rows ``rows`` (an index or slice) of a block, as a block."""
@@ -435,15 +473,30 @@ class TestVerdictRecount:
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["m"] == [128, 4]
         lines[0] = forged
-        # a blank first line is skipped by the loader, and moves the row to line 2
+        # a blank first line is no line append_checkpoint writes: refused at load
         path.write_text("\n" * blank + "\n".join(lines) + "\n")
         stored = path.read_bytes()
         m = json.loads(forged)["m"][1]
-        message = f"^record 1: m\\(M,1\\) recounts to 4, not the {m} of checkpoint line {1 + blank}$"
+        message = f"^record 1: m\\(M,1\\) recounts to 4, not the {m} of checkpoint line 1$"
+        if blank:
+            message = r"^checkpoint line 1: not a report row \(Expecting value: line 1 column 1 \(char 0\)\)$"
         agg = new_aggregate(kind, 4, 8, 1)
         with pytest.raises(FormatError, match=message):
             list(report_rows(agg, recs, path))
         assert path.read_bytes() == stored
+
+    def test_forged_stored_row_named_with_a_later_line(self, recs, tmp_path):
+        # record 1's row last in the file: the recount names its line, the
+        # row's place in the file, not its id
+        path = tmp_path / "ckpt.jsonl"
+        for block in compute_rows(recs):
+            append_checkpoint(path, block)
+        lines = path.read_text().splitlines()
+        lines = lines[1:] + ['{"id": 1, "ovector": [110, 18], "m": [128, 18], "attains": [true, false]}']
+        path.write_text("\n".join(lines) + "\n")
+        message = f"^record 1: m\\(M,1\\) recounts to 4, not the 18 of checkpoint line {len(lines)}$"
+        with pytest.raises(FormatError, match=message):
+            list(report_rows(new_aggregate("roudneff", 4, 8, 1), recs, path))
 
     def test_computed_row_that_does_not_recount_raises(self, recs, monkeypatch):
         # with the bound at 0, every record is a counterexample at k = 0
@@ -490,6 +543,19 @@ class TestRoudneffReport:
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="empty"):
             roudneff_report([], 1)
+
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_database_without_rows_refused(self, blocks):
+        # no records, or only blocks of none: no verdict from no rows
+        def database(r, n):
+            empty = harness.RecordBlock(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, comb(n, r)), dtype=np.int8))
+            return [empty] * blocks
+
+        for report in (roudneff_report, mcmullen_report):
+            with pytest.raises(DomainError, match="^empty database$"):
+                report(database(4, 8), 1)
+        with pytest.raises(DomainError, match="^empty database$"):
+            finite_reduction_check(5, 1, {(4, 7): database(4, 7), (5, 9): database(5, 9)})
 
     def test_k_out_of_range(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
@@ -801,19 +867,24 @@ class TestCheckpoint:
             load_checkpoint(path, 3, 6)
         assert path.read_bytes() == data
 
-    def test_lines_in_another_layout_read_one_at_a_time(self, tmp_path):
-        # valid rows that are not byte for byte what append_checkpoint
-        # writes load to the same rows
-        path = tmp_path / "ckpt.jsonl"
-        rows = [dict(self.FITS, id=i) for i in (4, 2, 9)]
-        path.write_text(
-            json.dumps(rows[0]) + "\n"
-            + json.dumps(rows[1], separators=(",", ":")) + "\r\n"
-            + "\n"
-            + json.dumps(dict(rows[2], note="x")) + "\n"
-        )
-        expected = [ReportRow(i, (30, 2), (32, 2), (True, True)) for i in (4, 2, 9)]
-        assert rows_of([load_checkpoint(path, 3, 6)]) == expected
+    def test_lines_in_another_layout_refused(self, tmp_path):
+        # a checkpoint holds only the lines append_checkpoint writes: a
+        # valid row in another layout, or a blank line, is refused naming
+        # its line, and the file, torn final line included, is left as it was
+        first, row = json.dumps(dict(self.FITS, id=4)), dict(self.FITS, id=2)
+        layout = "checkpoint line 2: row 2 is not in the layout a run writes"
+        for line, message in [
+            (json.dumps(row, separators=(",", ":")), layout),
+            (json.dumps(row) + "\r", layout),
+            (json.dumps(dict(row, note="x")), layout),
+            ("", "checkpoint line 2: not a report row (Expecting value: line 1 column 1 (char 0))"),
+        ]:
+            path = tmp_path / "ckpt.jsonl"
+            data = f"{first}\n{line}\n{json.dumps(dict(self.FITS, id=9))}\n" + '{"id": 3, "ov'
+            path.write_bytes(data.encode())
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                load_checkpoint(path, 3, 6)
+            assert path.read_bytes() == data.encode()
 
     def test_duplicate_id_raises(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -821,6 +892,16 @@ class TestCheckpoint:
         append_checkpoint(path, first)
         append_checkpoint(path, first)
         with pytest.raises(FormatError, match="line 2: duplicate id"):
+            load_checkpoint(path, 3, 6)
+
+    @pytest.mark.parametrize("ids,line", [((1, 2, 3, 1, 5), 4), ((1, 2, 3, 4, 1), 5)])
+    def test_first_repeat_named_before_a_later_bad_line(self, tmp_path, monkeypatch, ids, line):
+        # blocks of two lines, the last block refused for its bad line 6: a
+        # repeat in an earlier block, or earlier in that block, is named
+        monkeypatch.setattr(harness, "BLOCK_LINES", 2)
+        path = tmp_path / "ckpt.jsonl"
+        path.write_text("".join(json.dumps(dict(self.FITS, id=i)) + "\n" for i in ids) + "{\n")
+        with pytest.raises(FormatError, match=f"^checkpoint line {line}: duplicate id 1$"):
             load_checkpoint(path, 3, 6)
 
     # a (3, 6) row: 32 topes, c_3(6, 0) = 32 and c_3(6, 1) = 2
