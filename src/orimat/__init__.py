@@ -9,12 +9,9 @@ from .chirotope import (
     random_realizable,
 )
 from .circuits import (
-    AxiomReport,
     CircuitSet,
-    check_circuit_axioms,
     circuits_from_chirotope,
     cocircuits,
-    is_face,
 )
 from .constructions import (
     ReorientationWitness,
@@ -24,12 +21,9 @@ from .constructions import (
 )
 from .cyclic import (
     CValueTable,
-    big_O,
     c_value,
-    is_cyclic_tope,
     o_vector_closed,
     o_vector_small,
-    ort_cyclic,
     tope_count_uniform,
 )
 from .harness import (
@@ -60,9 +54,7 @@ from .errors import (
 )
 from .neighborly import (
     OVector,
-    ball_k_neighborly,
     enumerate_topes,
-    is_tope,
     m_value,
     o_vector,
     ort,
@@ -70,10 +62,8 @@ from .neighborly import (
     tope_graph_edges,
 )
 from .signvec import (
-    BlockProfile,
     OrthogonalityDegree,
     SignVector,
-    block_profile,
     orthogonality_degree,
 )
 
@@ -85,12 +75,9 @@ __all__ = [
     "parse_chirotope",
     "random_realizable",
     # circuits
-    "AxiomReport",
     "CircuitSet",
-    "check_circuit_axioms",
     "circuits_from_chirotope",
     "cocircuits",
-    "is_face",
     # constructions
     "ReorientationWitness",
     "composite_construction",
@@ -98,12 +85,9 @@ __all__ = [
     "search_k_neighborly",
     # cyclic
     "CValueTable",
-    "big_O",
     "c_value",
-    "is_cyclic_tope",
     "o_vector_closed",
     "o_vector_small",
-    "ort_cyclic",
     "tope_count_uniform",
     # harness
     "AuditTriple",
@@ -131,19 +115,15 @@ __all__ = [
     "OrimatError",
     # neighborly
     "OVector",
-    "ball_k_neighborly",
     "enumerate_topes",
-    "is_tope",
     "m_value",
     "o_vector",
     "ort",
     "tope_count",
     "tope_graph_edges",
     # signvec
-    "BlockProfile",
     "OrthogonalityDegree",
     "SignVector",
-    "block_profile",
     "orthogonality_degree",
 ]
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Circuits and cocircuits of a uniform chirotope, the circuit-axiom oracle,
-and the Las Vergnas face test.
+"""Circuits and cocircuits of a uniform chirotope, derived with one gather
+through a cached facet table and packed into sign masks.
 
 Circuits are stored one representative per antipodal pair, normalized so the
 smallest support element carries +.  In a uniform rank-r matroid the circuit
@@ -8,7 +8,7 @@ supports are exactly the (r+1)-subsets of [n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -17,7 +17,7 @@ import numpy as np
 
 from .chirotope import Chirotope
 from .errors import DomainError, EmptyCircuitSetError
-from .signvec import SignVector, _mask_from_elements
+from .signvec import SignVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,60 +143,3 @@ def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
 def cocircuits(chi: Chirotope) -> CircuitSet:
     """Cocircuits of chi = circuits of its dual (supports of size n-r+1)."""
     return circuits_from_chirotope(chi.dual())
-
-
-@dataclass
-class AxiomReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_circuit_axioms(members: tuple[SignVector, ...]) -> AxiomReport:
-    """Brute-force check of the circuit axioms on a set closed-under-negation
-    candidate family:
-
-    (C0) no empty member, (C1) closure under negation, (C2) support-comparable
-    members equal up to sign, (C3) elimination for every pair and pivot.
-    """
-    violations = []
-    family = set(members)
-    for x in members:
-        if x.support_mask == 0:
-            violations.append("C0: empty sign vector present")
-            break
-    for x in members:
-        if -x not in family:
-            violations.append(f"C1: negation of {x} missing")
-    for x, y in combinations(members, 2):
-        if x.support_mask & ~y.support_mask == 0 or y.support_mask & ~x.support_mask == 0:
-            if x != y and x != -y:
-                violations.append(f"C2: comparable supports, {x} vs {y}")
-    for x in members:
-        for y in members:
-            if x == -y:
-                continue
-            pivots = x.plus & y.minus
-            while pivots:
-                e_bit = pivots & -pivots
-                pivots ^= e_bit
-                zp_bound = (x.plus | y.plus) & ~e_bit
-                zm_bound = (x.minus | y.minus) & ~e_bit
-                if not any(
-                    z.plus & ~zp_bound == 0 and z.minus & ~zm_bound == 0
-                    for z in members
-                ):
-                    violations.append(
-                        f"C3: no eliminant for {x}, {y} at element {e_bit.bit_length()}"
-                    )
-    return AxiomReport(not violations, violations)
-
-
-def is_face(cs: CircuitSet, f_set) -> bool:
-    """Las Vergnas face test: the vector positive off F and zero on F must be
-    orthogonal to every circuit X, that is X^+ and X^- meet [n] \\ F both or
-    neither."""
-    off = np.uint64(((1 << cs.n) - 1) & ~_mask_from_elements(f_set, cs.n))
-    return bool((((cs.plus & off) == 0) == ((cs.minus & off) == 0)).all())

@@ -61,13 +61,15 @@ BLOCK_LINES = 1 << 8
 
 
 class DatabaseRecord(namedtuple("DatabaseRecord", "id r n signs")):
-    """One database line, checked when built: ``signs`` holds C(n, r) signs
-    in lex order, each byte 1 or -1 (0xff), as ``parse_signs`` returns
-    them, so the record is never parsed again."""
+    """One database line, checked when built: ``signs`` is bytes holding
+    C(n, r) signs in lex order, each byte 1 or -1 (0xff), as ``parse_signs``
+    returns them, so the record is never parsed again."""
 
     __slots__ = ()
 
     def __new__(cls, id: int, r: int, n: int, signs: bytes):
+        if not isinstance(signs, bytes):
+            raise DomainError(f"record {id}: signs must be bytes, not {type(signs).__name__}")
         if not (
             1 <= r <= n <= MAX_GROUND_SET
             and len(signs) == comb(n, r)
@@ -94,10 +96,10 @@ class RecordBlock:
     their lex-order signs (int8, rows x C(n, r)), each 1 or -1.  A block
     built by hand is checked when built, each record as ``DatabaseRecord``
     checks the bytes of its signs, and the first bad record raises naming
-    it; ids must be an int64 array.  Blocks from the block parser of ``parse_database``, which checks
-    the text, from ``_record_blocks``, which packs records checked when
-    built, and the cuts ``report_rows`` makes of them are built by
-    ``_checked_block``, so no sign is checked again."""
+    it; ids must be an int64 array.  Blocks from the block parser of
+    ``parse_database``, which checks the text, from ``_record_blocks``, which
+    packs records checked when built, and the cuts ``report_rows`` makes of
+    them are built by ``_checked_block``, so no sign is checked again."""
 
     r: int
     n: int

@@ -1,5 +1,5 @@
-"""The enumeration core: ort, topes, o-vectors, m(M,k), the hypercube-ball
-criterion, and tope-graph export.
+"""The enumeration core: ort, topes, o-vectors, m(M,k) and tope-graph
+export.
 
 Enumerations cover the sign vectors with element 1 fixed to + (antipodal
 symmetry is exact, so every count is doubled).  ``_ort_of`` is the one
@@ -10,9 +10,9 @@ ort = min over circuits of min(sep, r+1 - sep): every circuit of a uniform
 rank-r matroid has r+1 elements, so its agreements with a full sign vector
 are r+1 - sep.  It is used in two ways:
 
-- Every enumeration outside the dense database batches, single sign
-  vectors and the ball test pass masks (``_ort_masks``) in tiles of about
-  TILE_BYTES of masks: table = supp(X) & M and pattern = X^-.
+- Single sign vectors and every enumeration outside the dense database
+  batches pass masks (``_ort_masks``) in tiles of about TILE_BYTES of
+  masks: table = supp(X) & M and pattern = X^-.
 - Database batches at a dense size (``is_dense``: the full sweep is at most
   DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
   read the level-bit table (``_level_table``), the bitsets of the
@@ -88,12 +88,6 @@ def ort(cs: CircuitSet, t: SignVector) -> int:
         raise DomainError("ort requires a full-support sign vector")
     masks = np.array([t.minus], dtype=np.uint64)
     return int(_ort_masks(cs.plus | cs.minus, cs.minus[:, None], masks, None, cs.r + 1)[0])
-
-
-def is_tope(cs: CircuitSet, t: SignVector) -> bool:
-    """True iff t is full and orthogonal to every circuit."""
-    cs.require_nonempty()
-    return t.is_full() and ort(cs, t) > 0
 
 
 def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
@@ -233,9 +227,13 @@ def _grown_counts(r: int, n: int, signs: np.ndarray, level: int) -> np.ndarray:
 
 
 def check_k(r: int, k: int, lo: int = 0):
-    """Refuse a level k outside [lo, floor((r-1)/2)], the range at rank r."""
-    if not lo <= k <= (r - 1) // 2:
-        raise DomainError(f"k={k} outside [{lo}, {(r - 1) // 2}]")
+    """Refuse a level k outside [lo, floor((r-1)/2)], the range at rank r;
+    only the constructions ask for lo > 0, and that range can be empty."""
+    hi = (r - 1) // 2
+    if lo > hi:
+        raise DomainError(f"rank {r} admits only k <= {hi}, and the construction needs k >= {lo}")
+    if not lo <= k <= hi:
+        raise DomainError(f"k={k} outside [{lo}, {hi}]")
 
 
 def check_enumeration_size(r: int, n: int):
@@ -408,33 +406,6 @@ def m_value(cs: CircuitSet, k: int) -> int:
     check_k(cs.r, k)
     cs.require_nonempty()
     return int(2 * _ort_counts(cs.r, cs.n, cs.minus[None], k + 1)[0, k + 1 :].sum())
-
-
-def ball_k_neighborly(cs: CircuitSet, t: SignVector, k: int) -> bool:
-    """True iff every sign vector within Hamming distance k of t is a tope,
-    i.e. the radius-k ball around t in the tope graph is a full cube ball."""
-    if not is_tope(cs, t):
-        raise DomainError("ball criterion requires a tope")
-    # k beyond floor((r-1)/2) is allowed and simply comes out False
-    if not 0 <= k <= cs.n:
-        raise DomainError(f"k={k} outside [0, {cs.n}]")
-    flips = sum(comb(cs.n, d) for d in range(1, k + 1))
-    _check_budget(len(cs.plus) * flips, flips)
-    flipped = np.uint64(t.minus) ^ _flip_masks(cs.n, k)
-    orts = _ort_masks(cs.plus | cs.minus, cs.minus[:, None], flipped, None, cs.r + 1)
-    return bool((orts > 0).all())
-
-
-def _flip_masks(n: int, k: int) -> np.ndarray:
-    """Every mask over n elements with 1..k bits set (uint64), built one
-    bit count at a time by adding a bit above the highest one."""
-    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    level = np.zeros(1, dtype=np.uint64)
-    levels = [np.zeros(0, dtype=np.uint64)]
-    for _ in range(k):
-        level = np.concatenate([level[level < bit] | bit for bit in bits])
-        levels.append(level)
-    return np.concatenate(levels)
 
 
 def check_tope_graph_size(n: int):

@@ -1,6 +1,6 @@
 """Sign vectors in {+,-,0}^[n] as pairs of bit masks, plus the bit-parallel
 primitives everything else is built on: separation/agreement counts,
-orthogonality degree, reorientation, and block structure.
+orthogonality degree and reorientation.
 
 Elements are named 1..n in all public I/O; internally bit i of a mask stands
 for element i+1.  n is capped at 64 so a single machine word suffices.
@@ -136,6 +136,7 @@ class OrthogonalityDegree(NamedTuple):
     degree: int
 
 
+# The benchmark's traced run (perfbench/spans.py) looks this up by name.
 def orthogonality_degree(x: SignVector, y: SignVector) -> OrthogonalityDegree:
     """Separation |S(X,Y)|, agreement |H(X,Y)| and their minimum.
 
@@ -146,31 +147,3 @@ def orthogonality_degree(x: SignVector, y: SignVector) -> OrthogonalityDegree:
     sep = ((x.plus & y.minus) | (x.minus & y.plus)).bit_count()
     agr = ((x.plus & y.plus) | (x.minus & y.minus)).bit_count()
     return OrthogonalityDegree(sep, agr, min(sep, agr))
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Maximal runs of equal consecutive signs in a full sign vector."""
-
-    m: int
-    sizes: tuple[int, ...]
-    b_even: int
-    b_odd: int
-
-
-def block_profile(t: SignVector) -> BlockProfile:
-    """Left-to-right blocks of a full sign vector."""
-    if not t.is_full():
-        raise DomainError("block profile requires a zero-free sign vector")
-    sizes = []
-    run = 1
-    for i in range(1, t.n):
-        same = bool(t.plus >> i & 1) == bool(t.plus >> (i - 1) & 1)
-        if same:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    b_even = sum(1 for s in sizes if s % 2 == 0)
-    return BlockProfile(len(sizes), tuple(sizes), b_even, len(sizes) - b_even)

@@ -15,13 +15,14 @@ from orimat import (
     SignVector,
     c_value,
     circuits_from_chirotope,
-    harness,
     neighborly,
     orthogonality_degree,
+    ort,
     tope_count_uniform,
 )
 from orimat.chirotope import parse_signs
 from orimat.circuits import CircuitSet
+from orimat.cyclic import alternating_circuits
 
 
 def all_full_vectors(n):
@@ -154,7 +155,7 @@ def face_oracle(cs, f_set):
     """Las Vergnas face test one circuit at a time through the scalar
     degree: the vector positive off F and zero on F is orthogonal to every
     circuit (separations and agreements both zero or both nonzero)."""
-    f_mask = sum(1 << (e - 1) for e in f_set)
+    f_mask = SignVector.from_elements(cs.n, plus=f_set).plus
     y = SignVector(cs.n, ((1 << cs.n) - 1) & ~f_mask, 0)
     for x in cs.members:
         sep, agr, _ = orthogonality_degree(x, y)
@@ -164,12 +165,121 @@ def face_oracle(cs, f_set):
 
 
 def ball_oracle(cs, t, k):
-    """Every flip of 1..k coordinates of t is a tope, by the scalar ort."""
+    """Every flip of 1..k coordinates of the tope t is a tope, by the scalar
+    ort: the radius-k ball around t in the tope graph is a full cube ball.
+    A sign vector that is not a tope has no such ball and is refused."""
+    if ort_oracle(cs.members, t) == 0:
+        raise DomainError("ball criterion requires a tope")
     return all(
         ort_oracle(cs.members, t.reorient(flip)) > 0
         for d in range(1, k + 1)
         for flip in itertools.combinations(range(1, cs.n + 1), d)
     )
+
+
+@dataclass
+class AxiomReport:
+    ok: bool
+    violations: list = field(default_factory=list)
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_circuit_axioms(members):
+    """Brute-force check of the circuit axioms on a set closed-under-negation
+    candidate family:
+
+    (C0) no empty member, (C1) closure under negation, (C2) support-comparable
+    members equal up to sign, (C3) elimination for every pair and pivot.
+    """
+    violations = []
+    family = set(members)
+    for x in members:
+        if x.support_mask == 0:
+            violations.append("C0: empty sign vector present")
+            break
+    for x in members:
+        if -x not in family:
+            violations.append(f"C1: negation of {x} missing")
+    for x, y in itertools.combinations(members, 2):
+        if x.support_mask & ~y.support_mask == 0 or y.support_mask & ~x.support_mask == 0:
+            if x != y and x != -y:
+                violations.append(f"C2: comparable supports, {x} vs {y}")
+    for x in members:
+        for y in members:
+            if x == -y:
+                continue
+            pivots = x.plus & y.minus
+            while pivots:
+                e_bit = pivots & -pivots
+                pivots ^= e_bit
+                zp_bound = (x.plus | y.plus) & ~e_bit
+                zm_bound = (x.minus | y.minus) & ~e_bit
+                if not any(
+                    z.plus & ~zp_bound == 0 and z.minus & ~zm_bound == 0
+                    for z in members
+                ):
+                    violations.append(
+                        f"C3: no eliminant for {x}, {y} at element {e_bit.bit_length()}"
+                    )
+    return AxiomReport(not violations, violations)
+
+
+# Block structure of full sign vectors and the alternating matroid's block
+# formulas: the references for the ort of the topes of C_r(n).
+
+
+@dataclass(frozen=True)
+class BlockProfile:
+    """Maximal runs of equal consecutive signs in a full sign vector."""
+
+    m: int
+    sizes: tuple
+    b_even: int
+    b_odd: int
+
+
+def block_profile(t):
+    """Left-to-right blocks of a full sign vector."""
+    if not t.is_full():
+        raise DomainError("block profile requires a zero-free sign vector")
+    sizes = []
+    run = 1
+    for i in range(1, t.n):
+        same = bool(t.plus >> i & 1) == bool(t.plus >> (i - 1) & 1)
+        if same:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    b_even = sum(1 for s in sizes if s % 2 == 0)
+    return BlockProfile(len(sizes), tuple(sizes), b_even, len(sizes) - b_even)
+
+
+def is_cyclic_tope(t, r):
+    """A full sign vector is a tope of C_r(n) iff it has at most r blocks."""
+    return block_profile(t).m <= r
+
+
+def big_O(m, r):
+    """ceil((r+1-m)/2): the exact ort of a cyclic tope with m blocks whenever
+    r+1 <= n - B_e, and a lower bound always."""
+    if m < 1:
+        raise DomainError("block count must be positive")
+    return max(0, -(-(r + 1 - m) // 2))
+
+
+def ort_cyclic(t, r):
+    """ort of a tope of C_r(n): block formula when r+1 <= n - B_e, otherwise
+    brute force over the alternating circuits."""
+    profile = block_profile(t)
+    if profile.m > r:
+        raise DomainError("not a tope of the alternating matroid (too many blocks)")
+    if r + 1 <= t.n - profile.b_even:
+        return big_O(profile.m, r)
+    return ort(alternating_circuits(r, t.n), t)
 
 
 # Per-subset minors and reorientation: the references for the table-driven
@@ -213,13 +323,6 @@ def serialize_colex(chi):
         itertools.combinations(range(1, chi.n + 1), chi.r), key=lambda s: s[::-1]
     )
     return "".join("+" if chi.sign_of_sorted(s) > 0 else "-" for s in subsets)
-
-
-@pytest.fixture(scope="session")
-def circuit_cache():
-    from orimat.cyclic import alternating_circuits
-
-    return alternating_circuits
 
 
 @pytest.fixture
@@ -305,6 +408,27 @@ def row_oracle(row_id, r, n, signs):
     return ReportRow(row_id, ovector, m, attains)
 
 
+def checkpoint_row_oracle(ovector, m, attains, topes, c_values):
+    """What makes a stored row unfit for a run whose rows have the tope count
+    ``topes`` and the c-values ``c_values``, rule by rule and one entry at a
+    time, with the messages of ``harness._checkpoint_error``; None if
+    nothing does."""
+    width = len(c_values)
+    if len(ovector) != width or len(m) != width or len(attains) != width:
+        return f"not {width} entries in each of ovector, m and attains"
+    if any(type(v) is not int for v in ovector + m) or any(v < 0 for v in ovector):
+        return "an o-vector or m entry is not a non-negative integer"
+    if any(type(a) is not bool for a in attains):
+        return "an attains entry is not true or false"
+    if any(m[k] != sum(ovector[k:]) for k in range(width)):
+        return "m is not the tail sums of the o-vector"
+    if m[0] != topes:
+        return f"tope count {m[0]} != {topes}"
+    if any(attains[k] != (m[k] == c_values[k]) for k in range(width)):
+        return "attains does not match the c-values"
+    return None
+
+
 def load_checkpoint_oracle(path, r, n):
     """The stored rows of a checkpoint by id, one line at a time: a line is
     a row only if it is ``ReportRow.to_json()`` of its id and m.  A torn
@@ -325,9 +449,7 @@ def load_checkpoint_oracle(path, r, n):
             raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row.id)} is not an integer")
         if not -(2**63) <= row.id < 2**63:
             raise FormatError(f"checkpoint line {lineno}: id {row.id} is out of range")
-        error = harness._checkpoint_error(
-            row.ovector, row.m, row.attains, tope_count_uniform(r, n), c_values
-        )
+        error = checkpoint_row_oracle(row.ovector, row.m, row.attains, tope_count_uniform(r, n), c_values)
         if error:
             raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
         if row.id in rows:

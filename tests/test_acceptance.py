@@ -16,15 +16,12 @@ import pytest
 from orimat import (
     SignVector,
     alternating_chirotope,
-    ball_k_neighborly,
     c_value,
-    check_circuit_axioms,
     circuits_from_chirotope,
     composite_construction,
     compute_rows,
     deletion_contraction_audit,
     disjoint_cocircuit_construction,
-    is_face,
     m_value,
     mcmullen_report,
     o_vector,
@@ -37,9 +34,17 @@ from orimat import (
     tope_count_uniform,
 )
 from orimat.cyclic import alternating_circuits, o_vector_brute
-from orimat.signvec import block_profile
 
-from conftest import all_full_vectors, ort_oracle, with_antipodes
+from conftest import (
+    all_full_vectors,
+    ball_oracle,
+    big_O,
+    block_profile,
+    check_circuit_axioms,
+    face_oracle,
+    ort_oracle,
+    with_antipodes,
+)
 
 
 def report(num, ok, label):
@@ -110,9 +115,9 @@ def _three_way_agree(chi):
         cs_reoriented = circuits_from_chirotope(chi.reorient(t.minus_elements))
         for k in range((r - 1) // 2 + 1):
             via_ort = o >= k + 1
-            via_ball = ball_k_neighborly(cs, t, k)
+            via_ball = ball_oracle(cs, t, k)
             via_faces = all(
-                is_face(cs_reoriented, set(f))
+                face_oracle(cs_reoriented, f)
                 for size in range(k + 1)
                 for f in itertools.combinations(range(1, n + 1), size)
             )
@@ -182,8 +187,6 @@ def test_criterion_08_odd_rank_isolation():
 
 
 def test_criterion_09_block_lemmas():
-    from orimat import big_O
-
     ok = True
     for r in range(3, 8):
         for n in range(r + 1, 11):

@@ -9,7 +9,6 @@ from orimat import (
     FormatError,
     NonUniformError,
     alternating_chirotope,
-    check_circuit_axioms,
     circuits_from_chirotope,
     from_points,
     orthogonality_degree,
@@ -18,6 +17,7 @@ from orimat import (
 )
 
 from conftest import (
+    check_circuit_axioms,
     contract_oracle,
     delete_oracle,
     dual_oracle,

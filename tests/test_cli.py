@@ -217,6 +217,17 @@ class TestConstruct:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("method", ["cocircuits", "composite"])
+    @pytest.mark.parametrize("r,n", [(3, 6), (4, 6)])
+    def test_rank_without_an_admissible_k(self, capsys, method, r, n):
+        # the constructions need k >= 2, which no rank below 5 admits
+        code, out, err = run(
+            capsys,
+            "construct", "-r", str(r), "-n", str(n), "--k", "1", "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {r} admits only k <= 1, and the construction needs k >= 2\n"
+
 
 class TestCValue:
     def test_value(self, capsys):

@@ -5,12 +5,9 @@ import pytest
 from orimat import (
     DomainError,
     SignVector,
-    big_O,
     c_value,
-    is_cyclic_tope,
     o_vector_closed,
     o_vector_small,
-    ort_cyclic,
     tope_count_uniform,
 )
 from orimat.cyclic import (
@@ -19,9 +16,8 @@ from orimat.cyclic import (
     c_value_brute,
     o_vector_brute,
 )
-from orimat.signvec import block_profile
 
-from conftest import all_full_vectors, ort_oracle
+from conftest import all_full_vectors, big_O, block_profile, is_cyclic_tope, ort_cyclic, ort_oracle
 
 
 def sv(text):

@@ -14,10 +14,8 @@ from orimat import (
     OVector,
     SignVector,
     alternating_chirotope,
-    ball_k_neighborly,
     circuits_from_chirotope,
     enumerate_topes,
-    is_tope,
     m_value,
     neighborly,
     o_vector,
@@ -83,17 +81,13 @@ class TestOrt:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ort(alt(3, 5), sv("++++"))
-        with pytest.raises(DimensionError):
-            is_tope(alt(3, 5), sv("++++"))
 
     @pytest.mark.parametrize("r,n", [(3, 6), (4, 8), (5, 9)])
     def test_matches_oracle_on_every_full_vector(self, r, n):
         # includes the half with element 1 negative
         cs = circuits_from_chirotope(random_realizable(r, n, seed=n))
         for t in all_full_vectors(n):
-            expected = ort_oracle(cs.members, t)
-            assert ort(cs, t) == expected, str(t)
-            assert is_tope(cs, t) == (expected > 0), str(t)
+            assert ort(cs, t) == ort_oracle(cs.members, t), str(t)
 
 
 class TestTopes:
@@ -109,7 +103,7 @@ class TestTopes:
         topes = list(enumerate_topes(cs))
         assert len(topes) == 22
         assert len({str(t) for t in topes}) == 22
-        assert all(is_tope(cs, t) for t in topes)
+        assert all(ort(cs, t) > 0 for t in topes)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tope_count_invariant_across_uniform(self, seed):
@@ -499,19 +493,19 @@ class TestMValue:
 
 class TestBallCriterion:
     def test_radius_one_true(self):
-        assert ball_k_neighborly(alt(3, 5), sv("+++++"), 1)
+        assert ball_oracle(alt(3, 5), sv("+++++"), 1)
 
     def test_radius_two_false(self):
-        assert not ball_k_neighborly(alt(3, 5), sv("+++++"), 2)
+        assert not ball_oracle(alt(3, 5), sv("+++++"), 2)
 
     def test_radius_zero(self):
         cs = alt(4, 6)
         for t in itertools.islice(enumerate_topes(cs), 5):
-            assert ball_k_neighborly(cs, t, 0)
+            assert ball_oracle(cs, t, 0)
 
     def test_non_tope_rejected(self):
         with pytest.raises(DomainError):
-            ball_k_neighborly(alt(3, 5), sv("+-+-+"), 1)
+            ball_oracle(alt(3, 5), sv("+-+-+"), 1)
 
     @pytest.mark.parametrize("r,n", [(3, 5), (3, 6), (4, 6), (5, 7)])
     def test_bridge_equivalence(self, r, n):
@@ -520,23 +514,15 @@ class TestBallCriterion:
         for t in enumerate_topes(cs):
             o = ort(cs, t)
             for k in range((r - 1) // 2 + 1):
-                assert ball_k_neighborly(cs, t, k) == (o >= k + 1)
+                assert ball_oracle(cs, t, k) == (o >= k + 1)
 
     @pytest.mark.parametrize("r,n,seed", [(3, 6, 0), (4, 7, 1)])
     def test_matches_per_flip_oracle(self, r, n, seed):
+        # the same beyond the admissible k, where no ball is full
         cs = circuits_from_chirotope(random_realizable(r, n, seed=seed))
         for t in enumerate_topes(cs):
             for k in range(4):
-                assert ball_k_neighborly(cs, t, k) == ball_oracle(cs, t, k), (str(t), k)
-
-    def test_ball_size_refused_before_allocation(self, monkeypatch):
-        # one circuit on 40 elements; the radius-20 ball holds about 2^39 flips
-        def allocate(*args):
-            raise AssertionError("flip array built before the budget check")
-
-        monkeypatch.setattr(neighborly, "_flip_masks", allocate)
-        with pytest.raises(DomainError, match="budget"):
-            ball_k_neighborly(alt(39, 40), sv("+" * 40), 20)
+                assert ball_oracle(cs, t, k) == (ort(cs, t) >= k + 1), (str(t), k)
 
 
 class TestTopeGraph:

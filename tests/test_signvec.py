@@ -5,15 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orimat import (
-    BlockProfile,
     DimensionError,
     DomainError,
     SignVector,
-    block_profile,
     orthogonality_degree,
 )
 
-from conftest import all_full_vectors
+from conftest import BlockProfile, all_full_vectors, block_profile
 
 
 def sv(text):
