@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 from pathlib import Path
 
-from .chirotope import alternating_chirotope
+from .chirotope import alternating_chirotope, check_shape
 from .circuits import CircuitSet, circuits_from_chirotope
 from .errors import DomainError, FormatError
 from .neighborly import (
@@ -163,9 +163,10 @@ def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
     """What makes a cache entry one that ``_compute`` could not have written,
     if anything: a cell that ``entry`` refuses, a formula cell whose entry is
     not the formula's, any other provenance than brute-force elsewhere, a
-    brute-force value that no m(M,k) at (r, n) takes (odd, or outside
-    [0, tope count]), or, at a size within RECHECK_PAIRS, one that
-    ``c_value_brute`` does not give."""
+    brute-force cell that ``c_value_brute`` refuses (an invalid (r, n) or
+    one over the enumeration budget), a brute-force value that no m(M,k)
+    at (r, n) takes (odd, or outside [0, tope count]), or, at a size within
+    RECHECK_PAIRS, one that ``c_value_brute`` does not give."""
     try:
         _check_cell(r, n, k)
     except DomainError as exc:
@@ -177,6 +178,11 @@ def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
         return None
     if entry.provenance != "brute-force":
         return f"({r}, {n}, {k}) has no {entry.provenance}"
+    try:
+        check_shape(r, n)
+        check_enumeration_size(r, n)
+    except DomainError as exc:
+        return str(exc)
     topes = tope_count_uniform(r, n)
     if entry.value % 2 or not 0 <= entry.value <= topes:
         return f"brute-force value {entry.value} is odd or outside [0, {topes}]"

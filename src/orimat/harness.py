@@ -39,10 +39,10 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress, groupby, islice, takewhile
+from itertools import compress, groupby, islice, takewhile
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -398,9 +398,10 @@ def report_rows(
     order, a block at a time, each block added to ``agg``: the one report
     loop of the library and the CLI.  Before any row, records of another
     (r, n) than the aggregate's, and checkpoint ids that are not records of
-    ``source``, are refused.  Only the rows the checkpoint lacks are
-    computed; a block's computed rows are appended to it and flushed before
-    the block is yielded.
+    ``source``, are refused; the refusal names the first such id, its line
+    and how many there are.  Only the rows the checkpoint lacks are
+    computed; a block that holds computed rows is appended to the file at
+    ``checkpoint`` (``append_checkpoint``) before the block is yielded.
 
     A block holds at most ``BLOCK_LINES`` rows and ends where the rows
     computed so far end, so rows are appended ``BLOCK_LINES`` at a time
@@ -425,32 +426,27 @@ def report_rows(
     line = np.zeros(len(ids), dtype=np.int64)  # each record's checkpoint line, 0 for none
     if checkpoint:
         prior = load_checkpoint(checkpoint, r, n)  # one row per line, in file order
+        foreign = np.flatnonzero(~np.isin(prior.ids, ids))
+        if len(foreign):
+            i = int(foreign[0])
+            raise FormatError(
+                f"checkpoint line {i + 1}: id {prior.ids[i]} is not a record of {source} "
+                f"({len(foreign)} of the {len(prior.ids)} ids in {checkpoint} are not)"
+            )
         order = np.argsort(prior.ids, kind="stable")
         known = prior.ids[order]  # ids of the stored rows, sorted; each once
-        unknown = known[~np.isin(known, ids)]
-        if len(unknown):
-            raise FormatError(
-                f"checkpoint {checkpoint} holds ids {unknown.tolist()} that are not records of {source}"
-            )
         if len(known):
             at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
             found = known[at] == ids
             line[found] = order[at[found]] + 1
             m[found] = prior.m[line[found] - 1]
     stored = line > 0
-    sink = None  # the checkpoint, opened for the first computed row
-    try:
-        todo = whole if not stored.any() else _checked_block(r, n, ids[~stored], whole.signs[~stored])
-        computed = compute_rows([todo])
-        for block in _merged_blocks(r, n, ids, m, stored, computed):
-            if checkpoint and not block.stored.all():
-                sink = sink or open(checkpoint, "a")
-                append_checkpoint(sink, block)
-            agg.add(block)
-            yield block
-    finally:
-        if sink:
-            sink.close()
+    todo = whole if not stored.any() else _checked_block(r, n, ids[~stored], whole.signs[~stored])
+    for block in _merged_blocks(r, n, ids, m, stored, compute_rows([todo])):
+        if checkpoint and not block.stored.all():
+            append_checkpoint(checkpoint, block)
+        agg.add(block)
+        yield block
     if not agg.holds:
         _recount_named(agg, whole, m, line)
 
@@ -603,8 +599,6 @@ def check_reduction_inputs(r: int, k: int, sizes: Iterable[tuple[int, int]]):
     range at rank r, or a database size other than the base cases the
     reduction reads, (r', 2(r'-k)+1) for 3 <= r' <= r with k admissible and
     more than r'+2 elements, that is r' >= 2k+2; the refusal names both."""
-    if r < 1:
-        raise DomainError(f"invalid rank r={r}: the reduction needs r >= 1")
     check_k(r, k)
     read = [(r_prime, 2 * (r_prime - k) + 1) for r_prime in range(max(3, 2 * k + 2), r + 1)]
     for size in sizes:
@@ -651,9 +645,10 @@ def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
     Each append writes whole lines, so a final line without its newline was
     cut short.  Once every other line has passed, it is dropped and cut from
     the file, so the next append starts a fresh line; its record is simply
-    computed again.  The first other line that is not the line
-    ``append_checkpoint`` writes for a row of a new id raises
-    ``FormatError`` naming it, and leaves the file as it was."""
+    computed again.  The one rule for every other line: it is the line
+    ``append_checkpoint`` writes for a row of a new id.  The first line that
+    breaks it raises ``FormatError`` naming it (``_refuse_line``), and leaves
+    the file as it was."""
     p = Path(path)
     if not p.exists():
         return _stored_block(r, n, [], [])
@@ -689,7 +684,7 @@ def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
     try:
         parsed = json.loads(f"[{','.join(chunk)}]")
         block = _stored_block(r, n, [row["id"] for row in parsed], [row["m"] for row in parsed])
-    except (ValueError, TypeError, KeyError, OverflowError):
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
     if (block.m[:, 0] != tope_count_uniform(r, n)).any() or (block.ovector < 0).any():
         return None
@@ -697,66 +692,24 @@ def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
 
 
 def _refuse_line(chunk: list[str], start: int, seen: set[int], r: int, n: int):
-    """Raise naming the first line of a chunk that ``_rows_at_once``
-    refused (numbered from ``start`` + 1) that is not a row at (r, n),
-    repeats an id of ``seen``, or is a row in another layout; every refused
-    chunk holds one."""
-    topes, c_values = tope_count_uniform(r, n), _c_values(r, n)
+    """Raise naming the first line of a chunk that ``_rows_at_once`` refused
+    (numbered from ``start`` + 1) that it refuses on its own, or that
+    repeats an id of ``seen``; every refused chunk holds one."""
     for lineno, line in enumerate(chunk, start + 1):
-        try:
-            d = json.loads(line)
-            row_id, ovector, m, attains = d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
-        if type(row_id) is not int:
-            raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row_id)} is not an integer")
-        if not -(2**63) <= row_id < 2**63:
-            raise FormatError(f"checkpoint line {lineno}: id {row_id} is out of range")
-        error = _checkpoint_error(ovector, m, attains, topes, c_values)
-        if error:
-            raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
+        row = _rows_at_once([line], r, n)
+        if row is None:
+            raise FormatError(f"checkpoint line {lineno}: not a line a run writes at (r, n) = ({r}, {n})")
+        row_id = int(row.ids[0])
         if row_id in seen:
             raise FormatError(f"checkpoint line {lineno}: duplicate id {row_id}")
-        if line != _stored_block(r, n, [row_id], [m]).lines("json")[0]:
-            raise FormatError(f"checkpoint line {lineno}: row {row_id} is not in the layout a run writes")
         seen.add(row_id)
 
 
-def _checkpoint_error(
-    ovector: tuple, m: tuple, attains: tuple, topes: int, c_values: list[int]
-) -> str | None:
-    """What makes a stored row unfit for a run at (r, n), if anything, given
-    the tope count of every uniform matroid there and c_r(n,k) for k = 0..
-    floor((r-1)/2): one count per k in ``ovector`` and ``m`` and one bool
-    in ``attains``, m the tail sums of the o-vector, m(M,0) the tope count,
-    and attains true exactly where m equals the c-value."""
-    width = len(c_values)
-    if not len(ovector) == len(m) == len(attains) == width:
-        return f"not {width} entries in each of ovector, m and attains"
-    if {type(v) for v in ovector + m} != {int} or min(ovector) < 0:
-        return "an o-vector or m entry is not a non-negative integer"
-    if {type(a) for a in attains} != {bool}:
-        return "an attains entry is not true or false"
-    if m != tuple(accumulate(reversed(ovector)))[::-1]:
-        return "m is not the tail sums of the o-vector"
-    if m[0] != topes:
-        return f"tope count {m[0]} != {topes}"
-    if attains != tuple(a == c for a, c in zip(m, c_values)):
-        return "attains does not match the c-values"
-    return None
-
-
-def append_checkpoint(sink: str | Path | TextIO, block: RowBlock):
-    """Append the block's rows that are not ``stored`` as whole lines: to
-    the file named by ``sink``, or, flushed at once, to ``sink`` itself, a
-    text file open for appending that a run keeps for all its blocks."""
+def append_checkpoint(path: str | Path, block: RowBlock):
+    """Append the block's rows that are not ``stored`` to the file at
+    ``path`` as whole lines; the file is opened for each block."""
     lines = block.lines("json")
     if block.stored is not None:
         lines = list(compress(lines, ~block.stored))
-    text = "".join(f"{line}\n" for line in lines)
-    if isinstance(sink, (str, Path)):
-        with open(sink, "a") as fh:
-            fh.write(text)
-        return
-    sink.write(text)
-    sink.flush()
+    with open(path, "a") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))

@@ -227,8 +227,11 @@ def _grown_counts(r: int, n: int, signs: np.ndarray, level: int) -> np.ndarray:
 
 
 def check_k(r: int, k: int, lo: int = 0):
-    """Refuse a level k outside [lo, floor((r-1)/2)], the range at rank r;
-    only the constructions ask for lo > 0, and that range can be empty."""
+    """Refuse a rank below 1, then a level k outside [lo, floor((r-1)/2)],
+    the range at rank r; only the constructions ask for lo > 0, and that
+    range can be empty."""
+    if r < 1:
+        raise DomainError(f"invalid rank r={r}: need r >= 1")
     hi = (r - 1) // 2
     if lo > hi:
         raise DomainError(f"rank {r} admits only k <= {hi}, and the construction needs k >= {lo}")

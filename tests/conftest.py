@@ -408,31 +408,33 @@ def row_oracle(row_id, r, n, signs):
     return ReportRow(row_id, ovector, m, attains)
 
 
-def checkpoint_row_oracle(ovector, m, attains, topes, c_values):
-    """What makes a stored row unfit for a run whose rows have the tope count
-    ``topes`` and the c-values ``c_values``, rule by rule and one entry at a
-    time, with the messages of ``harness._checkpoint_error``; None if
-    nothing does."""
-    width = len(c_values)
-    if len(ovector) != width or len(m) != width or len(attains) != width:
-        return f"not {width} entries in each of ovector, m and attains"
-    if any(type(v) is not int for v in ovector + m) or any(v < 0 for v in ovector):
-        return "an o-vector or m entry is not a non-negative integer"
-    if any(type(a) is not bool for a in attains):
-        return "an attains entry is not true or false"
-    if any(m[k] != sum(ovector[k:]) for k in range(width)):
-        return "m is not the tail sums of the o-vector"
-    if m[0] != topes:
-        return f"tope count {m[0]} != {topes}"
-    if any(attains[k] != (m[k] == c_values[k]) for k in range(width)):
-        return "attains does not match the c-values"
-    return None
+def checkpoint_row_oracle(line, topes, c_values):
+    """The row of a checkpoint line, rule by rule and one entry at a time,
+    for a run whose rows have the tope count ``topes`` and the c-values
+    ``c_values``; None unless the line is ``ReportRow.to_json()`` of its id,
+    an integer within 64 bits, and its m, one integer per c-value with m(M,0)
+    the tope count and no o-vector entry negative."""
+    try:
+        d = json.loads(line)
+        row_id, m = d["id"], tuple(d["m"])
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None
+    if type(row_id) is not int or not -(2**63) <= row_id < 2**63:
+        return None
+    if len(m) != len(c_values) or any(type(v) is not int for v in m) or m[0] != topes:
+        return None
+    ovector = tuple(a - b for a, b in zip(m, m[1:] + (0,)))
+    if any(v < 0 for v in ovector):
+        return None
+    row = ReportRow(row_id, ovector, m, tuple(a == c for a, c in zip(m, c_values)))
+    return row if line == row.to_json() else None
 
 
 def load_checkpoint_oracle(path, r, n):
-    """The stored rows of a checkpoint by id, one line at a time: a line is
-    a row only if it is ``ReportRow.to_json()`` of its id and m.  A torn
-    final line is cut once every other line has passed."""
+    """The stored rows of a checkpoint by id, in file order, one line at a
+    time: the first line that is not a row (``checkpoint_row_oracle``) or
+    repeats an id raises naming it.  A torn final line is cut once every
+    other line has passed."""
     if not path.exists():
         return {}
     data = path.read_bytes()
@@ -440,24 +442,11 @@ def load_checkpoint_oracle(path, r, n):
     c_values = [c_value(r, n, k) for k in range((r + 1) // 2)]
     rows = {}
     for lineno, line in enumerate(lines, 1):
-        try:
-            d = json.loads(line)
-            row = ReportRow(d["id"], tuple(d["ovector"]), tuple(d["m"]), tuple(d["attains"]))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise FormatError(f"checkpoint line {lineno}: not a report row ({exc})") from None
-        if type(row.id) is not int:
-            raise FormatError(f"checkpoint line {lineno}: id {json.dumps(row.id)} is not an integer")
-        if not -(2**63) <= row.id < 2**63:
-            raise FormatError(f"checkpoint line {lineno}: id {row.id} is out of range")
-        error = checkpoint_row_oracle(row.ovector, row.m, row.attains, tope_count_uniform(r, n), c_values)
-        if error:
-            raise FormatError(f"checkpoint line {lineno}: {error} at (r, n) = ({r}, {n})")
+        row = checkpoint_row_oracle(line, tope_count_uniform(r, n), c_values)
+        if row is None:
+            raise FormatError(f"checkpoint line {lineno}: not a line a run writes at (r, n) = ({r}, {n})")
         if row.id in rows:
             raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
-        ovector = tuple(a - b for a, b in zip(row.m, row.m[1:] + (0,)))
-        written = ReportRow(row.id, ovector, row.m, tuple(m == c for m, c in zip(row.m, c_values)))
-        if line != written.to_json():
-            raise FormatError(f"checkpoint line {lineno}: row {row.id} is not in the layout a run writes")
         rows[row.id] = row
     if tail:
         path.write_bytes(data[: len(data) - len(tail.encode("utf-8", "surrogateescape"))])
@@ -511,10 +500,13 @@ def report_oracle(command, r, n, k, path, fmt="json", base_order="lex", checkpoi
         if not records:
             raise DomainError(f"empty database: no chirotope lines in {path}")
         prior = load_checkpoint_oracle(checkpoint, r, n) if checkpoint else {}
-        unknown = prior.keys() - {row_id for row_id, _ in records}
-        if unknown:
+        known = {row_id for row_id, _ in records}
+        foreign = [(line, row_id) for line, row_id in enumerate(prior, 1) if row_id not in known]
+        if foreign:
+            line, row_id = foreign[0]
             raise FormatError(
-                f"checkpoint {checkpoint} holds ids {sorted(unknown)} that are not records of {path}"
+                f"checkpoint line {line}: id {row_id} is not a record of {path} "
+                f"({len(foreign)} of the {len(prior)} ids in {checkpoint} are not)"
             )
         for row_id, signs in records:
             row = prior.get(row_id)

@@ -229,6 +229,22 @@ class TestConstruct:
         assert err == f"error: rank {r} admits only k <= 1, and the construction needs k >= 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cvalue", "-r", "0", "-n", "1", "--k", "0"),
+        ("cvalue", "-r", "-1", "-n", "3", "--k", "0"),
+        ("roudneff", "-r", "0", "-n", "3", "--k", "0", "--file", "unread.txt"),
+        ("mcmullen", "-r", "-1", "-n", "3", "--k", "0", "--file", "unread.txt"),
+    ],
+)
+def test_rank_below_one_refused_as_a_rank(capsys, argv):
+    # refused as a rank, before any k is read against it or any file opened
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid rank r={argv[2]}: need r >= 1\n"
+
+
 class TestCValue:
     def test_value(self, capsys):
         code, out, _ = run(capsys, "cvalue", "-r", "6", "-n", "9", "--k", "2")
@@ -278,6 +294,9 @@ class TestCValue:
             ("6 8 2 33 brute-force", "odd or outside [0, 240]"),  # 240 topes
             ("6 8 2 242 brute-force", "odd or outside [0, 240]"),
             ("6 8 2 -2 brute-force", "odd or outside [0, 240]"),
+            # cells that the uncached cvalue refuses, with the same message
+            ("20 30 1 2 brute-force", "exceed the enumeration budget"),
+            ("40 70 1 2 brute-force", "invalid rank/size (40, 70)"),
         ],
     )
     def test_cache_entry_compute_could_not_write(self, capsys, tmp_path, line, reason):
@@ -450,7 +469,24 @@ class TestReports:
             "--file", str(db36), "--checkpoint", str(ckpt),
         )
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "[99]" in err and len(err.splitlines()) == 1
+        message = f"checkpoint line 1: id 99 is not a record of {db36} (1 of the 1 ids in {ckpt} are not)"
+        assert err == f"error: {message}\n"
+
+    def test_many_foreign_ids_named_in_one_short_line(self, capsys, tmp_path):
+        # a 3000-row checkpoint given to a 10-record database: the first
+        # foreign id, its line and the count, not every foreign id
+        db, ckpt = tmp_path / "db.txt", tmp_path / "ckpt.jsonl"
+        db.write_text("\n".join(random_realizable(3, 6, seed=s).serialize() for s in range(10)) + "\n")
+        row = ', "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}\n'
+        ckpt.write_text("".join(f'{{"id": {i}{row}' for i in range(1, 3001)))
+        stored = ckpt.read_bytes()
+        argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db), "--checkpoint", str(ckpt)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err) < 200 + len(str(db)) + len(str(ckpt))
+        message = f"checkpoint line 11: id 11 is not a record of {db} (2990 of the 3000 ids in {ckpt} are not)"
+        assert err == f"error: {message}\n"
+        assert ckpt.read_bytes() == stored
 
     def test_checkpoint_of_another_rank_exits_two(self, capsys, tmp_path):
         files = {}
@@ -465,8 +501,7 @@ class TestReports:
         argv = ["--file", str(files[5]), "--checkpoint", str(ckpt)]
         code, out, err = run(capsys, "roudneff", "-r", "5", "-n", "8", "--k", "2", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: checkpoint line 1: not 3 entries") and "(5, 8)" in err
-        assert len(err.splitlines()) == 1
+        assert err == "error: checkpoint line 1: not a line a run writes at (r, n) = (5, 8)\n"
 
     def test_torn_final_checkpoint_line_recomputed(self, capsys, db36, tmp_path):
         argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db36)]
@@ -1008,7 +1043,7 @@ def test_checkpoint_id_not_an_integer_exits_two(capsys, db36, tmp_path, row_id):
     argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db36)]
     code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
     assert code == 2 and out == ""
-    assert err == f"error: checkpoint line 1: id {row_id} is not an integer\n"
+    assert err == "error: checkpoint line 1: not a line a run writes at (r, n) = (3, 6)\n"
     assert ckpt.read_text() == data
 
 
