@@ -149,15 +149,15 @@ def _cmd_ovector(args) -> int:
         check_tope_graph_size(args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
     ov = o_vector(cs)
+    if args.tope_graph:  # written first: a path that fails prints nothing
+        with open(args.tope_graph, "w") as fh:
+            for a, b in tope_graph_edges(cs):
+                fh.write(f"{a} {b}\n")
     print(
         json.dumps(
             {"r": ov.r, "n": ov.n, "ovector": list(ov.entries), "m": list(ov.m_values())}
         )
     )
-    if args.tope_graph:
-        with open(args.tope_graph, "w") as fh:
-            for a, b in tope_graph_edges(cs):
-                fh.write(f"{a} {b}\n")
     return 0
 
 
@@ -214,9 +214,9 @@ def _cmd_cvalue(args) -> int:
         except FileNotFoundError:
             pass
     entry = table.entry(args.rank, args.elements, args.k)
-    print(f"{entry.value} {entry.provenance}" if args.show_provenance else entry.value)
-    if args.cache:
+    if args.cache:  # saved first: a path that fails prints nothing
         table.save(args.cache)
+    print(f"{entry.value} {entry.provenance}" if args.show_provenance else entry.value)
     return 0
 
 

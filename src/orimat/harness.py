@@ -18,12 +18,11 @@ a block of records, from the input text to the output text:
   each result a ``RowBlock``: record ids and m(M,k) as arrays.  The
   o-vector and ``attains`` follow from m, so a block formats the text of
   each distinct m row once.
-- ``report_rows`` is the one report loop of the library and the CLI: it
-  merges the rows of a checkpoint with the computed ones in record order,
-  appends each block's computed rows to the checkpoint before yielding it,
-  and folds each block into one aggregate per verdict, with c-values from
-  the module memo ``cyclic.c_value``.  Before a verdict that fails, it
-  counts the records the verdict names again from their signs.
+- ``report_rows`` is the one report loop of the library and the CLI: the
+  rows of a checkpoint, then the rest computed and appended to it a block
+  at a time, each block folded into one aggregate per verdict (c-values
+  from the module memo ``cyclic.c_value``).  Before a verdict that fails,
+  it counts the records the verdict names again from their signs.
 - ``load_checkpoint`` reads exactly the lines ``append_checkpoint``
   writes, one row per line, with one ``json.loads`` per ``BLOCK_LINES``
   lines; any other line, blank or a row in another layout, is refused.
@@ -39,7 +38,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, groupby, islice, takewhile
+from itertools import groupby, islice, takewhile
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -203,15 +202,13 @@ class RowBlock:
     """The report rows of consecutive records at one (r, n): each record's
     id (int64) and m(M,k) for k = 0..floor((r-1)/2) (int64, rows x
     levels).  The o-vector entries are the differences of m, and
-    ``attains`` is m against the c-values.  ``stored`` marks the rows read
-    back from a checkpoint (none when it is None); ``append_checkpoint``
-    writes the others."""
+    ``attains`` is m against the c-values.  A block is stored rows read
+    back from a checkpoint or computed rows, never both."""
 
     r: int
     n: int
     ids: np.ndarray
     m: np.ndarray
-    stored: np.ndarray | None = None
     _lines: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -396,19 +393,20 @@ def report_rows(
 ) -> Iterator[RowBlock]:
     """The rows of ``records``, records or ``RecordBlock``s, in record
     order, a block at a time, each block added to ``agg``: the one report
-    loop of the library and the CLI.  Before any row, records of another
-    (r, n) than the aggregate's, and checkpoint ids that are not records of
-    ``source``, are refused; the refusal names the first such id, its line
-    and how many there are.  Only the rows the checkpoint lacks are
-    computed; a block that holds computed rows is appended to the file at
-    ``checkpoint`` (``append_checkpoint``) before the block is yielded.
+    loop of the library and the CLI.
 
-    A block holds at most ``BLOCK_LINES`` rows and ends where the rows
-    computed so far end, so rows are appended ``BLOCK_LINES`` at a time
-    (about 0.4 s of work at (6,12)), and the rows before a record with a
-    wrong tope count come out before its error.  After the last block, a
-    verdict that fails is checked (``_recount_named``) before it is left to
-    the caller.
+    Before any row, records of another (r, n) than the aggregate's are
+    refused, and so is a checkpoint whose ids are not those of the first
+    records of ``source`` (line i holds the row of record i, as every run
+    writes it), naming its first line out of place.  The stored rows come
+    first; each block of the rows computed after them is appended to the
+    file (``append_checkpoint``) before it is yielded.
+
+    A block holds at most ``BLOCK_LINES`` rows, so rows are appended
+    ``BLOCK_LINES`` at a time (about 0.4 s of work at (6,12)), and the rows
+    before a record with a wrong tope count come out before its error.
+    After the last block, a verdict that fails is checked
+    (``_recount_named``) before it is left to the caller.
     """
     r, n = agg.r, agg.n
     empty = _checked_block(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
@@ -422,61 +420,37 @@ def report_rows(
         r, n, np.concatenate([b.ids for b in blocks]), np.concatenate([b.signs for b in blocks])
     )
     ids = whole.ids
-    m = np.zeros((len(ids), (r + 1) // 2), dtype=np.int64)
-    line = np.zeros(len(ids), dtype=np.int64)  # each record's checkpoint line, 0 for none
-    if checkpoint:
-        prior = load_checkpoint(checkpoint, r, n)  # one row per line, in file order
-        foreign = np.flatnonzero(~np.isin(prior.ids, ids))
-        if len(foreign):
-            i = int(foreign[0])
-            raise FormatError(
-                f"checkpoint line {i + 1}: id {prior.ids[i]} is not a record of {source} "
-                f"({len(foreign)} of the {len(prior.ids)} ids in {checkpoint} are not)"
-            )
-        order = np.argsort(prior.ids, kind="stable")
-        known = prior.ids[order]  # ids of the stored rows, sorted; each once
-        if len(known):
-            at = np.minimum(np.searchsorted(known, ids), len(known) - 1)
-            found = known[at] == ids
-            line[found] = order[at[found]] + 1
-            m[found] = prior.m[line[found] - 1]
-    stored = line > 0
-    todo = whole if not stored.any() else _checked_block(r, n, ids[~stored], whole.signs[~stored])
-    for block in _merged_blocks(r, n, ids, m, stored, compute_rows([todo])):
-        if checkpoint and not block.stored.all():
-            append_checkpoint(checkpoint, block)
+    prior = load_checkpoint(checkpoint, r, n) if checkpoint else _stored_block(r, n, [], [])
+    stored = len(prior.ids)
+    wrong = np.flatnonzero(prior.ids[: len(ids)] != ids[:stored])
+    if len(wrong) or stored > len(ids):
+        i = int(wrong[0]) if len(wrong) else len(ids)
+        place = f"{source} has {len(ids)} records"
+        if i < len(ids):
+            place = f"record {i + 1} of {source} is id {ids[i]}"
+        raise FormatError(f"checkpoint line {i + 1}: id {prior.ids[i]}, but {place}")
+    for start in range(0, stored, BLOCK_LINES):
+        block = RowBlock(r, n, prior.ids[start : start + BLOCK_LINES], prior.m[start : start + BLOCK_LINES])
         agg.add(block)
         yield block
+    m = [prior.m]
+    for block in compute_rows([_checked_block(r, n, ids[stored:], whole.signs[stored:])]):
+        if checkpoint:
+            append_checkpoint(checkpoint, block)
+        agg.add(block)
+        m.append(block.m)
+        yield block
     if not agg.holds:
-        _recount_named(agg, whole, m, line)
+        _recount_named(agg, whole, np.concatenate(m), stored)
 
 
-def _merged_blocks(r, n, ids, m, stored, computed) -> Iterator[RowBlock]:
-    """Blocks of the rows in record order: the stored rows already in
-    ``m``, and the others filled in as ``computed`` yields them.  Each block
-    ends before the first record whose row is not known yet."""
-    todo = np.flatnonzero(~stored)
-    done = taken = 0
-    while True:
-        ready = int(todo[taken]) if taken < len(todo) else len(ids)
-        for start in range(done, ready, BLOCK_LINES):
-            stop = min(start + BLOCK_LINES, ready)
-            yield RowBlock(r, n, ids[start:stop], m[start:stop], stored[start:stop])
-        done = ready
-        if taken == len(todo):
-            return
-        block = next(computed)  # raises the error of the record at ``ready``
-        m[todo[taken : taken + len(block.ids)]] = block.m
-        taken += len(block.ids)
-
-
-def _recount_named(agg, whole: RecordBlock, m, line):
+def _recount_named(agg, whole: RecordBlock, m, stored: int):
     """Refuse a failing verdict unless each record it names counts again,
     from its signs, to the m(M,k) of its row.  ``m_counts`` grows at level
     k+1: at a dense size another engine than the table fold that made the
     rows, and at any size a check that a stored row belongs to its record.
-    A mismatch raises naming the record and, for a stored row, its
-    checkpoint line (``line``, 0 for a computed row)."""
+    A mismatch raises naming the record and, for one of the first
+    ``stored`` records, whose rows came from the checkpoint, its line."""
     k = agg.k
     named = np.flatnonzero(agg.named(m[:, k]))
     if not len(named):
@@ -486,7 +460,7 @@ def _recount_named(agg, whole: RecordBlock, m, line):
     if len(wrong):
         i = int(named[wrong[0]])
         row_id = int(whole.ids[i])
-        row = f"checkpoint line {line[i]}" if line[i] else "its computed row"
+        row = f"checkpoint line {i + 1}" if i < stored else "its computed row"
         got, kept = int(recount[wrong[0]]), int(m[i, k])
         raise FormatError(f"record {row_id}: m(M,{k}) recounts to {got}, not the {kept} of {row}")
 
@@ -596,17 +570,22 @@ def finite_reduction_check(
 
 def check_reduction_inputs(r: int, k: int, sizes: Iterable[tuple[int, int]]):
     """Refuse, before any database is read, a rank below 1, a k outside its
-    range at rank r, or a database size other than the base cases the
+    range at rank r, a database size other than the base cases the
     reduction reads, (r', 2(r'-k)+1) for 3 <= r' <= r with k admissible and
-    more than r'+2 elements, that is r' >= 2k+2; the refusal names both."""
+    more than r'+2 elements, that is r' >= 2k+2 (the refusal names both),
+    or a size given twice, which would leave one of its databases unread."""
     check_k(r, k)
     read = [(r_prime, 2 * (r_prime - k) + 1) for r_prime in range(max(3, 2 * k + 2), r + 1)]
+    seen = set()
     for size in sizes:
         if size not in read:
             raise DomainError(
                 f"the reduction at rank {r}, k={k} reads no database at (r, n) = {size}; "
                 f"it reads {', '.join(map(str, read)) or 'none'}"
             )
+        if size in seen:
+            raise DomainError(f"two databases at (r, n) = {size}; the reduction reads one per size")
+        seen.add(size)
 
 
 def _recurrence_mismatches(r: int, k: int) -> list[str]:
@@ -640,31 +619,38 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
 
 def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
     """Stored rows of an interrupted run at (r, n), one per line, in file
-    order, as one block; none if the file does not exist.
+    order, as one block; none if the file does not exist.  ``report_rows``
+    takes them as the rows of the first records.
 
     Each append writes whole lines, so a final line without its newline was
     cut short.  Once every other line has passed, it is dropped and cut from
     the file, so the next append starts a fresh line; its record is simply
     computed again.  The one rule for every other line: it is the line
     ``append_checkpoint`` writes for a row of a new id.  The first line that
-    breaks it raises ``FormatError`` naming it (``_refuse_line``), and leaves
-    the file as it was."""
+    breaks it raises ``FormatError`` naming it, and leaves the file as it
+    was: a repeated id at its later line, named before any later line that
+    is not a row."""
     p = Path(path)
     if not p.exists():
         return _stored_block(r, n, [], [])
     data = p.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
-    chunks = (lines[start : start + BLOCK_LINES] for start in range(0, len(lines), BLOCK_LINES))
-    passed = takewhile(lambda block: block is not None, (_rows_at_once(chunk, r, n) for chunk in chunks))
-    blocks = [_stored_block(r, n, [], []), *passed]
-    # a line that repeats an id comes before any line of a refused chunk
+    blocks = [_stored_block(r, n, [], [])]
+    for start in range(0, len(lines), BLOCK_LINES):
+        chunk = lines[start : start + BLOCK_LINES]
+        block = _rows_at_once(chunk, r, n)
+        if block is None:  # the rows of its lines up to the first that is none
+            rows = (_rows_at_once([line], r, n) for line in chunk)
+            blocks += takewhile(lambda row: row is not None, rows)
+            break
+        blocks.append(block)
     ids = np.concatenate([block.ids for block in blocks])
     first = np.unique(ids, return_index=True)[1]  # the first line of each id
     if len(first) < len(ids):
         i = int(np.flatnonzero(~np.isin(np.arange(len(ids)), first))[0])
         raise FormatError(f"checkpoint line {i + 1}: duplicate id {ids[i]}")
-    if len(ids) < len(lines):  # a chunk was refused; each line before it holds a row
-        _refuse_line(lines[len(ids) : len(ids) + BLOCK_LINES], len(ids), set(ids.tolist()), r, n)
+    if len(ids) < len(lines):
+        raise FormatError(f"checkpoint line {len(ids) + 1}: not a line a run writes at (r, n) = ({r}, {n})")
     if tail:
         os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
     return _stored_block(r, n, ids, np.concatenate([block.m for block in blocks]))
@@ -672,7 +658,7 @@ def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
 
 def _stored_block(r: int, n: int, ids, m) -> RowBlock:
     m = np.array(m, dtype=np.int64).reshape(len(ids), (r + 1) // 2)
-    return RowBlock(r, n, np.array(ids, dtype=np.int64), m, np.ones(len(ids), dtype=bool))
+    return RowBlock(r, n, np.array(ids, dtype=np.int64), m)
 
 
 def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
@@ -691,25 +677,8 @@ def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
     return block if block.lines("json") == chunk else None
 
 
-def _refuse_line(chunk: list[str], start: int, seen: set[int], r: int, n: int):
-    """Raise naming the first line of a chunk that ``_rows_at_once`` refused
-    (numbered from ``start`` + 1) that it refuses on its own, or that
-    repeats an id of ``seen``; every refused chunk holds one."""
-    for lineno, line in enumerate(chunk, start + 1):
-        row = _rows_at_once([line], r, n)
-        if row is None:
-            raise FormatError(f"checkpoint line {lineno}: not a line a run writes at (r, n) = ({r}, {n})")
-        row_id = int(row.ids[0])
-        if row_id in seen:
-            raise FormatError(f"checkpoint line {lineno}: duplicate id {row_id}")
-        seen.add(row_id)
-
-
 def append_checkpoint(path: str | Path, block: RowBlock):
-    """Append the block's rows that are not ``stored`` to the file at
-    ``path`` as whole lines; the file is opened for each block."""
-    lines = block.lines("json")
-    if block.stored is not None:
-        lines = list(compress(lines, ~block.stored))
+    """Append every row of the block to the file at ``path`` as whole
+    lines; the file is opened for each block."""
     with open(path, "a") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+        fh.write("".join(f"{line}\n" for line in block.lines("json")))

@@ -488,8 +488,9 @@ class AggregateOracle:
 
 def report_oracle(command, r, n, k, path, fmt="json", base_order="lex", checkpoint=None):
     """(exit code, stdout, stderr) of ``orimat roudneff|mcmullen`` over the
-    database file ``path``, one record at a time: each row is appended to
-    the checkpoint (a path) before it is printed."""
+    database file ``path``, one record at a time.  The checkpoint (a path)
+    holds the rows of the first records, line i the row of record i; each
+    row after them is appended to it before it is printed."""
     out = []
     try:
         if not 0 <= k <= (r - 1) // 2:
@@ -499,18 +500,17 @@ def report_oracle(command, r, n, k, path, fmt="json", base_order="lex", checkpoi
             records = parse_database_oracle(fh, r, n, base_order)
         if not records:
             raise DomainError(f"empty database: no chirotope lines in {path}")
-        prior = load_checkpoint_oracle(checkpoint, r, n) if checkpoint else {}
-        known = {row_id for row_id, _ in records}
-        foreign = [(line, row_id) for line, row_id in enumerate(prior, 1) if row_id not in known]
-        if foreign:
-            line, row_id = foreign[0]
-            raise FormatError(
-                f"checkpoint line {line}: id {row_id} is not a record of {path} "
-                f"({len(foreign)} of the {len(prior)} ids in {checkpoint} are not)"
-            )
-        for row_id, signs in records:
-            row = prior.get(row_id)
-            if row is None:
+        prior = list(load_checkpoint_oracle(checkpoint, r, n).values()) if checkpoint else []
+        for line, row in enumerate(prior, 1):
+            if line > len(records):
+                raise FormatError(f"checkpoint line {line}: id {row.id}, but {path} has {len(records)} records")
+            if row.id != records[line - 1][0]:
+                place = f"record {line} of {path} is id {records[line - 1][0]}"
+                raise FormatError(f"checkpoint line {line}: id {row.id}, but {place}")
+        for i, (row_id, signs) in enumerate(records):
+            if i < len(prior):
+                row = prior[i]
+            else:
                 row = row_oracle(row_id, r, n, signs)
                 if checkpoint:
                     with open(checkpoint, "a") as fh:

@@ -115,6 +115,13 @@ class TestOVector:
         lines = path.read_text().strip().splitlines()
         assert lines and all(len(line.split()) == 2 for line in lines)
 
+    def test_tope_graph_path_that_fails_prints_nothing(self, capsys, tmp_path):
+        # the file is written before the o-vector line is printed
+        path = tmp_path / "absent" / "graph.txt"
+        code, out, err = run(capsys, "ovector", "-r", "3", "-n", "5", "--tope-graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
 
 class TestMValue:
     def test_value(self, capsys):
@@ -266,6 +273,13 @@ class TestCValue:
             "--cache", str(path), "--show-provenance",
         )
         assert code == 0 and out.strip().startswith("2 ")
+
+    def test_cache_path_that_fails_prints_nothing(self, capsys, tmp_path):
+        # the cache is saved before the value is printed
+        path = tmp_path / "absent" / "c.txt"
+        code, out, err = run(capsys, "cvalue", "-r", "6", "-n", "9", "--k", "2", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
 
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "cvalue", "-r", "3", "-n", "3", "--k", "0")
@@ -445,19 +459,23 @@ class TestReports:
             outcomes.append((code, out, err, ckpt.read_text()))
         assert outcomes[1] == outcomes[0] and outcomes[0][1] == full_out
 
-    def test_checkpoint_with_gap_computes_missing_records(self, capsys, tmp_path):
+    @pytest.mark.parametrize("kept,line", [((1,), 1), ((0, 2), 2)], ids=["line 1", "line 2"])
+    def test_checkpoint_with_gap_refused(self, capsys, tmp_path, kept, line):
+        # the rows of ids 2, or 1 and 3: a checkpoint holds the rows of the
+        # first records, so the line after the gap is out of place
         db = tmp_path / "db.txt"
         db.write_text(
             "\n".join(random_realizable(3, 6, seed=s).serialize() for s in range(3)) + "\n"
         )
         argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db)]
-        _, full_out, full_err = run(capsys, *argv)
+        _, full_out, _ = run(capsys, *argv)
         ckpt = tmp_path / "ckpt.jsonl"
-        ckpt.write_text(full_out.splitlines()[1] + "\n")  # only id 2
+        ckpt.write_text("".join(full_out.splitlines(keepends=True)[i] for i in kept))
+        stored = ckpt.read_bytes()
         code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
-        assert (code, out, err) == (0, full_out, full_err)
-        ids = sorted(json.loads(line)["id"] for line in ckpt.read_text().splitlines())
-        assert ids == [1, 2, 3]
+        assert (code, out) == (2, "")
+        assert err == f"error: checkpoint line {line}: id {kept[-1] + 1}, but record {line} of {db} is id {line}\n"
+        assert ckpt.read_bytes() == stored
 
     def test_checkpoint_id_not_in_database(self, capsys, db36, tmp_path):
         ckpt = tmp_path / "ckpt.jsonl"
@@ -469,12 +487,11 @@ class TestReports:
             "--file", str(db36), "--checkpoint", str(ckpt),
         )
         assert code == 2 and out == ""
-        message = f"checkpoint line 1: id 99 is not a record of {db36} (1 of the 1 ids in {ckpt} are not)"
-        assert err == f"error: {message}\n"
+        assert err == f"error: checkpoint line 1: id 99, but record 1 of {db36} is id 1\n"
 
     def test_many_foreign_ids_named_in_one_short_line(self, capsys, tmp_path):
         # a 3000-row checkpoint given to a 10-record database: the first
-        # foreign id, its line and the count, not every foreign id
+        # line past the records, not every foreign id
         db, ckpt = tmp_path / "db.txt", tmp_path / "ckpt.jsonl"
         db.write_text("\n".join(random_realizable(3, 6, seed=s).serialize() for s in range(10)) + "\n")
         row = ', "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}\n'
@@ -483,9 +500,8 @@ class TestReports:
         argv = ["roudneff", "-r", "3", "-n", "6", "--k", "1", "--file", str(db), "--checkpoint", str(ckpt)]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert len(err) < 200 + len(str(db)) + len(str(ckpt))
-        message = f"checkpoint line 11: id 11 is not a record of {db} (2990 of the 3000 ids in {ckpt} are not)"
-        assert err == f"error: {message}\n"
+        assert len(err) < 200 + len(str(db))
+        assert err == f"error: checkpoint line 11: id 11, but {db} has 10 records\n"
         assert ckpt.read_bytes() == stored
 
     def test_checkpoint_of_another_rank_exits_two(self, capsys, tmp_path):
@@ -786,6 +802,15 @@ class TestAuditAndReduce:
         assert (code, out) == (2, "")
         assert err == f"error: the reduction at rank {r}, k={k} reads no database at (r, n) = {named}; it reads {reads}\n"
 
+    def test_reduce_refuses_a_size_given_twice(self, capsys, tmp_path):
+        # two (4, 7) databases, of which only the last would be read: refused
+        # before any file is opened, naming the size
+        absent = tmp_path / "absent.txt"
+        argv = ["reduce", "-r", "4", "--k", "1", f"--db=4:7:{absent}", f"--db=4:7:{absent}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: two databases at (r, n) = (4, 7); the reduction reads one per size\n"
+
     def test_reduce_invalid_rank(self, capsys):
         code, out, err = run(capsys, "reduce", "-r", "0", "--k", "0")
         assert code == 2 and out == ""
@@ -943,27 +968,45 @@ def database_cases(draw):
     database = _database_text(lines, draw(st.booleans()), draw(st.booleans()))
     argv = [command, "-r", str(r), "-n", str(n), "--k", str(k), "--format", fmt, "--base-order", order]
     # None: no checkpoint; "": a fresh one; else resumed from the first
-    # rows of a complete one, the last of them torn or not
-    mode = draw(st.sampled_from([None, "", "resumed", "torn"]))
+    # rows of a complete one, the last of them torn or not, or from rows
+    # out of place (``_compare_in_blocks``)
+    mode = draw(st.sampled_from([None, "", "resumed", "torn", *MISPLACED]))
     return argv, database, mode, draw(st.integers(0, len(seeds))), draw(st.integers(2, 5))
+
+
+# checkpoints whose rows are not the rows of the first records, each made
+# from the rows of a complete run (``_compare_in_blocks``)
+MISPLACED = ["gap", "swapped", "more rows"]
 
 
 def _compare_in_blocks(argv, database, mode, keep, block):
     """``assert_block_pass_matches_oracle`` with blocks of ``block`` lines,
     rows and records per ``m_values`` call.  ``mode`` is None (no
-    checkpoint), "" (a fresh one), or "resumed" or "torn": the first
-    ``keep`` rows of a complete run, the last of them torn in half."""
+    checkpoint), "" (a fresh one), or a checkpoint made of the rows of a
+    complete run: "resumed" or "torn", the first ``keep`` rows, the last of
+    them torn in half; "gap", the first ``keep`` + 1 rows less the middle
+    one; "swapped", those rows with the middle two swapped; or "more rows",
+    every row and one more, of an id that is no record."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_LINES", block)
         checkpoint = mode
-        if mode in ("resumed", "torn"):
+        if mode:
             whole = Path(tmp) / "whole.jsonl"
             db = Path(tmp) / "whole.txt"
             db.write_text(database)
             fmt = argv[argv.index("--format") + 1]
             order = argv[argv.index("--base-order") + 1]
             report_oracle(argv[0], int(argv[2]), int(argv[4]), int(argv[6]), db, fmt, order, whole)
-            rows = whole.read_text().splitlines(keepends=True)[:keep] if whole.exists() else []
+            rows = whole.read_text().splitlines(keepends=True) if whole.exists() else []
+            middle = (min(keep + 1, len(rows)) - 1) // 2
+            if mode in ("resumed", "torn"):
+                rows = rows[:keep]
+            elif mode == "gap":
+                rows = rows[:middle] + rows[middle + 1 : keep + 1]
+            elif mode == "swapped":
+                rows = rows[:middle] + rows[middle : middle + 2][::-1] + rows[middle + 2 : keep + 1]
+            elif rows:  # more rows
+                rows.append(rows[-1].replace(f'"id": {json.loads(rows[-1])["id"]},', '"id": 1000000,', 1))
             if mode == "torn" and rows:
                 rows[-1] = rows[-1][: len(rows[-1]) // 2]
             checkpoint = "".join(rows)
@@ -997,6 +1040,12 @@ BLOCK_CASES = [
     (8, False, "wrong tope count", 6, "", 0),
     (8, False, "wrong tope count", 4, "resumed", 4),
     (8, True, "wrong tope count", 4, "torn", 3),
+    (7, True, None, 0, "gap", 4),
+    (2, False, None, 0, "gap", 1),
+    (7, False, None, 0, "swapped", 5),
+    (9, True, None, 0, "swapped", 8),
+    (6, False, None, 0, "more rows", 0),
+    (8, False, "wrong tope count", 4, "more rows", 0),
 ]
 
 
@@ -1013,7 +1062,7 @@ def test_block_pass_matches_the_per_record_path_cases(
         lines[at] = lines[at][:-1] + "x" if fault == "bad character" else _flipped(lines[at])
     argv = [command, "-r", "4", "-n", "8", "--k", str(k), "--format", fmt, "--base-order", order]
     code = _compare_in_blocks(argv, _database_text(lines, messy, messy), mode, keep, 4)
-    assert code == (2 if fault else 0)
+    assert code == (2 if fault or mode in MISPLACED else 0)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1066,6 +1115,17 @@ def test_block_pass_matches_the_per_record_path_around_a_block(r, n, command, co
     checkpoint = "torn" if mode == "torn" else ""
     code = _compare_in_blocks(argv, _database_text(lines, False, False), checkpoint, count // 2 + 1, 256)
     assert (code == 2) == (mode == "wrong tope count")
+
+
+@pytest.mark.parametrize("mode", MISPLACED)
+@pytest.mark.parametrize("count", [257, 600])
+def test_misplaced_checkpoint_rows_refused_as_the_per_record_path_refuses(count, mode):
+    # a checkpoint made of the first 257 rows, one of them left out or two
+    # of them swapped, or of every row and one more: refused at the line out
+    # of place, before any row, as the per-record path refuses it
+    lines = [_record_text(4, 8, s % GRID_SEEDS, "lex") for s in range(count)]
+    argv = ["roudneff", "-r", "4", "-n", "8", "--k", "1", "--format", "json", "--base-order", "lex"]
+    assert _compare_in_blocks(argv, _database_text(lines, False, False), mode, 256, 256) == 2
 
 
 def count_records(monkeypatch):

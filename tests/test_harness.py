@@ -410,7 +410,7 @@ class TestReportRows:
         append = harness.append_checkpoint
 
         def counted(sink, block):
-            appended.extend(block.ids[~block.stored].tolist())
+            appended.extend(block.ids.tolist())
             append(sink, block)
 
         monkeypatch.setattr(harness, "append_checkpoint", counted)
@@ -428,7 +428,7 @@ class TestReportRows:
         append_checkpoint(path, RowBlock(4, 8, np.array([99]), block.m[:1]))
         stored = path.read_bytes()
         agg = new_aggregate("mcmullen", 4, 8, 1)
-        message = r"^checkpoint line 1: id 99 is not a record of the database \(1 of the 1 ids in .* are not\)$"
+        message = r"^checkpoint line 1: id 99, but record 1 of the database is id 2$"
         with pytest.raises(FormatError, match=message):
             next(report_rows(agg, recs, path))
         assert path.read_bytes() == stored
@@ -439,22 +439,52 @@ class TestReportRows:
         with pytest.raises(DomainError, match=r"mixed \(r, n\) .*\[\(3, 6\), \(4, 8\)\]"):
             next(report_rows(agg, recs))
 
-    def test_ids_in_any_order_resume_to_the_fresh_rows(self, recs, tmp_path):
-        # records out of id order, one id twice: each takes the stored row
-        # of its id, and only the others are computed and appended
-        shuffled = [recs[i] for i in (7, 2, 9, 0, 5, 2, 1, 8, 3, 6, 4)]
+    # the records' order in the tests that give them out of id order
+    SHUFFLED = (7, 2, 9, 0, 5, 1, 8, 3, 6, 4)
+
+    def test_ids_in_database_order_resume_to_the_fresh_rows(self, recs, tmp_path):
+        # records out of id order: the checkpoint holds the rows of the first
+        # three in the order given, and only the others are computed and
+        # appended
+        shuffled = [recs[i] for i in self.SHUFFLED]
         fresh = rows_of(report_rows(new_aggregate("mcmullen", 4, 8, 1), shuffled))
         path = tmp_path / "ckpt.jsonl"
-        append_checkpoint(path, next(compute_rows([recs[2], recs[9], recs[4]])))
+        append_checkpoint(path, next(compute_rows(shuffled[:3])))
         stored = path.read_text()
         agg = new_aggregate("mcmullen", 4, 8, 1)
-        blocks = list(report_rows(agg, shuffled, path))
-        assert rows_of(blocks) == fresh
-        assert [flag for block in blocks for flag in block.stored.tolist()] == [
-            rec.id in (recs[2].id, recs[9].id, recs[4].id) for rec in shuffled
-        ]
+        assert rows_of(report_rows(agg, shuffled, path)) == fresh
         appended = path.read_text()[len(stored) :].splitlines()
-        assert [json.loads(line)["id"] for line in appended] == [7 + 2, 0 + 2, 5 + 2, 1 + 2, 8 + 2, 3 + 2, 6 + 2]
+        assert [json.loads(line)["id"] for line in appended] == [rec.id for rec in shuffled[3:]]
+
+    @pytest.mark.parametrize(
+        "order,message",
+        [
+            ((0, 1, 2), "checkpoint line 1: id 2, but record 1 of the database is id 9"),
+            ((7, 9, 2), "checkpoint line 2: id 11, but record 2 of the database is id 4"),
+            ((7, 2, 5), "checkpoint line 3: id 7, but record 3 of the database is id 11"),
+        ],
+        ids=["id order", "swapped", "gap"],
+    )
+    def test_ids_out_of_database_order_refused(self, recs, tmp_path, order, message):
+        # the rows of the first three records in id order, two of them
+        # swapped, or with a gap: refused before any row, the file as it was
+        shuffled = [recs[i] for i in self.SHUFFLED]
+        path = tmp_path / "ckpt.jsonl"
+        append_checkpoint(path, next(compute_rows([recs[i] for i in order])))
+        stored = path.read_bytes()
+        agg = new_aggregate("mcmullen", 4, 8, 1)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            next(report_rows(agg, shuffled, path))
+        assert path.read_bytes() == stored
+        assert agg.min_m is None
+
+    def test_more_rows_than_records_refused(self, recs, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        append_checkpoint(path, next(compute_rows(recs)))
+        stored = path.read_bytes()
+        with pytest.raises(FormatError, match="^checkpoint line 10: id 11, but the database has 9 records$"):
+            next(report_rows(new_aggregate("roudneff", 4, 8, 1), recs[:9], path))
+        assert path.read_bytes() == stored
 
 
 class TestVerdictRecount:
@@ -494,15 +524,16 @@ class TestVerdictRecount:
         assert path.read_bytes() == stored
 
     def test_forged_stored_row_named_with_a_later_line(self, recs, tmp_path):
-        # record 1's row last in the file: the recount names its line, the
-        # row's place in the file, not its id
+        # the last record's row forged to a counterexample: the recount
+        # names it by its own line
         path = tmp_path / "ckpt.jsonl"
         for block in compute_rows(recs):
             append_checkpoint(path, block)
         lines = path.read_text().splitlines()
-        lines = lines[1:] + ['{"id": 1, "ovector": [110, 18], "m": [128, 18], "attains": [true, false]}']
+        m = json.loads(lines[-1])["m"][1]
+        lines[-1] = '{"id": 20, "ovector": [110, 18], "m": [128, 18], "attains": [true, false]}'
         path.write_text("\n".join(lines) + "\n")
-        message = f"^record 1: m\\(M,1\\) recounts to 4, not the 18 of checkpoint line {len(lines)}$"
+        message = f"^record 20: m\\(M,1\\) recounts to {m}, not the 18 of checkpoint line 20$"
         with pytest.raises(FormatError, match=message):
             list(report_rows(new_aggregate("roudneff", 4, 8, 1), recs, path))
 
