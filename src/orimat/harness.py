@@ -23,9 +23,10 @@ a block of records, from the input text to the output text:
   at a time, each block folded into one aggregate per verdict (c-values
   from the module memo ``cyclic.c_value``).  Before a verdict that fails,
   it counts the records the verdict names again from their signs.
-- ``load_checkpoint`` reads exactly the lines ``append_checkpoint``
-  writes, one row per line, with one ``json.loads`` per ``BLOCK_LINES``
-  lines; any other line, blank or a row in another layout, is refused.
+- ``load_checkpoint`` holds a checkpoint to one rule before it touches the
+  file: line i is the line ``append_checkpoint`` writes for the row of
+  record i.  It checks ``BLOCK_LINES`` lines with one ``json.loads``, and
+  the blocks it returns keep those lines as their json text.
 
 Records given one at a time (``DatabaseRecord``) are packed into blocks once,
 where they enter ``compute_rows`` or ``report_rows`` (``_record_blocks``).
@@ -396,11 +397,10 @@ def report_rows(
     loop of the library and the CLI.
 
     Before any row, records of another (r, n) than the aggregate's are
-    refused, and so is a checkpoint whose ids are not those of the first
-    records of ``source`` (line i holds the row of record i, as every run
-    writes it), naming its first line out of place.  The stored rows come
-    first; each block of the rows computed after them is appended to the
-    file (``append_checkpoint``) before it is yielded.
+    refused and the checkpoint is loaded (``load_checkpoint``).  Its blocks
+    come first; the records after them are cut from the blocks of
+    ``records``, and each block of their rows is appended to the file
+    (``append_checkpoint``) before it is yielded.
 
     A block holds at most ``BLOCK_LINES`` rows, so rows are appended
     ``BLOCK_LINES`` at a time (about 0.4 s of work at (6,12)), and the rows
@@ -409,60 +409,59 @@ def report_rows(
     (``_recount_named``) before it is left to the caller.
     """
     r, n = agg.r, agg.n
-    empty = _checked_block(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
-    blocks = list(_record_blocks(records)) or [empty]
+    blocks = list(_record_blocks(records))
     shapes = {(block.r, block.n) for block in blocks} | {(r, n)}
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
-    # the whole database as one block, so that the records not stored are
-    # one cut from it
-    whole = _checked_block(
-        r, n, np.concatenate([b.ids for b in blocks]), np.concatenate([b.signs for b in blocks])
-    )
-    ids = whole.ids
-    prior = load_checkpoint(checkpoint, r, n) if checkpoint else _stored_block(r, n, [], [])
-    stored = len(prior.ids)
-    wrong = np.flatnonzero(prior.ids[: len(ids)] != ids[:stored])
-    if len(wrong) or stored > len(ids):
-        i = int(wrong[0]) if len(wrong) else len(ids)
-        place = f"{source} has {len(ids)} records"
-        if i < len(ids):
-            place = f"record {i + 1} of {source} is id {ids[i]}"
-        raise FormatError(f"checkpoint line {i + 1}: id {prior.ids[i]}, but {place}")
-    for start in range(0, stored, BLOCK_LINES):
-        block = RowBlock(r, n, prior.ids[start : start + BLOCK_LINES], prior.m[start : start + BLOCK_LINES])
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [block.ids for block in blocks])
+    prior = load_checkpoint(checkpoint, r, n, ids, source) if checkpoint else []
+    m = [block.m for block in prior]
+    stored = sum(map(len, m))
+    prior.reverse()
+    while prior:  # each stored block, its lines included, let go once yielded
+        block = prior.pop()
         agg.add(block)
         yield block
-    m = [prior.m]
-    for block in compute_rows([_checked_block(r, n, ids[stored:], whole.signs[stored:])]):
+    for block in compute_rows(_records_after(blocks, stored)):
         if checkpoint:
             append_checkpoint(checkpoint, block)
         agg.add(block)
         m.append(block.m)
         yield block
-    if not agg.holds:
-        _recount_named(agg, whole, np.concatenate(m), stored)
+    if m and not agg.holds:  # with no rows, no record is named
+        _recount_named(agg, blocks, ids, np.concatenate(m), stored)
 
 
-def _recount_named(agg, whole: RecordBlock, m, stored: int):
-    """Refuse a failing verdict unless each record it names counts again,
-    from its signs, to the m(M,k) of its row.  ``m_counts`` grows at level
-    k+1: at a dense size another engine than the table fold that made the
-    rows, and at any size a check that a stored row belongs to its record.
-    A mismatch raises naming the record and, for one of the first
-    ``stored`` records, whose rows came from the checkpoint, its line."""
+def _records_after(blocks: list[RecordBlock], stored: int) -> Iterator[RecordBlock]:
+    """The records of ``blocks`` after the first ``stored``, one block cut."""
+    for block in blocks:
+        if stored < len(block.ids):
+            yield _checked_block(block.r, block.n, block.ids[stored:], block.signs[stored:])
+        stored = max(stored - len(block.ids), 0)
+
+
+def _recount_named(agg, blocks: list[RecordBlock], ids: np.ndarray, m: np.ndarray, stored: int):
+    """Refuse a failing verdict unless each record it names, its signs
+    gathered from ``blocks``, counts again to the m(M,k) of its row.
+    ``m_counts`` grows at level k+1: at a dense size another engine than
+    the table fold that made the rows, and at any size a check that a
+    stored row belongs to its record.  A mismatch raises naming the record
+    and, for one of the first ``stored`` records, whose rows came from the
+    checkpoint, its line."""
     k = agg.k
     named = np.flatnonzero(agg.named(m[:, k]))
     if not len(named):
         return
-    recount = m_counts(agg.r, agg.n, whole.signs[named], k)
+    starts = np.cumsum([0] + [len(block.ids) for block in blocks])
+    parts = np.split(named, np.searchsorted(named, starts[1:-1]))
+    signs = np.concatenate([block.signs[i - s] for block, i, s in zip(blocks, parts, starts) if len(i)])
+    recount = m_counts(agg.r, agg.n, signs, k)
     wrong = np.flatnonzero(recount != m[named, k])
     if len(wrong):
         i = int(named[wrong[0]])
-        row_id = int(whole.ids[i])
         row = f"checkpoint line {i + 1}" if i < stored else "its computed row"
         got, kept = int(recount[wrong[0]]), int(m[i, k])
-        raise FormatError(f"record {row_id}: m(M,{k}) recounts to {got}, not the {kept} of {row}")
+        raise FormatError(f"record {ids[i]}: m(M,{k}) recounts to {got}, not the {kept} of {row}")
 
 
 @dataclass(frozen=True)
@@ -617,48 +616,45 @@ def _recurrence_mismatches(r: int, k: int) -> list[str]:
 # -- checkpointing -----------------------------------------------------
 
 
-def load_checkpoint(path: str | Path, r: int, n: int) -> RowBlock:
-    """Stored rows of an interrupted run at (r, n), one per line, in file
-    order, as one block; none if the file does not exist.  ``report_rows``
-    takes them as the rows of the first records.
-
-    Each append writes whole lines, so a final line without its newline was
-    cut short.  Once every other line has passed, it is dropped and cut from
-    the file, so the next append starts a fresh line; its record is simply
-    computed again.  The one rule for every other line: it is the line
-    ``append_checkpoint`` writes for a row of a new id.  The first line that
-    breaks it raises ``FormatError`` naming it, and leaves the file as it
-    was: a repeated id at its later line, named before any later line that
-    is not a row."""
+def load_checkpoint(
+    path: str | Path, r: int, n: int, ids: np.ndarray, source: str = "the database"
+) -> list[RowBlock]:
+    """The stored rows of a run at (r, n) over the records ``ids`` of
+    ``source``: the blocks of ``BLOCK_LINES`` lines as they were checked,
+    each line kept as the block's json text, so that it is formatted once;
+    none if the file does not exist.  Line i must be the line
+    ``append_checkpoint`` writes for the row of record i.  The first line
+    that is not raises ``FormatError`` naming it, as no line a run writes or
+    as a row out of place (a gap, a swap, a repeated id, a row past the
+    records), and the file is left as it was.  Only then is a final line
+    without its newline, cut short by an append, cut from the file; its
+    record is computed again."""
     p = Path(path)
     if not p.exists():
-        return _stored_block(r, n, [], [])
+        return []
     data = p.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
-    blocks = [_stored_block(r, n, [], [])]
+    blocks, rows = [], []
     for start in range(0, len(lines), BLOCK_LINES):
         chunk = lines[start : start + BLOCK_LINES]
         block = _rows_at_once(chunk, r, n)
         if block is None:  # the rows of its lines up to the first that is none
-            rows = (_rows_at_once([line], r, n) for line in chunk)
-            blocks += takewhile(lambda row: row is not None, rows)
+            rows = takewhile(lambda row: row is not None, (_rows_at_once([line], r, n) for line in chunk))
             break
         blocks.append(block)
-    ids = np.concatenate([block.ids for block in blocks])
-    first = np.unique(ids, return_index=True)[1]  # the first line of each id
-    if len(first) < len(ids):
-        i = int(np.flatnonzero(~np.isin(np.arange(len(ids)), first))[0])
-        raise FormatError(f"checkpoint line {i + 1}: duplicate id {ids[i]}")
-    if len(ids) < len(lines):
-        raise FormatError(f"checkpoint line {len(ids) + 1}: not a line a run writes at (r, n) = ({r}, {n})")
+    got = np.concatenate([np.zeros(0, dtype=np.int64)] + [row.ids for row in [*blocks, *rows]])
+    wrong = np.flatnonzero(got[: len(ids)] != ids[: len(got)])
+    i = int(wrong[0]) if len(wrong) else len(ids)
+    if i < len(got):  # a row out of place, named before a later line that is no row
+        place = f"{source} has {len(ids)} records"
+        if i < len(ids):
+            place = f"record {i + 1} of {source} is id {ids[i]}"
+        raise FormatError(f"checkpoint line {i + 1}: id {got[i]}, but {place}")
+    if len(got) < len(lines):
+        raise FormatError(f"checkpoint line {len(got) + 1}: not a line a run writes at (r, n) = ({r}, {n})")
     if tail:
         os.truncate(p, len(data) - len(tail.encode("utf-8", "surrogateescape")))
-    return _stored_block(r, n, ids, np.concatenate([block.m for block in blocks]))
-
-
-def _stored_block(r: int, n: int, ids, m) -> RowBlock:
-    m = np.array(m, dtype=np.int64).reshape(len(ids), (r + 1) // 2)
-    return RowBlock(r, n, np.array(ids, dtype=np.int64), m)
+    return blocks
 
 
 def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
@@ -669,10 +665,12 @@ def _rows_at_once(chunk: list[str], r: int, n: int) -> RowBlock | None:
     ``attains`` that follow from m."""
     try:
         parsed = json.loads(f"[{','.join(chunk)}]")
-        block = _stored_block(r, n, [row["id"] for row in parsed], [row["m"] for row in parsed])
+        ids = np.array([row["id"] for row in parsed], dtype=np.int64)
+        m = np.array([row["m"] for row in parsed], dtype=np.int64).reshape(len(ids), (r + 1) // 2)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
-    if (block.m[:, 0] != tope_count_uniform(r, n)).any() or (block.ovector < 0).any():
+    block = RowBlock(r, n, ids, m)
+    if (m[:, 0] != tope_count_uniform(r, n)).any() or (block.ovector < 0).any():
         return None
     return block if block.lines("json") == chunk else None
 

@@ -430,24 +430,28 @@ def checkpoint_row_oracle(line, topes, c_values):
     return row if line == row.to_json() else None
 
 
-def load_checkpoint_oracle(path, r, n):
-    """The stored rows of a checkpoint by id, in file order, one line at a
-    time: the first line that is not a row (``checkpoint_row_oracle``) or
-    repeats an id raises naming it.  A torn final line is cut once every
-    other line has passed."""
+def load_checkpoint_oracle(path, r, n, ids, source="the database"):
+    """The stored rows of a checkpoint over the records ``ids`` of
+    ``source``, in file order, one line at a time: the first line that is
+    not a row (``checkpoint_row_oracle``), or whose id is not that of the
+    record at its place, raises naming it.  A torn final line is cut once
+    every other line has passed."""
     if not path.exists():
-        return {}
+        return []
     data = path.read_bytes()
     *lines, tail = data.decode("utf-8", "surrogateescape").split("\n")
     c_values = [c_value(r, n, k) for k in range((r + 1) // 2)]
-    rows = {}
+    rows = []
     for lineno, line in enumerate(lines, 1):
         row = checkpoint_row_oracle(line, tope_count_uniform(r, n), c_values)
         if row is None:
             raise FormatError(f"checkpoint line {lineno}: not a line a run writes at (r, n) = ({r}, {n})")
-        if row.id in rows:
-            raise FormatError(f"checkpoint line {lineno}: duplicate id {row.id}")
-        rows[row.id] = row
+        if lineno > len(ids):
+            raise FormatError(f"checkpoint line {lineno}: id {row.id}, but {source} has {len(ids)} records")
+        if row.id != ids[lineno - 1]:
+            place = f"record {lineno} of {source} is id {ids[lineno - 1]}"
+            raise FormatError(f"checkpoint line {lineno}: id {row.id}, but {place}")
+        rows.append(row)
     if tail:
         path.write_bytes(data[: len(data) - len(tail.encode("utf-8", "surrogateescape"))])
     return rows
@@ -500,13 +504,8 @@ def report_oracle(command, r, n, k, path, fmt="json", base_order="lex", checkpoi
             records = parse_database_oracle(fh, r, n, base_order)
         if not records:
             raise DomainError(f"empty database: no chirotope lines in {path}")
-        prior = list(load_checkpoint_oracle(checkpoint, r, n).values()) if checkpoint else []
-        for line, row in enumerate(prior, 1):
-            if line > len(records):
-                raise FormatError(f"checkpoint line {line}: id {row.id}, but {path} has {len(records)} records")
-            if row.id != records[line - 1][0]:
-                place = f"record {line} of {path} is id {records[line - 1][0]}"
-                raise FormatError(f"checkpoint line {line}: id {row.id}, but {place}")
+        ids = [row_id for row_id, _ in records]
+        prior = load_checkpoint_oracle(checkpoint, r, n, ids, path) if checkpoint else []
         for i, (row_id, signs) in enumerate(records):
             if i < len(prior):
                 row = prior[i]

@@ -986,7 +986,8 @@ def _compare_in_blocks(argv, database, mode, keep, block):
     complete run: "resumed" or "torn", the first ``keep`` rows, the last of
     them torn in half; "gap", the first ``keep`` + 1 rows less the middle
     one; "swapped", those rows with the middle two swapped; or "more rows",
-    every row and one more, of an id that is no record."""
+    every row and one more, of an id that is no record.  The last three
+    end in a torn line too, the first half of their first row."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_LINES", block)
         checkpoint = mode
@@ -1009,6 +1010,8 @@ def _compare_in_blocks(argv, database, mode, keep, block):
                 rows.append(rows[-1].replace(f'"id": {json.loads(rows[-1])["id"]},', '"id": 1000000,', 1))
             if mode == "torn" and rows:
                 rows[-1] = rows[-1][: len(rows[-1]) // 2]
+            elif mode in MISPLACED and rows:
+                rows.append(rows[0][: len(rows[0]) // 2])
             checkpoint = "".join(rows)
         return assert_block_pass_matches_oracle(tmp, argv, database, checkpoint)
 
@@ -1158,6 +1161,27 @@ def test_database_pass_builds_no_record(capsys, monkeypatch, tmp_path, command):
     rec = next(parse_database(lines, 4, 8))
     harness.DatabaseRecord(rec.id, 4, 8, rec.signs)
     assert len(built) == 2
+
+
+def test_resumed_json_run_formats_each_row_once(capsys, monkeypatch, tmp_path):
+    # 600 records resumed from the rows of the first 300: the stored lines
+    # the loader checked are printed as they are, and each computed row is
+    # formatted once for its append and its print
+    lines = [_record_text(4, 8, s % GRID_SEEDS, "lex") for s in range(600)]
+    db, ckpt = tmp_path / "db.txt", tmp_path / "ck.jsonl"
+    db.write_text("\n".join(lines) + "\n")
+    argv = ["mcmullen", "-r", "4", "-n", "8", "--k", "1", "--format", "json", "--file", str(db)]
+    fresh = run(capsys, *argv, "--checkpoint", str(ckpt))
+    ckpt.write_text("".join(ckpt.read_text().splitlines(keepends=True)[:300]))
+    formatted, format_rows = [], harness._format_rows
+
+    def counted(block, fmt):
+        formatted.extend(block.ids.tolist())
+        return format_rows(block, fmt)
+
+    monkeypatch.setattr(harness, "_format_rows", counted)
+    assert run(capsys, *argv, "--checkpoint", str(ckpt)) == fresh
+    assert formatted == list(range(1, 601))
 
 
 def test_reduce_builds_no_record(capsys, monkeypatch, tmp_path):

@@ -426,7 +426,8 @@ class TestReportRows:
         path = tmp_path / "ckpt.jsonl"
         block = next(compute_rows(recs))
         append_checkpoint(path, RowBlock(4, 8, np.array([99]), block.m[:1]))
-        stored = path.read_bytes()
+        stored = path.read_bytes() + block.lines()[1][:9].encode()  # and a torn line
+        path.write_bytes(stored)
         agg = new_aggregate("mcmullen", 4, 8, 1)
         message = r"^checkpoint line 1: id 99, but record 1 of the database is id 2$"
         with pytest.raises(FormatError, match=message):
@@ -467,11 +468,13 @@ class TestReportRows:
     )
     def test_ids_out_of_database_order_refused(self, recs, tmp_path, order, message):
         # the rows of the first three records in id order, two of them
-        # swapped, or with a gap: refused before any row, the file as it was
+        # swapped, or with a gap: refused before any row, the file, torn
+        # final line included, as it was
         shuffled = [recs[i] for i in self.SHUFFLED]
         path = tmp_path / "ckpt.jsonl"
         append_checkpoint(path, next(compute_rows([recs[i] for i in order])))
-        stored = path.read_bytes()
+        stored = path.read_bytes() + b'{"id": 5, "ov'
+        path.write_bytes(stored)
         agg = new_aggregate("mcmullen", 4, 8, 1)
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             next(report_rows(agg, shuffled, path))
@@ -481,10 +484,22 @@ class TestReportRows:
     def test_more_rows_than_records_refused(self, recs, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         append_checkpoint(path, next(compute_rows(recs)))
-        stored = path.read_bytes()
+        stored = path.read_bytes() + b'{"id": 12, "ov'
+        path.write_bytes(stored)
         with pytest.raises(FormatError, match="^checkpoint line 10: id 11, but the database has 9 records$"):
             next(report_rows(new_aggregate("roudneff", 4, 8, 1), recs[:9], path))
         assert path.read_bytes() == stored
+
+    def test_repeated_ids_resume_by_position(self, recs, tmp_path):
+        # a hand-built block may repeat an id: line i of its checkpoint is
+        # still the row of record i, so a resumed run is the fresh one
+        signs = np.frombuffer(b"".join(rec.signs for rec in recs[:4]), dtype=np.int8).reshape(4, -1)
+        block = harness.RecordBlock(4, 8, np.array([2, 2, 3, 2], dtype=np.int64), signs)
+        fresh = rows_of(report_rows(new_aggregate("roudneff", 4, 8, 1), [block]))
+        path = tmp_path / "ckpt.jsonl"
+        path.write_text("".join(row.to_json() + "\n" for row in fresh[:3]))
+        assert rows_of(report_rows(new_aggregate("roudneff", 4, 8, 1), [block], path)) == fresh
+        assert path.read_text() == "".join(row.to_json() + "\n" for row in fresh)
 
 
 class TestVerdictRecount:
@@ -837,7 +852,7 @@ NOT_A_RUN_LINE = re.escape("not a line a run writes at (r, n) = (3, 6)")
 
 class TestCheckpoint:
     def test_missing_file(self, tmp_path):
-        assert rows_of([load_checkpoint(tmp_path / "none.jsonl", 3, 6)]) == []
+        assert load_checkpoint(tmp_path / "none.jsonl", 3, 6, np.arange(1, 3)) == []
 
     def test_append_and_resume(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -845,7 +860,7 @@ class TestCheckpoint:
         (block,) = compute_rows(recs)
         rows = rows_of([block])
         append_checkpoint(path, take(block, slice(0, 2)))
-        stored = rows_of([load_checkpoint(path, 3, 6)])
+        stored = rows_of(load_checkpoint(path, 3, 6, block.ids))
         assert stored == rows[:2]
         done = {row.id for row in stored}
         resumed = rows_of(compute_rows(rec for rec in recs if rec.id not in done))
@@ -860,10 +875,10 @@ class TestCheckpoint:
         append_checkpoint(path, take(block, slice(0, 1)))
         whole = path.read_bytes()
         path.write_bytes(whole + block.lines()[1][:9].encode())
-        assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:1]
+        assert rows_of(load_checkpoint(path, 3, 6, block.ids)) == rows[:1]
         assert path.read_bytes() == whole  # the next append starts a fresh line
         append_checkpoint(path, take(block, slice(1, 2)))
-        assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:2]
+        assert rows_of(load_checkpoint(path, 3, 6, block.ids)) == rows[:2]
 
     @pytest.mark.parametrize(
         "bad", ['{"id": 1, "ovector": [3', '{"id": 1}', "[1, 2]", "\xff"]
@@ -874,7 +889,7 @@ class TestCheckpoint:
         line = next(compute_rows(recs[1:])).lines()[0]
         path.write_bytes(bad.encode("latin-1") + b"\n" + line.encode() + b"\n")
         with pytest.raises(FormatError, match="line 1"):
-            load_checkpoint(path, 3, 6)
+            load_checkpoint(path, 3, 6, np.arange(1, 3))
 
     @pytest.mark.parametrize("row_id", ["1.9", '"1"', "true", "1.0", "null"])
     def test_id_that_is_not_a_json_integer_raises(self, tmp_path, row_id):
@@ -882,14 +897,14 @@ class TestCheckpoint:
         line = json.dumps(self.FITS).replace('"id": 1,', f'"id": {row_id},')
         path.write_text(json.dumps(dict(self.FITS, id=2)) + "\n" + line + "\n")
         with pytest.raises(FormatError, match=rf"^checkpoint line 2: {NOT_A_RUN_LINE}$"):
-            load_checkpoint(path, 3, 6)
+            load_checkpoint(path, 3, 6, np.array([2, 1]))
 
     @pytest.mark.parametrize("row_id", [2**63, -(2**63) - 1, 10**30])
     def test_id_beyond_64_bits_raises(self, tmp_path, row_id):
         path = tmp_path / "ckpt.jsonl"
         path.write_text(json.dumps(dict(self.FITS, id=row_id)) + "\n")
         with pytest.raises(FormatError, match=rf"^checkpoint line 1: {NOT_A_RUN_LINE}$"):
-            load_checkpoint(path, 3, 6)
+            load_checkpoint(path, 3, 6, np.array([1]))
 
     @pytest.mark.parametrize(
         "bad",
@@ -906,7 +921,7 @@ class TestCheckpoint:
         data = (json.dumps(dict(self.FITS, id=2)) + "\n" + bad + "\n" + '{"id": 3, "ov').encode()
         path.write_bytes(data)
         with pytest.raises(FormatError, match="^checkpoint line 2: "):
-            load_checkpoint(path, 3, 6)
+            load_checkpoint(path, 3, 6, np.array([2, 1, 3]))
         assert path.read_bytes() == data
 
     def test_lines_in_another_layout_refused(self, tmp_path):
@@ -925,26 +940,32 @@ class TestCheckpoint:
             data = f"{first}\n{line}\n{json.dumps(dict(self.FITS, id=9))}\n" + '{"id": 3, "ov'
             path.write_bytes(data.encode())
             with pytest.raises(FormatError, match=rf"^checkpoint line 2: {NOT_A_RUN_LINE}$"):
-                load_checkpoint(path, 3, 6)
+                load_checkpoint(path, 3, 6, np.array([4, 2, 9]))
             assert path.read_bytes() == data.encode()
 
     def test_duplicate_id_raises(self, tmp_path):
+        # a repeated id is a row out of place: line 2 is the row of record 2
         path = tmp_path / "ckpt.jsonl"
         first = take(next(compute_rows(parse_database(db_lines(3, 6, range(1)), 3, 6))), slice(0, 1))
         append_checkpoint(path, first)
         append_checkpoint(path, first)
-        with pytest.raises(FormatError, match="line 2: duplicate id"):
-            load_checkpoint(path, 3, 6)
+        stored = path.read_bytes() + b'{"id": 3, "ov'
+        path.write_bytes(stored)
+        with pytest.raises(FormatError, match="^checkpoint line 2: id 2, but record 2 of db.txt is id 3$"):
+            load_checkpoint(path, 3, 6, np.arange(2, 5), "db.txt")
+        assert path.read_bytes() == stored
 
     @pytest.mark.parametrize("ids,line", [((1, 2, 3, 1, 5), 4), ((1, 2, 3, 4, 1), 5)])
     def test_first_repeat_named_before_a_later_bad_line(self, tmp_path, monkeypatch, ids, line):
         # blocks of two lines, the last block refused for its bad line 6: a
-        # repeat in an earlier block, or earlier in that block, is named
+        # repeat in an earlier block, or earlier in that block, is named as
+        # out of place
         monkeypatch.setattr(harness, "BLOCK_LINES", 2)
         path = tmp_path / "ckpt.jsonl"
         path.write_text("".join(json.dumps(dict(self.FITS, id=i)) + "\n" for i in ids) + "{\n")
-        with pytest.raises(FormatError, match=f"^checkpoint line {line}: duplicate id 1$"):
-            load_checkpoint(path, 3, 6)
+        message = f"^checkpoint line {line}: id 1, but record {line} of the database is id {line}$"
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path, 3, 6, np.arange(1, 7))
 
     # a (3, 6) row: 32 topes, c_3(6, 0) = 32 and c_3(6, 1) = 2
     FITS = {"id": 1, "ovector": [30, 2], "m": [32, 2], "attains": [True, True]}
@@ -975,16 +996,17 @@ class TestCheckpoint:
         rows = [dict(self.FITS, id=2), dict(self.FITS, **change)]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.raises(FormatError, match=rf"^checkpoint line 2: {NOT_A_RUN_LINE}$"):
-            load_checkpoint(path, 3, 6)
+            load_checkpoint(path, 3, 6, np.array([2, 1]))
 
     def test_row_of_another_shape_raises(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         path.write_text(json.dumps(self.FITS) + "\n")
-        assert rows_of([load_checkpoint(path, 3, 6)]) == [ReportRow(1, (30, 2), (32, 2), (True, True))]
+        row = ReportRow(1, (30, 2), (32, 2), (True, True))
+        assert rows_of(load_checkpoint(path, 3, 6, np.array([1]))) == [row]
         for r, n in [(5, 8), (3, 7), (4, 6)]:
             message = rf"^checkpoint line 1: not a line a run writes at \(r, n\) = \({r}, {n}\)$"
             with pytest.raises(FormatError, match=message):
-                load_checkpoint(path, r, n)
+                load_checkpoint(path, r, n, np.array([1]))
 
     def test_each_append_leaves_whole_lines(self, tmp_path):
         # the file is opened for each block: after each append it holds the
@@ -995,7 +1017,7 @@ class TestCheckpoint:
         for i in range(1, len(rows) + 1):
             append_checkpoint(path, take(block, slice(i - 1, i)))
             assert path.read_text() == "".join(line + "\n" for line in block.lines()[:i])
-            assert rows_of([load_checkpoint(path, 3, 6)]) == rows[:i]
+            assert rows_of(load_checkpoint(path, 3, 6, block.ids)) == rows[:i]
 
     def test_o_vector_consistency_with_direct(self):
         recs = list(parse_database(db_lines(4, 6, [0, 1]), 4, 6))
@@ -1054,13 +1076,13 @@ def test_checkpoint_round_trip(case, flip):
         path = Path(tmp) / "ckpt.jsonl"
         append_checkpoint(path, RowBlock(r, n, np.array([row.id]), np.array([row.m])))
         assert path.read_text() == json.dumps(vars(row)) + "\n"
-        assert rows_of([load_checkpoint(path, r, n)]) == [row]
+        assert rows_of(load_checkpoint(path, r, n, np.array([row.id]))) == [row]
         if flip:  # any other attains is refused
             wrong = replace(row, attains=(not row.attains[0],) + row.attains[1:])
             path.write_text(wrong.to_json() + "\n")
             message = rf"^checkpoint line 1: not a line a run writes at \(r, n\) = \({r}, {n}\)$"
             with pytest.raises(FormatError, match=message):
-                load_checkpoint(path, r, n)
+                load_checkpoint(path, r, n, np.array([row.id]))
 
 
 # how a stored (3, 6) row's line can differ from the line append_checkpoint
@@ -1082,7 +1104,8 @@ LINE_EDITS = {
 @given(
     st.lists(
         st.tuples(
-            st.integers(0, 6),
+            # the id of the record at the line's place (None), or any id
+            st.one_of(st.none(), st.none(), st.integers(0, 12)),
             # m: a row of (3, 6), or in the last two a row with a wrong tope
             # count or a negative o-vector entry, its line as a run writes it
             st.sampled_from([(32, 0), (32, 1), (32, 2), (32, 2), (30, 2), (32, 34)]),
@@ -1091,27 +1114,32 @@ LINE_EDITS = {
         ),
         max_size=8,
     ),
+    # the database's record ids, in record order
+    st.sets(st.integers(0, 12), max_size=9).map(sorted),
     st.sampled_from(["", "\n", '{"id": 9, "ovec']),
 )
-def test_load_checkpoint_matches_one_line_at_a_time(rows, tail):
-    # the rows, the refusal and the file left behind are those of the
-    # per-line reader, for files checked three lines at a time
+def test_load_checkpoint_matches_one_line_at_a_time(rows, ids, tail):
+    # the rows, the refusal and the file left behind, torn tail included,
+    # are those of the per-line reader, for files checked three lines at a
+    # time
     c = [c_value(3, 6, k) for k in range(2)]
     lines = []
-    for row_id, (m0, m1), edit in rows:
+    for place, (row_id, (m0, m1), edit) in enumerate(rows):
+        if row_id is None:
+            row_id = ids[place] if place < len(ids) else 13
         attains = [m0 == c[0], m1 == c[1]]
         line = json.dumps({"id": row_id, "ovector": [m0 - m1, m1], "m": [m0, m1], "attains": attains})
         lines.append(LINE_EDITS[edit](line))
     data = ("".join(line + "\n" for line in lines) + tail).encode()
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "BLOCK_LINES", 3)  # duplicates across blocks too
+        mp.setattr(harness, "BLOCK_LINES", 3)  # rows out of place across blocks too
         for load in (load_checkpoint, load_checkpoint_oracle):
             path = Path(tmp) / "ckpt.jsonl"
             path.write_bytes(data)
             try:
-                got = load(path, 3, 6)
-                got = rows_of([got]) if load is load_checkpoint else list(got.values())
+                got = load(path, 3, 6, np.array(ids, dtype=np.int64), "db.txt")
+                got = rows_of(got) if load is load_checkpoint else got
             except FormatError as exc:
                 got = str(exc)
             outcomes.append((got, path.read_bytes()))
