@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, FormatError, NonUniformError
-from .signvec import MAX_GROUND_SET, _mask_from_elements
+from .signvec import MAX_GROUND_SET, _mask_from_elements, check_element
 
 
 def lex_rank(subset: tuple[int, ...], n: int) -> int:
@@ -66,13 +66,7 @@ class Chirotope:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        check_shape(self.r, self.n)
-        if len(self.signs) != comb(self.n, self.r):
-            raise DomainError(
-                f"expected {comb(self.n, self.r)} signs, got {len(self.signs)}"
-            )
-        if not set(self.signs) <= {1, -1}:
-            raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
+        check_signs(self.r, self.n, len(self.signs), [set(self.signs) <= {1, -1}])
 
     # -- evaluation ----------------------------------------------------
 
@@ -84,8 +78,7 @@ class Chirotope:
         if len(tup) != self.r:
             raise DomainError(f"expected an r-tuple of arity {self.r}")
         for e in tup:
-            if not 1 <= e <= self.n:
-                raise DomainError(f"element {e} outside ground set [1..{self.n}]")
+            check_element(e, self.n)
         if len(set(tup)) != self.r:
             return 0
         inversions = sum(
@@ -128,8 +121,7 @@ class Chirotope:
     def delete(self, e: int) -> "Chirotope":
         """Restrict to [n] \\ e; elements above e renumbered down by one
         (``minor_gather``)."""
-        if not 1 <= e <= self.n:
-            raise DomainError(f"element {e} outside ground set [1..{self.n}]")
+        check_element(e, self.n)
         if self.n - 1 < self.r:
             raise DomainError("deletion would collapse the rank")
         (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=False)
@@ -138,8 +130,7 @@ class Chirotope:
     def contract(self, e: int) -> "Chirotope":
         """Contract e: new sign of S is chi(e, S) on original labels
         (``minor_gather``)."""
-        if not 1 <= e <= self.n:
-            raise DomainError(f"element {e} outside ground set [1..{self.n}]")
+        check_element(e, self.n)
         if self.r < 2:
             raise DomainError("contraction would collapse the rank")
         (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=True)
@@ -162,11 +153,23 @@ class Chirotope:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
-def check_shape(r: int, n: int):
+def check_shape(r: int, n: int, where: str = ""):
     """Refuse a rank/size outside 1 <= r <= n <= MAX_GROUND_SET, before any
-    sign is counted or allocated."""
+    sign is counted or allocated; the message starts with ``where``."""
     if not 1 <= r <= n <= MAX_GROUND_SET:
-        raise DomainError(f"invalid rank/size ({r}, {n})")
+        raise DomainError(f"{where}invalid rank/size ({r}, {n})")
+
+
+def check_signs(r: int, n: int, width: int, uniform, where=lambda row: ""):
+    """The one rule for chirotope signs of rank r on [n], in rows of
+    ``width`` lex-order signs: the shape ``check_shape`` passes, a width of
+    C(n, r), then signs of +1/-1 only in each row (its ``uniform`` flag).
+    The message of the first bad row starts with ``where(row)``."""
+    if not 1 <= r <= n <= MAX_GROUND_SET or width != comb(n, r):
+        check_shape(r, n, where(0))
+        raise DomainError(f"{where(0)}expected {comb(n, r)} signs, got {width}")
+    if not all(uniform):
+        raise NonUniformError(f"{where(np.argmin(uniform))}chirotope signs must be +1/-1 (uniform only)")
 
 
 def alternating_chirotope(r: int, n: int) -> Chirotope:
@@ -228,14 +231,14 @@ def parse_signs(text: str, r: int, n: int, base_order: str = "lex") -> bytes:
     ``base_order`` names the subset order of the text: "lex" (our native
     order) or "colex" for databases using colexicographic subset order.
     """
-    return parse_sign_rows([text], r, n, base_order)
+    return parse_sign_rows([text], r, n, base_order).tobytes()
 
 
-def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex") -> bytes:
-    """The signs of several chirotope strings, each as ``parse_signs``
-    returns it, concatenated: one translate over the joined text and, for
-    colex text, one gather.  The first text that ``parse_signs`` refuses
-    raises its error."""
+def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex") -> np.ndarray:
+    """The signs of several chirotope strings, a row each as ``parse_signs``
+    returns them (int8, rows x C(n, r)): one translate over the joined text
+    and, for colex text, one gather.  The first text that ``parse_signs``
+    refuses raises its error."""
     check_shape(r, n)
     if base_order not in ("lex", "colex"):
         raise DomainError(f"unknown base order {base_order!r}")
@@ -253,10 +256,8 @@ def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex
                 raise NonUniformError("non-uniform chirotopes (containing '0') are unsupported")
             if bad:
                 raise FormatError(f"invalid characters {bad!r} in chirotope text")
-    if base_order == "colex":
-        rows = np.frombuffer(signs, dtype=np.int8).reshape(len(texts), expected)
-        signs = rows[:, _colex_of_lex(r, n)].tobytes()
-    return signs
+    rows = np.frombuffer(signs, dtype=np.int8).reshape(len(texts), expected)
+    return rows[:, _colex_of_lex(r, n)] if base_order == "colex" else rows
 
 
 def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:

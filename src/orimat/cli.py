@@ -7,9 +7,10 @@ Exit codes: 0 = success / verdict holds, 1 = counterexample found,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import cache
 
 from . import harness
@@ -21,7 +22,7 @@ from .constructions import (
     search_k_neighborly,
 )
 from .cyclic import CValueTable
-from .errors import DomainError, FormatError, OrimatError
+from .errors import FormatError, OrimatError
 from .neighborly import (
     check_enumeration_size,
     check_tope_graph_size,
@@ -47,23 +48,29 @@ def _add_common(p: argparse.ArgumentParser, db: bool = False):
 def _read_chirotope(args):
     if args.file is None:
         return alternating_chirotope(args.rank, args.elements)
-    with _open(args.file) as fh:
+    with _open(args.file) as (fh, name):
         words = fh.read().split()
     if not words:
-        raise FormatError(f"no chirotope in {args.file}")
+        raise FormatError(f"no chirotope in {name}")
     return parse_chirotope(words[0], args.rank, args.elements, base_order=args.base_order)
 
 
 @contextmanager
 def _open(path: str):
-    """The named text file, read as UTF-8, or stdin (left open on exit) for
-    '-'.  Text that does not decode is refused, naming the file."""
+    """The named text file, or stdin (left open on exit) for '-', read as
+    strict UTF-8, and its name in messages: "stdin" for '-'.  Text that does
+    not decode is refused, naming the file."""
+    name = "stdin" if path == "-" else path
+    if path == "-":  # untranslated and split at "\n" only, as sys.stdin reads on POSIX
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+    else:
+        fh = open(path, encoding="utf-8")
     try:
-        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
-            yield fh
+        yield fh, name
     except UnicodeDecodeError as exc:
-        name = "stdin" if path == "-" else path
         raise FormatError(f"{name} is not UTF-8 text ({exc.reason})") from None
+    finally:
+        fh.detach() if path == "-" else fh.close()
 
 
 @cache
@@ -223,11 +230,9 @@ def _cmd_cvalue(args) -> int:
 def _cmd_reports(args) -> int:
     r, n = args.rank, args.elements
     agg = harness.new_aggregate(args.command, r, n, args.k)
-    with _open(args.file) as fh:
+    with _open(args.file) as (fh, name):
         blocks = list(harness.parse_database(fh, r, n, args.base_order, blocks=True))
-    if not blocks:
-        raise DomainError(f"empty database: no chirotope lines in {args.file}")
-    for block in harness.report_rows(agg, blocks, args.checkpoint, source=args.file):
+    for block in harness.report_rows(agg, blocks, args.checkpoint, source=name):
         print("\n".join(block.lines(args.format)))
     print(json.dumps(agg.summary()), file=sys.stderr)
     return 0 if agg.holds else 1
@@ -258,7 +263,7 @@ def _cmd_reduce(args) -> int:
     harness.check_reduction_inputs(args.rank, args.k, [spec[:2] for spec in specs])
     db_map = {}
     for r_prime, n_prime, path in specs:
-        with _open(path) as fh:
+        with _open(path) as (fh, _):
             db_map[(r_prime, n_prime)] = list(
                 harness.parse_database(fh, r_prime, n_prime, args.base_order, blocks=True)
             )

@@ -13,7 +13,7 @@ import numpy as np
 from .chirotope import Chirotope
 from .circuits import CircuitSet, circuits_from_chirotope, cocircuits
 from .errors import DomainError
-from .neighborly import check_k, first_index_at_least, ort
+from .neighborly import check_cell, first_index_at_least, ort
 from .signvec import SignVector, _elements_from_mask, _mask_from_elements
 
 
@@ -45,16 +45,10 @@ def _minus_on_support(cs: CircuitSet, support) -> tuple[int, ...]:
     return _elements_from_mask(int(cs.minus[index]))
 
 
-def _check_k(chi: Chirotope, k: int, lo: int = 0):
-    if chi.n < chi.r + 1:
-        raise DomainError(f"need n >= r+1, got (r={chi.r}, n={chi.n})")
-    check_k(chi.r, k, lo)
-
-
 def search_k_neighborly(chi: Chirotope, k: int) -> ReorientationWitness | None:
     """First tope (in enumeration order, element 1 positive) with ort >= k+1,
     reported as R = T^-; None iff m(chi, k) = 0."""
-    _check_k(chi, k)
+    check_cell(chi.r, chi.n, k)
     index = first_index_at_least(circuits_from_chirotope(chi), k + 1)
     if index is None:
         return None
@@ -69,7 +63,7 @@ def disjoint_cocircuit_construction(chi: Chirotope, k: int) -> ReorientationWitn
     floor((r-1)/k) and k+1 disjoint supports fit; chunks are chosen as the
     leftmost consecutive blocks for determinism.
     """
-    _check_k(chi, k, lo=2)
+    check_cell(chi.r, chi.n, k, lo=2)
     s = (chi.r - 1) // k
     if chi.n != chi.r - 1 + s:
         raise DomainError(
@@ -93,7 +87,7 @@ def composite_construction(chi: Chirotope, k: int) -> ReorientationWitness:
     Requires n = r+floor((r-1)/k) and r-1 = alpha*k + beta with
     beta in {ceil((k-1)/2), ..., k-1}.
     """
-    _check_k(chi, k, lo=2)
+    check_cell(chi.r, chi.n, k, lo=2)
     r = chi.r
     alpha, beta = divmod(r - 1, k)
     if chi.n != r + alpha:

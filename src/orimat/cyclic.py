@@ -17,6 +17,7 @@ from .neighborly import (
     RECHECK_PAIRS,
     OVector,
     _enumeration_cost,
+    check_cell,
     check_enumeration_size,
     check_k,
     m_value,
@@ -95,7 +96,7 @@ class CValueTable:
         self._memo: dict[tuple[int, int, int], CEntry] = {}
 
     def entry(self, r: int, n: int, k: int) -> CEntry:
-        _check_cell(r, n, k)
+        check_cell(r, n, k)
         key = (r, n, k)
         if key not in self._memo:
             self._memo[key] = self._compute(r, n, k)
@@ -140,13 +141,6 @@ class CValueTable:
             self._memo[(r, n, k)] = entry
 
 
-def _check_cell(r: int, n: int, k: int):
-    """Refuse an (r, n, k) with no c-value: n <= r or k outside its range."""
-    if n < r + 1:
-        raise DomainError(f"need n >= r+1, got (r={r}, n={n})")
-    check_k(r, k)
-
-
 def _formula_entry(r: int, n: int, k: int) -> CEntry | None:
     """The entry of a cell with a closed form or the n = r+1 formula, each
     O(1); None where only brute force gives the value."""
@@ -168,7 +162,7 @@ def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
     at (r, n) takes (odd, or outside [0, tope count]), or, at a size within
     RECHECK_PAIRS, one that ``c_value_brute`` does not give."""
     try:
-        _check_cell(r, n, k)
+        check_cell(r, n, k)
     except DomainError as exc:
         return str(exc)
     formula = _formula_entry(r, n, k)

@@ -10,26 +10,29 @@ a block of records, from the input text to the output text:
   block's signs with one translate (``chirotope.parse_sign_rows``) into a
   ``RecordBlock``: the record ids (int64) and their lex-order signs (int8,
   rows x C(n, r)).  The base order of the text is settled there, so nothing
-  after the parse takes an order, and the check is paid once per block.
-  It yields one ``DatabaseRecord`` at a time, or, as the CLI reads them,
-  the blocks themselves.
+  after the parse takes an order, and the check is paid once per block, not
+  again by ``RecordBlock``'s own rule.  It yields one ``DatabaseRecord`` at
+  a time, or, as the CLI reads them, the blocks themselves.
 - ``compute_rows`` hands ``neighborly.m_values`` row slices of a block's
   signs, at most ``BLOCK_LINES`` records of one (r, n) at a time, and makes
   each result a ``RowBlock``: record ids and m(M,k) as arrays.  The
   o-vector and ``attains`` follow from m, so a block formats the text of
   each distinct m row once.
-- ``report_rows`` is the one report loop of the library and the CLI: the
-  rows of a checkpoint, then the rest computed and appended to it a block
-  at a time, each block folded into one aggregate per verdict (c-values
-  from the module memo ``cyclic.c_value``).  Before a verdict that fails,
-  it counts the records the verdict names again from their signs.
+- ``report_rows`` is the one report loop of the library and the CLI.  It
+  refuses a database with no records, then yields the rows of a
+  checkpoint, then the rest computed and appended to it a block at a time,
+  each block folded into one aggregate per verdict (c-values from the
+  module memo ``cyclic.c_value``).  Before a verdict that fails, it counts
+  the records the verdict names again from their signs.
 - ``load_checkpoint`` holds a checkpoint to one rule before it touches the
   file: line i is the line ``append_checkpoint`` writes for the row of
   record i.  It checks ``BLOCK_LINES`` lines with one ``json.loads``, and
   the blocks it returns keep those lines as their json text.
 
-Records given one at a time (``DatabaseRecord``) are packed into blocks once,
-where they enter ``compute_rows`` or ``report_rows`` (``_record_blocks``).
+``RecordBlock`` holds the one rule of a record built by hand, and a
+``DatabaseRecord`` is held to it as a block of one.  Records given one at a
+time are packed into blocks once, where they enter ``compute_rows`` or
+``report_rows`` (``_record_blocks``).
 """
 
 from __future__ import annotations
@@ -40,17 +43,15 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, islice, takewhile
-from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chirotope import Chirotope, check_shape, minor_gather, parse_sign_rows, parse_signs
+from .chirotope import Chirotope, check_signs, minor_gather, parse_sign_rows, parse_signs
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
-from .errors import DomainError, FormatError, NonUniformError
+from .errors import DomainError, FormatError
 from .neighborly import check_k, m_counts, m_values
-from .signvec import MAX_GROUND_SET
 
 # The lines of a block: database lines that ``parse_database`` checks
 # together, records that ``compute_rows`` counts in one ``m_values`` call,
@@ -61,27 +62,19 @@ BLOCK_LINES = 1 << 8
 
 
 class DatabaseRecord(namedtuple("DatabaseRecord", "id r n signs")):
-    """One database line, checked when built: ``signs`` is bytes holding
-    C(n, r) signs in lex order, each byte 1 or -1 (0xff), as ``parse_signs``
-    returns them, so the record is never parsed again."""
+    """One database line, checked when built by the rule of ``RecordBlock``
+    for a block of one: an integer id in the int64 range, and ``signs`` as
+    bytes of C(n, r) lex-order signs, each 1 or -1 (0xff), as
+    ``parse_signs`` returns them, so the record is never parsed again."""
 
     __slots__ = ()
 
     def __new__(cls, id: int, r: int, n: int, signs: bytes):
+        if not (isinstance(id, (int, np.integer)) and -(1 << 63) <= id < 1 << 63):
+            raise DomainError(f"record id {id!r} is not an integer in the int64 range")
         if not isinstance(signs, bytes):
             raise DomainError(f"record {id}: signs must be bytes, not {type(signs).__name__}")
-        if not (
-            1 <= r <= n <= MAX_GROUND_SET
-            and len(signs) == comb(n, r)
-            and not signs.strip(b"\x01\xff")
-        ):
-            try:
-                check_shape(r, n)
-                if len(signs) != comb(n, r):
-                    raise DomainError(f"expected {comb(n, r)} signs, got {len(signs)}")
-                raise NonUniformError("chirotope signs must be +1/-1 (uniform only)")
-            except (DomainError, NonUniformError) as exc:
-                raise type(exc)(f"record {id}: {exc}") from None
+        RecordBlock(r, n, np.array([id], dtype=np.int64), np.frombuffer(signs, dtype=np.int8)[None])
         return super().__new__(cls, id, r, n, signs)
 
 
@@ -92,11 +85,11 @@ _checked_record = partial(tuple.__new__, DatabaseRecord)
 
 @dataclass(frozen=True, eq=False)
 class RecordBlock:
-    """Consecutive database records of one (r, n): their ids (int64) and
-    their lex-order signs (int8, rows x C(n, r)), each 1 or -1.  A block
-    built by hand is checked when built, each record as ``DatabaseRecord``
-    checks the bytes of its signs, and the first bad record raises naming
-    it; ids must be an int64 array.  Blocks from the block parser of
+    """Consecutive database records of one (r, n), checked when built by the
+    one record rule: ``ids`` is a 1-D int64 array, ``signs`` a 2-D int8
+    array with a row per id, and each row holds C(n, r) lex-order signs,
+    each 1 or -1, at a valid (r, n) (``chirotope.check_signs``).  The first
+    bad record raises naming it.  Blocks from the block parser of
     ``parse_database``, which checks the text, from ``_record_blocks``, which
     packs records checked when built, and the cuts ``report_rows`` makes of
     them are built by ``_checked_block``, so no sign is checked again."""
@@ -107,18 +100,18 @@ class RecordBlock:
     signs: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype == np.int64 and self.ids.ndim == 1):
+        ids, signs = self.ids, self.signs
+        if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1):
             raise DomainError("record ids must be a 1-D int64 numpy array")
-        rows = np.ascontiguousarray(self.signs).view(np.uint8)  # the bytes of each record's signs
-        if rows.ndim != 2 or len(rows) > len(self.ids):
-            shape = np.shape(self.signs)
-            raise DomainError(f"{len(self.ids)} records need one row of signs each, not shape {shape}")
-        fits = 1 <= self.r <= self.n <= MAX_GROUND_SET and rows.shape[1] == comb(self.n, self.r)
-        bad = np.flatnonzero(~(np.isin(rows, (1, 0xFF)).all(axis=1) & fits))
-        first = int(bad[0]) if len(bad) else len(rows)
-        if first < len(self.ids):  # raises: the record's signs do not pass
-            signs = rows[first].tobytes() if first < len(rows) else b""
-            DatabaseRecord(int(self.ids[first]), self.r, self.n, signs)
+        rows = isinstance(signs, np.ndarray) and signs.ndim == 2 and len(signs) == len(ids)
+        if not (rows and signs.dtype == np.int8):
+            kind = getattr(signs, "dtype", type(signs).__name__)
+            raise DomainError(
+                f"{len(ids)} records need one int8 row of signs each, not {kind} of shape {np.shape(signs)}"
+            )
+        if len(ids):
+            uniform = ((signs == 1) | (signs == -1)).all(axis=1)
+            check_signs(self.r, self.n, signs.shape[1], uniform, lambda row: f"record {ids[row]}: ")
 
     def records(self) -> Iterator[DatabaseRecord]:
         """The records one at a time, built from the checked signs."""
@@ -172,17 +165,9 @@ def _parse_blocks(lines: Iterator[str], r: int, n: int, base_order: str) -> Iter
                     parse_signs(text, r, n, base_order)
                 except FormatError as exc:
                     if good:
-                        signs = parse_sign_rows(texts[:good], r, n, base_order)
-                        yield _record_block(r, n, ids[:good], signs)
+                        yield _checked_block(r, n, ids[:good], parse_sign_rows(texts[:good], r, n, base_order))
                     raise type(exc)(f"line {ids[good]}: {exc}") from exc
-        yield _record_block(r, n, ids, signs)
-
-
-def _record_block(r: int, n: int, ids, signs: bytes) -> RecordBlock:
-    """The block of the records ``ids`` whose checked signs are ``signs``,
-    one record after another."""
-    rows = np.frombuffer(signs, dtype=np.int8).reshape(len(ids), -1)
-    return _checked_block(r, n, np.asarray(ids, dtype=np.int64), rows)
+        yield _checked_block(r, n, ids, signs)
 
 
 def _record_blocks(items: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[RecordBlock]:
@@ -195,7 +180,8 @@ def _record_blocks(items: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[Re
             continue
         while chunk := list(islice(run, BLOCK_LINES)):
             ids, _, _, signs = zip(*chunk)
-            yield _record_block(r, n, ids, b"".join(signs))
+            rows = np.frombuffer(b"".join(signs), dtype=np.int8).reshape(len(ids), -1)
+            yield _checked_block(r, n, np.array(ids, dtype=np.int64), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,8 +363,7 @@ def mcmullen_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> 
 
 def _report(kind, records, k):
     records = list(records)
-    if not any(len(x.ids) if isinstance(x, RecordBlock) else 1 for x in records):
-        raise DomainError("empty database")
+    _refuse_empty(records)  # else there is no first record to read (r, n) from
     agg = new_aggregate(kind, records[0].r, records[0].n, k)
     for _ in report_rows(agg, records):
         pass
@@ -397,10 +382,11 @@ def report_rows(
     loop of the library and the CLI.
 
     Before any row, records of another (r, n) than the aggregate's are
-    refused and the checkpoint is loaded (``load_checkpoint``).  Its blocks
-    come first; the records after them are cut from the blocks of
-    ``records``, and each block of their rows is appended to the file
-    (``append_checkpoint``) before it is yielded.
+    refused, then a database with no records (naming ``source``), and the
+    checkpoint is loaded (``load_checkpoint``).  Its blocks come first; the
+    records after them are cut from the blocks of ``records``, and each
+    block of their rows is appended to the file (``append_checkpoint``)
+    before it is yielded.
 
     A block holds at most ``BLOCK_LINES`` rows, so rows are appended
     ``BLOCK_LINES`` at a time (about 0.4 s of work at (6,12)), and the rows
@@ -414,6 +400,7 @@ def report_rows(
     if len(shapes) > 1:
         raise DomainError(f"mixed (r, n) in one database: {sorted(shapes)}")
     ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [block.ids for block in blocks])
+    _refuse_empty(ids, source)
     prior = load_checkpoint(checkpoint, r, n, ids, source) if checkpoint else []
     m = [block.m for block in prior]
     stored = sum(map(len, m))
@@ -428,8 +415,14 @@ def report_rows(
         agg.add(block)
         m.append(block.m)
         yield block
-    if m and not agg.holds:  # with no rows, no record is named
+    if not agg.holds:
         _recount_named(agg, blocks, ids, np.concatenate(m), stored)
+
+
+def _refuse_empty(records, source: str = "the database"):
+    """Refuse a database with no records: no rows, so no verdict."""
+    if not len(records):
+        raise DomainError(f"empty database: no chirotope lines in {source}")
 
 
 def _records_after(blocks: list[RecordBlock], stored: int) -> Iterator[RecordBlock]:

@@ -239,6 +239,14 @@ def check_k(r: int, k: int, lo: int = 0):
         raise DomainError(f"k={k} outside [{lo}, {hi}]")
 
 
+def check_cell(r: int, n: int, k: int, lo: int = 0):
+    """Refuse a cell (r, n, k) with n <= r, then one whose k ``check_k``
+    refuses."""
+    if n < r + 1:
+        raise DomainError(f"need n >= r+1, got (r={r}, n={n})")
+    check_k(r, k, lo)
+
+
 def check_enumeration_size(r: int, n: int):
     """Refuse an over-budget enumeration at (r, n) before any chirotope is
     built; an invalid (r, n) is left to the constructors."""

@@ -16,11 +16,16 @@ from .errors import DimensionError, DomainError
 MAX_GROUND_SET = 64
 
 
+def check_element(e: int, n: int):
+    """Refuse an element outside the ground set [1..n]."""
+    if not 1 <= e <= n:
+        raise DomainError(f"element {e} outside ground set [1..{n}]")
+
+
 def _mask_from_elements(elements: Iterable[int], n: int) -> int:
     mask = 0
     for e in elements:
-        if not 1 <= e <= n:
-            raise DomainError(f"element {e} outside ground set [1..{n}]")
+        check_element(e, n)
         mask |= 1 << (e - 1)
     return mask
 
@@ -97,8 +102,7 @@ class SignVector:
 
     def sign(self, e: int) -> int:
         """Sign at 1-based element e as +1, -1 or 0."""
-        if not 1 <= e <= self.n:
-            raise DomainError(f"element {e} outside ground set [1..{self.n}]")
+        check_element(e, self.n)
         bit = 1 << (e - 1)
         if self.plus & bit:
             return 1

@@ -26,6 +26,11 @@ from orimat.cli import main
 from conftest import o_vector_oracle, record_chirotope, report_oracle, serialize_colex
 
 
+def fake_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin that holds ``data``, opened as Python opens it in UTF-8 mode."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -859,10 +864,31 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
 
     def test_non_utf8_stdin_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
-        code, out, err = run(capsys, "roudneff", "-r", "3", "-n", "4", "--k", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error: stdin is not UTF-8") and len(err.splitlines()) == 1
+        # stdin as Python opens it in UTF-8 mode, where a bad byte would
+        # decode to a lone surrogate
+        for data in (b"\xff\n", b"+" * 69 + b"\xff\n"):
+            monkeypatch.setattr("sys.stdin", fake_stdin(data))
+            code, out, err = run(capsys, "roudneff", "-r", "4", "-n", "8", "--k", "1")
+            assert code == 2 and out == ""
+            assert err.startswith("error: stdin is not UTF-8 text") and len(err.splitlines()) == 1
+
+    def test_stdin_named_stdin(self, capsys, monkeypatch, tmp_path):
+        text = "".join(random_realizable(4, 8, seed=s).serialize() + "\n" for s in range(3))
+        path, ckpt = tmp_path / "db.txt", tmp_path / "ckpt.jsonl"
+        path.write_text(text)
+        argv = ("roudneff", "-r", "4", "-n", "8", "--k", "1")
+        assert run(capsys, *argv, "--file", str(path), "--checkpoint", str(ckpt))[0] == 0
+        lines = ckpt.read_text().splitlines(keepends=True)
+        ckpt.write_text("".join(lines[1:]))
+        cases = [
+            (text, ("--checkpoint", str(ckpt)), "error: checkpoint line 1: id 2, but record 1 of stdin is id 1\n"),
+            ("# no records\n", (), "error: empty database: no chirotope lines in stdin\n"),
+        ]
+        for data, extra, want in cases:
+            monkeypatch.setattr("sys.stdin", fake_stdin(data.encode()))
+            assert run(capsys, *argv, "--file", "-", *extra) == (2, "", want)
+        monkeypatch.setattr("sys.stdin", fake_stdin(b"\n"))
+        assert run(capsys, "dual", "-r", "4", "-n", "8", "--file", "-") == (2, "", "error: no chirotope in stdin\n")
 
     def test_unknown_flag(self, capsys):
         assert main(["ovector", "-r", "3", "-n", "5", "--nope"]) == 2

@@ -330,6 +330,15 @@ class TestBatchedRows:
         with pytest.raises(error, match=f"^record 7: {message}$"):
             DatabaseRecord(7, r, n, signs(size))
 
+    @pytest.mark.parametrize("bad_id", [1.5, "a", 2**70, -(2**63) - 1, None])
+    def test_hand_built_record_with_a_bad_id_refused(self, bad_id):
+        # an id that is no int64 would print as another id (1.5 as 1) or fail
+        # in the row pass; it is refused when the record is built
+        signs = next(parse_database(db_lines(4, 8, [0], with_alternating=False), 4, 8)).signs
+        message = f"record id {re.escape(repr(bad_id))} is not an integer in the int64 range"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DatabaseRecord(bad_id, 4, 8, signs)
+
     def test_hand_built_bad_shape_named(self):
         with pytest.raises(DomainError, match=r"^record 7: invalid rank/size \(0, 4\)$"):
             DatabaseRecord(7, 0, 4, b"\x01")
@@ -346,28 +355,33 @@ class TestBatchedRows:
         "case",
         [
             "signs x2", "second record's signs x2", "an id without signs", "rows 69 wide", "int64 signs",
-            "float ids", "ids in a list",
+            "uint8 signs", "signs in a list", "float ids", "ids in a list", "rank 0",
         ],
     )
     def test_hand_built_bad_block_refused_when_built(self, case):
-        # each record of a block built by hand is checked as DatabaseRecord
-        # checks it, from the bytes of its row of signs
+        # the one record rule: int64 ids, int8 signs with a row per id, and
+        # C(n, r) signs of +1/-1 per row at a valid (r, n); the first bad
+        # record is named
         rec = next(parse_database(db_lines(4, 8, [0], with_alternating=False), 4, 8))
         row = np.frombuffer(rec.signs, dtype=np.int8)[None]
         one, two = np.array([1]), np.array([1, 2])
         uniform = r"chirotope signs must be \+1/-1 \(uniform only\)"
         not_ids = "record ids must be a 1-D int64 numpy array"
-        ids, signs, error, message = {
-            "signs x2": (one, row * 2, NonUniformError, f"record 1: {uniform}"),
-            "second record's signs x2": (two, np.vstack([row, row * 2]), NonUniformError, f"record 2: {uniform}"),
-            "an id without signs": (two, row, DomainError, "record 2: expected 70 signs, got 0"),
-            "rows 69 wide": (one, row[:, :69], DomainError, "record 1: expected 70 signs, got 69"),
-            "int64 signs": (one, row.astype(np.int64), DomainError, "record 1: expected 70 signs, got 560"),
-            "float ids": (np.array([1.5]), row, DomainError, not_ids),
-            "ids in a list": ([1], row, DomainError, not_ids),
+        not_rows = "{} records need one int8 row of signs each, not {} of shape \\({}, 70\\)"
+        ids, signs, error, message, r = {
+            "signs x2": (one, row * 2, NonUniformError, f"record 1: {uniform}", 4),
+            "second record's signs x2": (two, np.vstack([row, row * 2]), NonUniformError, f"record 2: {uniform}", 4),
+            "an id without signs": (two, row, DomainError, not_rows.format(2, "int8", 1), 4),
+            "rows 69 wide": (one, row[:, :69], DomainError, "record 1: expected 70 signs, got 69", 4),
+            "int64 signs": (one, row.astype(np.int64), DomainError, not_rows.format(1, "int64", 1), 4),
+            "uint8 signs": (one, row.view(np.uint8), DomainError, not_rows.format(1, "uint8", 1), 4),
+            "signs in a list": (one, row.tolist(), DomainError, not_rows.format(1, "list", 1), 4),
+            "float ids": (np.array([1.5]), row, DomainError, not_ids, 4),
+            "ids in a list": ([1], row, DomainError, not_ids, 4),
+            "rank 0": (one, row, DomainError, r"record 1: invalid rank/size \(0, 8\)", 0),
         }[case]
         with pytest.raises(error, match=f"^{message}$"):
-            harness.RecordBlock(4, 8, ids, signs)
+            harness.RecordBlock(r, 8, ids, signs)
 
     def test_parsed_blocks_and_their_cuts_not_checked_again(self, tmp_path, monkeypatch):
         lines = db_lines(4, 8, range(5))
@@ -599,17 +613,28 @@ class TestRoudneffReport:
             roudneff_report([], 1)
 
     @pytest.mark.parametrize("blocks", [0, 2])
-    def test_database_without_rows_refused(self, blocks):
+    def test_database_without_rows_refused(self, blocks, tmp_path):
         # no records, or only blocks of none: no verdict from no rows
         def database(r, n):
             empty = harness.RecordBlock(r, n, np.zeros(0, dtype=np.int64), np.zeros((0, comb(n, r)), dtype=np.int8))
             return [empty] * blocks
 
+        empty = "^empty database: no chirotope lines in the database$"
         for report in (roudneff_report, mcmullen_report):
-            with pytest.raises(DomainError, match="^empty database$"):
+            with pytest.raises(DomainError, match=empty):
                 report(database(4, 8), 1)
-        with pytest.raises(DomainError, match="^empty database$"):
+        with pytest.raises(DomainError, match=empty):
             finite_reduction_check(5, 1, {(4, 7): database(4, 7), (5, 9): database(5, 9)})
+        # the report loop itself, before any row and before the checkpoint
+        # is read: a line that is no row would be refused there
+        path = tmp_path / "ckpt.jsonl"
+        path.write_text("garbage\n")
+        for kind in ("roudneff", "mcmullen"):
+            for checkpoint, source in ((None, "the database"), (path, "db.txt")):
+                rows = report_rows(new_aggregate(kind, 4, 8, 1), database(4, 8), checkpoint, source=source)
+                with pytest.raises(DomainError, match=f"^empty database: no chirotope lines in {source}$"):
+                    next(rows)
+        assert path.read_text() == "garbage\n"
 
     def test_k_out_of_range(self):
         recs = list(parse_database(db_lines(3, 5, []), 3, 5))
