@@ -58,11 +58,12 @@ def _read_chirotope(args):
 @contextmanager
 def _open(path: str):
     """The named text file, or stdin (left open on exit) for '-', read as
-    strict UTF-8, and its name in messages: "stdin" for '-'.  Text that does
-    not decode is refused, naming the file."""
+    strict UTF-8 with universal newlines (a line ends at LF, CRLF or a lone
+    CR), and its name in messages: "stdin" for '-'.  Text that does not
+    decode is refused, naming the file."""
     name = "stdin" if path == "-" else path
-    if path == "-":  # untranslated and split at "\n" only, as sys.stdin reads on POSIX
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+    if path == "-":  # rewrapped: sys.stdin splits at "\n" only on POSIX
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
     else:
         fh = open(path, encoding="utf-8")
     try:
@@ -261,13 +262,14 @@ def _cmd_reduce(args) -> int:
         except ValueError:
             raise FormatError(f"--db expects RANK:N:PATH, got {db_arg!r}") from None
     harness.check_reduction_inputs(args.rank, args.k, [spec[:2] for spec in specs])
-    db_map = {}
+    db_map, sources = {}, {}
     for r_prime, n_prime, path in specs:
-        with _open(path) as (fh, _):
+        with _open(path) as (fh, name):
+            sources[r_prime, n_prime] = name
             db_map[(r_prime, n_prime)] = list(
                 harness.parse_database(fh, r_prime, n_prime, args.base_order, blocks=True)
             )
-    verdict = harness.finite_reduction_check(args.rank, args.k, db_map)
+    verdict = harness.finite_reduction_check(args.rank, args.k, db_map, sources=sources)
     for line in verdict.detail:
         print(line)
     if verdict.confirmed:

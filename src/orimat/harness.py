@@ -351,9 +351,12 @@ def new_aggregate(kind: str, r: int, n: int, k: int):
     return McMullenAggregate(r, n, k)
 
 
-def roudneff_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> RoudneffAggregate:
-    """Max m(M,k) over the database against the bound c_r(n,k)."""
-    return _report("roudneff", records, k)
+def roudneff_report(
+    records: Iterable[DatabaseRecord | RecordBlock], k: int, *, source: str = "the database"
+) -> RoudneffAggregate:
+    """Max m(M,k) over the database against the bound c_r(n,k); an empty
+    database is refused naming ``source``."""
+    return _report("roudneff", records, k, source)
 
 
 def mcmullen_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> McMullenAggregate:
@@ -361,11 +364,11 @@ def mcmullen_report(records: Iterable[DatabaseRecord | RecordBlock], k: int) -> 
     return _report("mcmullen", records, k)
 
 
-def _report(kind, records, k):
+def _report(kind, records, k, source="the database"):
     records = list(records)
-    _refuse_empty(records)  # else there is no first record to read (r, n) from
+    _refuse_empty(records, source)  # else there is no first record to read (r, n) from
     agg = new_aggregate(kind, records[0].r, records[0].n, k)
-    for _ in report_rows(agg, records):
+    for _ in report_rows(agg, records, source=source):
         pass
     return agg
 
@@ -419,7 +422,7 @@ def report_rows(
         _recount_named(agg, blocks, ids, np.concatenate(m), stored)
 
 
-def _refuse_empty(records, source: str = "the database"):
+def _refuse_empty(records, source: str):
     """Refuse a database with no records: no rows, so no verdict."""
     if not len(records):
         raise DomainError(f"empty database: no chirotope lines in {source}")
@@ -509,6 +512,8 @@ def finite_reduction_check(
     r: int,
     k: int,
     db_map: dict[tuple[int, int], Iterable[DatabaseRecord | RecordBlock]] | None = None,
+    *,
+    sources: dict[tuple[int, int], str] | None = None,
 ) -> ReductionVerdict:
     """Reduce the bound m(M,k) <= c_r(n,k) for all n >= 2(r-k)+1 to its base
     cases: every rank r' <= r at n' = 2(r'-k)+1 elements.
@@ -519,7 +524,9 @@ def finite_reduction_check(
     inductive step's recurrence is checked on the cells above each base case
     (``_recurrence_mismatches``); a mismatch also withholds "confirmed".
     A ``db_map`` key the reduction does not read, or an entry with records
-    at another (r, n) than its key, is refused before any row.
+    at another (r, n) than its key, is refused before any row.  An empty
+    database is refused naming its entry of ``sources`` (its file name in
+    the CLI), or "the database".
     """
     db_map = {size: list(records) for size, records in (db_map or {}).items()}
     check_reduction_inputs(r, k, db_map)
@@ -544,7 +551,8 @@ def finite_reduction_check(
             missing.append((r_prime, n_prime))
             detail.append(f"rank {r_prime}, n={n_prime}: database missing")
             continue
-        agg = roudneff_report(db_map[(r_prime, n_prime)], k)
+        source = (sources or {}).get((r_prime, n_prime), "the database")
+        agg = roudneff_report(db_map[(r_prime, n_prime)], k, source=source)
         if agg.holds:
             detail.append(
                 f"rank {r_prime}, n={n_prime}: max m = {agg.max_m} <= c = {agg.c_bound}"

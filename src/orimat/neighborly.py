@@ -38,7 +38,9 @@ together (``_group_size``), each batch's circuits derived as it runs.
 Sizes are refused before anything is allocated by closed forms for the
 kernel pairs and the largest candidate array (``_enumeration_cost``).  In
 process on 2 vCPU (Python 3.11, numpy 2.4), grown database rows come out at
-about 8k rows/s at (5,10), 2.3k at (6,11) and 0.6k at (6,12).
+about 16k rows/s at (5,10), 4.8k at (6,11) and 1.4k at (6,12); ``o_vector``
+takes about 11 ms on C_7(14) and 18 ms on C_5(16), and the audit of a
+(6,12) chirotope 6, 2.3 and 1.0 ms at k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -100,9 +102,22 @@ def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
     popcount is the separations sep, and the agreements are width - sep.
     ort = min(min sep, width - max sep) over circuits, so no second array
     of the tile's size is built.  Any leading axis is carried through.
+
+    numpy counts uint8 bits with SIMD but uint16 bits one element at a
+    time, about 15x slower, so a uint16 tile (n = 9..16) is counted on its
+    byte view and in place: each byte becomes its popcount, and the high
+    byte of x * 0x0101 is the sum of the two, at most 16.  That tile, which
+    must be C-contiguous, is consumed.
     """
-    sep = np.bitwise_count(separated)
-    return np.minimum(sep.min(axis=-2), width - sep.max(axis=-2))
+    if separated.dtype == np.uint16:
+        pairs = separated.view(np.uint8)
+        np.bitwise_count(pairs, out=pairs)
+        separated *= np.uint16(0x0101)
+        separated >>= np.uint16(8)
+        sep = separated
+    else:
+        sep = np.bitwise_count(separated)
+    return np.minimum(sep.min(axis=-2), width - sep.max(axis=-2)).astype(np.uint8, copy=False)
 
 
 def _ort_masks(
@@ -332,12 +347,12 @@ def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ..
         masks, records, run = masks[keep], records[keep], run[keep]
         if not len(masks):
             break
-        masks = np.stack([masks, masks | dtype.type(1 << (j - 1))], axis=1).ravel()
+        masks = masks.repeat(2)
+        masks[1::2] |= dtype.type(1 << (j - 1))
         records = records.repeat(2)
         hi = comb(j, r + 1)
-        run = np.minimum(
-            run.repeat(2), _ort_masks(support[lo:hi], stack[lo:hi], masks, records, r + 1)
-        )
+        low = _ort_masks(support[lo:hi], stack[lo:hi], masks, records, r + 1)
+        run = np.minimum(run.repeat(2), low, out=low)
         lo = hi
     keep = run >= level
     return records[keep], masks[keep], run[keep]

@@ -816,6 +816,17 @@ class TestAuditAndReduce:
         assert (code, out) == (2, "")
         assert err == "error: two databases at (r, n) = (4, 7); the reduction reads one per size\n"
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_reduce_names_the_empty_database(self, capsys, monkeypatch, tmp_path, full):
+        # the empty file is named, with the (4,7) database before it read or not
+        monkeypatch.chdir(tmp_path)
+        Path("empty.txt").write_text("")
+        Path("full.txt").write_text(random_realizable(4, 7, seed=0).serialize() + "\n")
+        argv = ["reduce", "-r", "5", "--k", "1"]
+        argv += ["--db", "4:7:full.txt", "--db", "5:9:empty.txt"] if full else ["--db", "4:7:empty.txt"]
+        want = "error: empty database: no chirotope lines in empty.txt\n"
+        assert run(capsys, *argv) == (2, "", want)
+
     def test_reduce_invalid_rank(self, capsys):
         code, out, err = run(capsys, "reduce", "-r", "0", "--k", "0")
         assert code == 2 and out == ""
@@ -889,6 +900,26 @@ class TestUsageErrors:
             assert run(capsys, *argv, "--file", "-", *extra) == (2, "", want)
         monkeypatch.setattr("sys.stdin", fake_stdin(b"\n"))
         assert run(capsys, "dual", "-r", "4", "-n", "8", "--file", "-") == (2, "", "error: no chirotope in stdin\n")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("short", [False, True])
+    def test_file_and_stdin_split_lines_alike(self, capsys, monkeypatch, tmp_path, newline, short):
+        # one newline rule: the same bytes give the same stdout, stderr and
+        # exit code from a file and from stdin, and a short fourth line is
+        # named as line 4 by both
+        lines = [random_realizable(4, 8, seed=s).serialize().encode() for s in range(3)]
+        data = b"".join(line + newline for line in lines + ([b"+" * 69] if short else []))
+        path = tmp_path / "db.txt"
+        path.write_bytes(data)
+        argv = ("roudneff", "-r", "4", "-n", "8", "--k", "1", "--file")
+        code, out, err = run(capsys, *argv, str(path))
+        monkeypatch.setattr("sys.stdin", fake_stdin(data))
+        assert run(capsys, *argv, "-") == (code, out, err)
+        if short:
+            assert (code, out) == (2, "")
+            assert err == "error: line 4: expected 70 characters for (r=4, n=8), got 69\n"
+        else:
+            assert code == 0 and len(out.splitlines()) == 3
 
     def test_unknown_flag(self, capsys):
         assert main(["ovector", "-r", "3", "-n", "5", "--nope"]) == 2

@@ -19,6 +19,7 @@ from orimat import (
     m_value,
     neighborly,
     o_vector,
+    o_vector_closed,
     ort,
     random_realizable,
     search_k_neighborly,
@@ -332,6 +333,51 @@ class TestRecordAxis:
             assert oracle.tolist() == got_orts[got_orts > 0].tolist()
             assert neighborly.first_index_at_least(cs, 1) == int(topes.min()) >> 1
         assert neighborly.m_counts(r, n, signs, 0).tolist() == [tope_count_uniform(r, n)] * 3
+
+
+class TestSixteenBitKernel:
+    """uint16 tiles (n = 9..16) are counted on their byte view, in place."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 256])
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_every_value_matches_the_native_count(self, width, rows):
+        # every uint16 value, bits kept on a support of ``width`` elements at
+        # each offset, some straddling the byte boundary, as table ^ pattern
+        # is; two tiles of ``rows`` circuits, in shuffled order
+        values = np.arange(1 << 16, dtype=np.uint16)
+        supports = [((1 << width) - 1) << shift for shift in range(17 - width)]
+        entries = np.concatenate([values & np.uint16(s) for s in supports])
+        entries = np.random.default_rng(width).permutation(entries)
+        table = np.resize(entries, (2, rows, -(-len(entries) // (2 * rows))))
+        sep = np.bitwise_count(table).astype(np.int64)
+        expected = np.minimum(sep.min(axis=-2), width - sep.max(axis=-2))
+        for dtype in (np.uint16, np.uint32, np.uint64):
+            got = neighborly._ort_of(table.astype(dtype), width)
+            assert got.dtype == np.uint8 and np.array_equal(got, expected), dtype
+
+    @pytest.mark.parametrize("r,n", [(6, 12), (7, 12)])
+    def test_grown_sizes_match_the_full_sweep(self, r, n):
+        # circuits of r+1 elements on 12: most supports straddle bits 7 | 8
+        for chi in (alternating_chirotope(r, n), random_realizable(r, n, seed=r * n)):
+            cs = circuits_from_chirotope(chi)
+            orts = full_sweep_orts(cs)
+            kmax = (r - 1) // 2
+            entries = tuple(2 * int((orts == k + 1).sum()) for k in range(kmax))
+            entries += (2 * int((orts > kmax).sum()),)
+            assert o_vector(cs).entries == entries
+            m = [sum(entries[k:]) for k in range(kmax + 1)]
+            assert [m_value(cs, k) for k in range(kmax + 1)] == m
+            assert neighborly.m_values(r, n, np.array([chi.signs], dtype=np.int8)).tolist() == [m]
+
+    def test_largest_uint16_size_matches_the_closed_form(self):
+        # (5, 16) is too large for the sweep: C_5(16) against o_vector_closed
+        cs = alt(5, 16)
+        entries = o_vector_closed(5, 16, 0)
+        assert o_vector(cs).entries == entries
+        m = [sum(entries[k:]) for k in range(3)]
+        assert [m_value(cs, k) for k in range(3)] == m
+        signs = np.array([alternating_chirotope(5, 16).signs], dtype=np.int8)
+        assert neighborly.m_values(5, 16, signs).tolist() == [m]
 
 
 class TestGrowthGroups:
