@@ -224,21 +224,12 @@ def _colex_of_lex(r: int, n: int) -> np.ndarray:
     return table
 
 
-def parse_signs(text: str, r: int, n: int, base_order: str = "lex") -> bytes:
-    """Validate a +/- chirotope string of length C(n,r) and return its signs
-    in lex order, one int8 (1 or -1) per byte.
-
-    ``base_order`` names the subset order of the text: "lex" (our native
-    order) or "colex" for databases using colexicographic subset order.
-    """
-    return parse_sign_rows([text], r, n, base_order).tobytes()
-
-
 def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex") -> np.ndarray:
-    """The signs of several chirotope strings, a row each as ``parse_signs``
-    returns them (int8, rows x C(n, r)): one translate over the joined text
-    and, for colex text, one gather.  The first text that ``parse_signs``
-    refuses raises its error."""
+    """The lex-order signs of +/- chirotope strings of length C(n, r), a row
+    each (int8, 1 or -1, rows x C(n, r)): one translate over the joined text
+    and, for colex text, one gather.  ``base_order`` names the subset order
+    of the text: "lex" (our native order) or "colex" for databases using
+    colexicographic subset order.  The first bad text raises its error."""
     check_shape(r, n)
     if base_order not in ("lex", "colex"):
         raise DomainError(f"unknown base order {base_order!r}")
@@ -262,8 +253,8 @@ def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex
 
 def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:
     """Parse a +/- chirotope string of length C(n,r) whose positions follow
-    ``base_order`` (see ``parse_signs``)."""
-    return Chirotope(n, r, tuple(memoryview(parse_signs(text, r, n, base_order)).cast("b")))
+    ``base_order`` (see ``parse_sign_rows``)."""
+    return Chirotope(n, r, tuple(parse_sign_rows([text], r, n, base_order)[0].tolist()))
 
 
 def from_points(coords: list[list[int]]) -> Chirotope:

@@ -49,10 +49,12 @@ def _read_chirotope(args):
     if args.file is None:
         return alternating_chirotope(args.rank, args.elements)
     with _open(args.file) as (fh, name):
-        words = fh.read().split()
-    if not words:
+        texts = [line for line in map(str.strip, fh) if line and line[0] != "#"]
+    if not texts:
         raise FormatError(f"no chirotope in {name}")
-    return parse_chirotope(words[0], args.rank, args.elements, base_order=args.base_order)
+    if len(texts) > 1:
+        raise FormatError(f"{name} holds {len(texts)} chirotope lines; expected one")
+    return parse_chirotope(texts[0], args.rank, args.elements, base_order=args.base_order)
 
 
 @contextmanager
@@ -157,6 +159,7 @@ def _cmd_ovector(args) -> int:
         check_tope_graph_size(args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
     ov = o_vector(cs)
+    harness.check_tope_count(ov.m(0), ov.r, ov.n)
     if args.tope_graph:  # written first: a path that fails prints nothing
         with open(args.tope_graph, "w") as fh:
             for a, b in tope_graph_edges(cs):

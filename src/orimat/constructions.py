@@ -1,7 +1,8 @@
 """Procedures producing k-neighborly reorientations: exhaustive search, the
 disjoint-cocircuit construction, and the composite (partition + contraction)
-construction.  Every witness is re-verified by the exact ort kernel, itself
-tested against the scalar oracle, never by trusting the construction.
+construction.  ``_verify`` counts every witness's level with the exact ort
+kernel, itself tested against the scalar oracle, and refuses a witness below
+k (signs that are no oriented matroid) with ``FormatError``.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ import numpy as np
 
 from .chirotope import Chirotope
 from .circuits import CircuitSet, circuits_from_chirotope, cocircuits
-from .errors import DomainError
+from .errors import DomainError, FormatError
 from .neighborly import check_cell, first_index_at_least, ort
 from .signvec import SignVector, _elements_from_mask, _mask_from_elements
 
 
 @dataclass(frozen=True)
 class ReorientationWitness:
-    """A reorientation set R together with its certified neighborliness."""
+    """A reorientation set R and its level k, counted by ``_verify``."""
 
     r_set: tuple[int, ...]
     k: int
     method: str  # search | disjoint-cocircuits | composite
-    verified: bool
 
 
 def _witness_tope(n: int, r_set) -> SignVector:
@@ -33,9 +33,17 @@ def _witness_tope(n: int, r_set) -> SignVector:
     return SignVector(n, ((1 << n) - 1) & ~minus, minus)
 
 
-def _verify(chi: Chirotope, r_set, method: str) -> ReorientationWitness:
-    level = ort(circuits_from_chirotope(chi), _witness_tope(chi.n, r_set)) - 1
-    return ReorientationWitness(tuple(sorted(r_set)), level, method, level >= 0)
+def _verify(cs: CircuitSet, r_set, method: str, k: int) -> ReorientationWitness:
+    """The witness R of ``method`` at its level ort - 1 on the circuits
+    ``cs``; a level below ``k`` raises ``FormatError``."""
+    r_set = tuple(sorted(r_set))
+    level = ort(cs, _witness_tope(cs.n, r_set)) - 1
+    if level < k:
+        shown = ",".join(map(str, r_set)) or "-"
+        raise FormatError(
+            f"{method} witness R={shown} reaches level {level} < k={k}; wrong base order or corrupt data"
+        )
+    return ReorientationWitness(r_set, level, method)
 
 
 def _minus_on_support(cs: CircuitSet, support) -> tuple[int, ...]:
@@ -49,10 +57,11 @@ def search_k_neighborly(chi: Chirotope, k: int) -> ReorientationWitness | None:
     """First tope (in enumeration order, element 1 positive) with ort >= k+1,
     reported as R = T^-; None iff m(chi, k) = 0."""
     check_cell(chi.r, chi.n, k)
-    index = first_index_at_least(circuits_from_chirotope(chi), k + 1)
+    cs = circuits_from_chirotope(chi)
+    index = first_index_at_least(cs, k + 1)
     if index is None:
         return None
-    return _verify(chi, _elements_from_mask(index << 1), "search")
+    return _verify(cs, _elements_from_mask(index << 1), "search", k)
 
 
 def disjoint_cocircuit_construction(chi: Chirotope, k: int) -> ReorientationWitness:
@@ -73,10 +82,7 @@ def disjoint_cocircuit_construction(chi: Chirotope, k: int) -> ReorientationWitn
     r_set: set[int] = set()
     for i in range(k + 1):
         r_set.update(_minus_on_support(cs, range(i * s + 1, (i + 1) * s + 1)))
-    witness = _verify(chi, r_set, "disjoint-cocircuits")
-    if witness.k < k:
-        raise AssertionError(f"construction failed verification: got level {witness.k} < {k}")
-    return witness
+    return _verify(circuits_from_chirotope(chi), r_set, "disjoint-cocircuits", k)
 
 
 def composite_construction(chi: Chirotope, k: int) -> ReorientationWitness:
@@ -95,16 +101,12 @@ def composite_construction(chi: Chirotope, k: int) -> ReorientationWitness:
             f"construction needs n = r+floor((r-1)/k) = {r + alpha}, got n={chi.n}"
         )
     if beta < -(-(k - 1) // 2):
-        raise DomainError(
-            f"residue beta={beta} outside [{-(-(k - 1) // 2)}, {k - 1}]"
-        )
+        raise DomainError(f"residue beta={beta} outside [{-(-(k - 1) // 2)}, {k - 1}]")
     # identity layout: A_i are consecutive alpha-chunks, B the last beta+1 elements
     a_parts = [
         tuple(range(i * alpha + 1, (i + 1) * alpha + 1)) for i in range(k + 1)
     ]
     b_part = tuple(range((k + 1) * alpha + 1, chi.n + 1))
-    assert len(b_part) == beta + 1
-
     r_set: set[int] = set()
     for i in range(1, (k + 1) // 2 + 1):
         d_i = a_parts[2 * i - 2] + a_parts[2 * i - 1] + (b_part[i - 1],)
@@ -112,15 +114,12 @@ def composite_construction(chi: Chirotope, k: int) -> ReorientationWitness:
         minor, labels = chi.contract_set(outside)
         inner = search_k_neighborly(minor, 1)
         if inner is None:
-            raise AssertionError(
-                "no 1-neighborly reorientation of a 2r'-1 element minor; "
-                "contradicts the cited existence bound"
+            raise FormatError(
+                f"composite: the contraction to {','.join(map(str, d_i))} has no 1-neighborly "
+                "reorientation; wrong base order or corrupt data"
             )
         r_set.update(labels[e - 1] for e in inner.r_set)
     if k % 2 == 0:
         d_last = a_parts[k] + (b_part[k // 2],)
         r_set.update(_minus_on_support(cocircuits(chi), d_last))
-    witness = _verify(chi, r_set, "composite")
-    if witness.k < k:
-        raise AssertionError(f"construction failed verification: got level {witness.k} < {k}")
-    return witness
+    return _verify(circuits_from_chirotope(chi), r_set, "composite", k)

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chirotope import Chirotope, check_signs, minor_gather, parse_sign_rows, parse_signs
+from .chirotope import Chirotope, check_signs, minor_gather, parse_sign_rows
 from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
 from .errors import DomainError, FormatError
 from .neighborly import check_k, m_counts, m_values
@@ -64,8 +64,8 @@ BLOCK_LINES = 1 << 8
 class DatabaseRecord(namedtuple("DatabaseRecord", "id r n signs")):
     """One database line, checked when built by the rule of ``RecordBlock``
     for a block of one: an integer id in the int64 range, and ``signs`` as
-    bytes of C(n, r) lex-order signs, each 1 or -1 (0xff), as
-    ``parse_signs`` returns them, so the record is never parsed again."""
+    bytes of C(n, r) lex-order signs, each 1 or -1 (0xff): a row of
+    ``parse_sign_rows`` as bytes, so the record is never parsed again."""
 
     __slots__ = ()
 
@@ -162,7 +162,7 @@ def _parse_blocks(lines: Iterator[str], r: int, n: int, base_order: str) -> Iter
         except FormatError:
             for good, text in enumerate(texts):
                 try:
-                    parse_signs(text, r, n, base_order)
+                    parse_sign_rows([text], r, n, base_order)
                 except FormatError as exc:
                     if good:
                         yield _checked_block(r, n, ids[:good], parse_sign_rows(texts[:good], r, n, base_order))
@@ -263,10 +263,16 @@ def compute_rows(records: Iterable[DatabaseRecord | RecordBlock]) -> Iterator[Ro
             if upto:
                 yield RowBlock(r, n, ids[:upto], m[:upto])
             if upto < len(ids):
-                raise FormatError(
-                    f"record {ids[upto]}: tope count {int(m[upto, 0])} != {topes}; "
-                    "wrong base order or corrupt data"
-                )
+                check_tope_count(int(m[upto, 0]), r, n, f"record {ids[upto]}: ")
+
+
+def check_tope_count(got: int, r: int, n: int, where: str = ""):
+    """Refuse a tope count m(M,0) = ``got`` other than that of every uniform
+    rank-r matroid on [n], as signs in the wrong base order or corrupt signs
+    give; the message starts with ``where``."""
+    topes = tope_count_uniform(r, n)
+    if got != topes:
+        raise FormatError(f"{where}tope count {got} != {topes}; wrong base order or corrupt data")
 
 
 @dataclass

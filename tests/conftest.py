@@ -20,7 +20,7 @@ from orimat import (
     ort,
     tope_count_uniform,
 )
-from orimat.chirotope import parse_signs
+from orimat.chirotope import parse_sign_rows
 from orimat.circuits import CircuitSet
 from orimat.cyclic import alternating_circuits
 
@@ -374,15 +374,15 @@ def rows_of(blocks):
 
 
 def parse_database_oracle(lines, r, n, base_order="lex"):
-    """(line number, lex-order signs) of each record line, one
-    ``parse_signs`` per line; a bad line raises naming it."""
+    """(line number, lex-order signs as bytes) of each record line, one
+    ``parse_sign_rows`` per line; a bad line raises naming it."""
     records = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            records.append((lineno, parse_signs(line, r, n, base_order)))
+            records.append((lineno, parse_sign_rows([line], r, n, base_order).tobytes()))
         except FormatError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from exc
     return records

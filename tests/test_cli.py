@@ -26,6 +26,13 @@ from orimat.cli import main
 from conftest import o_vector_oracle, record_chirotope, report_oracle, serialize_colex
 
 
+# signs that are no oriented matroid: the (7, 9) line has 476 of the 494
+# topes, and the (6, 8) line has a 5-element contraction with no
+# 1-neighborly reorientation
+CORRUPT_7_9 = "-+------+-+++-+-------+-+-+-++--++--"
+CORRUPT_6_8 = "+-+-++---+++---++-+++++---++"
+
+
 def fake_stdin(data: bytes) -> io.TextIOWrapper:
     """A stdin that holds ``data``, opened as Python opens it in UTF-8 mode."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
@@ -69,6 +76,36 @@ class TestCircuits:
         code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", absent)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_comment_and_blank_lines_skipped(self, capsys, tmp_path):
+        # the database line rule: a '# header' line is no chirotope
+        path = tmp_path / "chi.txt"
+        path.write_text("# alternating (3, 5)\n\n  " + alternating_chirotope(3, 5).serialize() + "  \n\n")
+        code, out, err = run(capsys, "ovector", "-r", "3", "-n", "5", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert out == '{"r": 3, "n": 5, "ovector": [20, 2], "m": [22, 2]}\n'
+
+    def test_second_chirotope_refused(self, capsys, tmp_path):
+        path = tmp_path / "chi.txt"
+        path.write_text("# two\n++++\n\n+++-\n")
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} holds 2 chirotope lines; expected one\n"
+
+    def test_trailing_text_refused(self, capsys, tmp_path):
+        # a second word on the line is part of the chirotope text, not ignored
+        path = tmp_path / "chi.txt"
+        path.write_text("++++ ++++\n")
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: expected 4 characters for (r=3, n=4), got 9\n"
+
+    def test_only_comments(self, capsys, tmp_path):
+        path = tmp_path / "chi.txt"
+        path.write_text("# nothing here\n\n")
+        code, out, err = run(capsys, "circuits", "-r", "3", "-n", "4", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: no chirotope in {path}\n"
 
 
 class TestOVector:
@@ -119,6 +156,23 @@ class TestOVector:
         assert code == 0
         lines = path.read_text().strip().splitlines()
         assert lines and all(len(line.split()) == 2 for line in lines)
+
+    def test_wrong_tope_count_refused(self, capsys, tmp_path):
+        # signs that are no oriented matroid: refused as the database refuses
+        # the same line, and before the tope graph is written
+        path = tmp_path / "chi.txt"
+        path.write_text(CORRUPT_7_9 + "\n")
+        graph = tmp_path / "graph.txt"
+        code, out, err = run(capsys, "ovector", "-r", "7", "-n", "9", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: tope count 476 != 494; wrong base order or corrupt data\n"
+        code, out, err = run(capsys, "roudneff", "-r", "7", "-n", "9", "--k", "1", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: record 1: tope count 476 != 494; wrong base order or corrupt data\n"
+        code, out, _ = run(
+            capsys, "ovector", "-r", "7", "-n", "9", "--file", str(path), "--tope-graph", str(graph)
+        )
+        assert (code, out) == (2, "") and not graph.exists()
 
     def test_tope_graph_path_that_fails_prints_nothing(self, capsys, tmp_path):
         # the file is written before the o-vector line is printed
@@ -221,6 +275,28 @@ class TestConstruct:
             "construct", "-r", "6", "-n", "8", "--k", "2", "--method", "composite",
         )
         assert code == 0 and "level=" in out
+
+    @pytest.mark.parametrize(
+        "r,n,method,text,message",
+        [
+            (7, 9, "cocircuits", CORRUPT_7_9, "disjoint-cocircuits witness R=6,8 reaches level 1 < k=2"),
+            (
+                6, 8, "composite", CORRUPT_6_8,
+                "composite: the contraction to 1,2,3,4,7 has no 1-neighborly reorientation",
+            ),
+        ],
+    )
+    def test_short_witness_exits_two(self, capsys, tmp_path, r, n, method, text, message):
+        # signs that are no oriented matroid are bad input: one line, never
+        # a traceback or exit 1; the alternating matroid at the same size succeeds
+        path = tmp_path / "chi.txt"
+        path.write_text(text + "\n")
+        argv = ("construct", "-r", str(r), "-n", str(n), "--k", "2", "--method", method)
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}; wrong base order or corrupt data\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("R=")
 
     def test_precondition_violation_is_usage_error(self, capsys):
         code, _, err = run(

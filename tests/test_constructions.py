@@ -1,7 +1,13 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orimat import (
+    Chirotope,
     DomainError,
+    OrimatError,
     alternating_chirotope,
     circuits_from_chirotope,
     composite_construction,
@@ -29,12 +35,12 @@ class TestSearch:
     def test_finds_known_neighborly(self):
         chi = alternating_chirotope(3, 5)
         w = search_k_neighborly(chi, 1)
-        assert w is not None and w.verified and w.k >= 1
+        assert w is not None and w.k >= 1
         assert recheck(chi, w) >= 1
 
     def test_zero_level_always_exists(self):
         w = search_k_neighborly(alternating_chirotope(4, 7), 0)
-        assert w is not None and w.verified
+        assert w is not None and w.k >= 0
 
     def test_none_when_absent(self):
         # this seeded realizable class at (r=3, n=6) has no 1-neighborly
@@ -79,7 +85,7 @@ class TestSearch:
                     assert w is None, (seed, k)
                 else:
                     assert w.r_set == _elements_from_mask(index << 1), (seed, k)
-                    assert w.k >= k and w.verified
+                    assert w.k >= k
 
 
 class TestDisjointCocircuits:
@@ -90,7 +96,7 @@ class TestDisjointCocircuits:
         n = r - 1 + (r - 1) // k
         chi = alternating_chirotope(r, n)
         w = disjoint_cocircuit_construction(chi, k)
-        assert w.verified and w.k >= k
+        assert w.k >= k
         assert w.method == "disjoint-cocircuits"
         assert recheck(chi, w) >= k
 
@@ -106,7 +112,7 @@ class TestDisjointCocircuits:
     def test_random_uniform_class(self, seed):
         chi = random_realizable(5, 6, seed=seed)
         w = disjoint_cocircuit_construction(chi, 2)
-        assert w.verified and recheck(chi, w) >= 2
+        assert w.k >= 2 and recheck(chi, w) >= 2
 
 
 class TestComposite:
@@ -115,7 +121,7 @@ class TestComposite:
         assert n == r + (r - 1) // k
         chi = alternating_chirotope(r, n)
         w = composite_construction(chi, k)
-        assert w.verified and w.k >= k
+        assert w.k >= k
         assert w.method == "composite"
         assert recheck(chi, w) >= k
 
@@ -132,7 +138,7 @@ class TestComposite:
     def test_random_uniform_class(self, seed):
         chi = random_realizable(6, 8, seed=seed)
         w = composite_construction(chi, 2)
-        assert w.verified and recheck(chi, w) >= 2
+        assert w.k >= 2 and recheck(chi, w) >= 2
 
 
 class TestWitnessShape:
@@ -151,3 +157,39 @@ class TestWitnessShape:
         w = disjoint_cocircuit_construction(chi, 2)
         cs = circuits_from_chirotope(chi)
         assert w.k == ort(cs, _witness_tope(6, w.r_set)) - 1
+
+    def test_witness_fields(self):
+        w = disjoint_cocircuit_construction(alternating_chirotope(5, 6), 2)
+        assert set(vars(w)) == {"r_set", "k", "method"}
+
+
+# (construction, r, n, k) at sizes each construction accepts
+ADMISSIBLE = [
+    (disjoint_cocircuit_construction, 7, 9, 2),
+    (disjoint_cocircuit_construction, 5, 6, 2),
+    (composite_construction, 6, 8, 2),
+    (composite_construction, 8, 10, 3),
+]
+
+
+@st.composite
+def random_sign_cases(draw):
+    construction, r, n, k = draw(st.sampled_from(ADMISSIBLE))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=comb(n, r), max_size=comb(n, r)))
+    return construction, Chirotope(n, r, tuple(signs)), k
+
+
+class TestRandomSigns:
+    @settings(max_examples=120, deadline=None)
+    @given(random_sign_cases())
+    def test_witness_reaches_k_or_refused(self, case):
+        # random signs are mostly no oriented matroid: a construction either
+        # returns a witness whose level the scalar oracle confirms, or refuses
+        # with a package error, never an assertion
+        construction, chi, k = case
+        try:
+            w = construction(chi, k)
+        except OrimatError as exc:
+            assert str(exc).endswith("; wrong base order or corrupt data")
+            return
+        assert recheck(chi, w) == w.k >= k

@@ -169,7 +169,7 @@ class TestComputeRows:
         def parse_again(*args):
             raise AssertionError("record parsed a second time")
 
-        monkeypatch.setattr(harness, "parse_signs", parse_again)
+        monkeypatch.setattr(harness, "parse_sign_rows", parse_again)
         assert [row.id for row in rows_of(compute_rows(recs))] == [rec.id for rec in recs]
 
     def test_skip_ids(self):
