@@ -56,22 +56,36 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chirotope:
     """Uniform rank-r chirotope on [n]; ``signs[i]`` in {+1,-1} is the value on
-    the i-th sorted r-subset in lex order."""
+    the i-th sorted r-subset in lex order.  Built from any sequence of +1/-1
+    (tuple, list or array), ``signs`` is a read-only int8 copy: the row that
+    ``parse_sign_rows`` returns."""
 
     n: int
     r: int
-    signs: tuple[int, ...]
+    signs: np.ndarray
 
     def __post_init__(self):
-        check_signs(self.r, self.n, len(self.signs), [set(self.signs) <= {1, -1}])
+        signs = np.asarray(self.signs)
+        check_signs(self.r, self.n, signs[None])
+        signs = signs.astype(np.int8)
+        signs.flags.writeable = False
+        object.__setattr__(self, "signs", signs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Chirotope):
+            return NotImplemented
+        return (self.n, self.r) == (other.n, other.r) and np.array_equal(self.signs, other.signs)
+
+    def __hash__(self):
+        return hash((self.n, self.r, self.signs.tobytes()))
 
     # -- evaluation ----------------------------------------------------
 
     def sign_of_sorted(self, subset: tuple[int, ...]) -> int:
-        return self.signs[lex_rank(subset, self.n)]
+        return int(self.signs[lex_rank(subset, self.n)])
 
     def eval_basis(self, tup: tuple[int, ...]) -> int:
         """Chirotope value on an ordered r-tuple; 0 iff an entry repeats."""
@@ -94,8 +108,7 @@ class Chirotope:
 
     def _gather(self, n: int, r: int, index, factor) -> "Chirotope":
         """Minor or relabeling whose i-th sign is signs[index[i]] * factor[i]."""
-        signs = np.array(self.signs, dtype=np.int8)[index] * factor
-        return Chirotope(n, r, tuple(signs.tolist()))
+        return Chirotope(n, r, self.signs[index] * factor)
 
     def reorient(self, r_set) -> "Chirotope":
         """Multiply each basis sign by (-1)^{|basis ∩ R|}."""
@@ -150,7 +163,7 @@ class Chirotope:
     # -- serialization -------------------------------------------------
 
     def serialize(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return self.signs.tobytes().translate(_CHAR_OF_INT8).decode("ascii")
 
 
 def check_shape(r: int, n: int, where: str = ""):
@@ -160,22 +173,23 @@ def check_shape(r: int, n: int, where: str = ""):
         raise DomainError(f"{where}invalid rank/size ({r}, {n})")
 
 
-def check_signs(r: int, n: int, width: int, uniform, where=lambda row: ""):
-    """The one rule for chirotope signs of rank r on [n], in rows of
-    ``width`` lex-order signs: the shape ``check_shape`` passes, a width of
-    C(n, r), then signs of +1/-1 only in each row (its ``uniform`` flag).
-    The message of the first bad row starts with ``where(row)``."""
-    if not 1 <= r <= n <= MAX_GROUND_SET or width != comb(n, r):
+def check_signs(r: int, n: int, signs: np.ndarray, where=lambda row: ""):
+    """The one rule for chirotope signs of rank r on [n], in the rows of the
+    2-D array ``signs``: the shape ``check_shape`` passes, rows of C(n, r)
+    lex-order signs, then signs of +1/-1 only in each row.  The message of
+    the first bad row starts with ``where(row)``."""
+    if not 1 <= r <= n <= MAX_GROUND_SET or signs.shape[1:] != (comb(n, r),):
         check_shape(r, n, where(0))
-        raise DomainError(f"{where(0)}expected {comb(n, r)} signs, got {width}")
-    if not all(uniform):
+        raise DomainError(f"{where(0)}expected {comb(n, r)} signs, got {signs.shape[1]}")
+    uniform = ((signs == 1) | (signs == -1)).all(axis=1)
+    if not uniform.all():
         raise NonUniformError(f"{where(np.argmin(uniform))}chirotope signs must be +1/-1 (uniform only)")
 
 
 def alternating_chirotope(r: int, n: int) -> Chirotope:
     """The alternating (cyclic) matroid: + on every sorted r-subset."""
     check_shape(r, n)
-    return Chirotope(n, r, (1,) * comb(n, r))
+    return Chirotope(n, r, np.ones(comb(n, r), dtype=np.int8))
 
 
 # bit i set for i odd: the masks of the even elements 2, 4, ...
@@ -210,8 +224,9 @@ def _parity_sign(masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int8)
 
 
-# bytes.translate table: '+' -> 1 and '-' -> -1 as int8
+# bytes.translate tables: '+' -> 1 and '-' -> -1 as int8, and back
 _INT8_OF_CHAR = bytes((1 if c == ord("+") else 255 if c == ord("-") else 0) for c in range(256))
+_CHAR_OF_INT8 = bytes.maketrans(b"\x01\xff", b"+-")
 
 
 @lru_cache(maxsize=32)
@@ -254,7 +269,7 @@ def parse_sign_rows(texts: Sequence[str], r: int, n: int, base_order: str = "lex
 def parse_chirotope(text: str, r: int, n: int, base_order: str = "lex") -> Chirotope:
     """Parse a +/- chirotope string of length C(n,r) whose positions follow
     ``base_order`` (see ``parse_sign_rows``)."""
-    return Chirotope(n, r, tuple(parse_sign_rows([text], r, n, base_order)[0].tolist()))
+    return Chirotope(n, r, parse_sign_rows([text], r, n, base_order)[0])
 
 
 def from_points(coords: list[list[int]]) -> Chirotope:
@@ -279,7 +294,7 @@ def from_points(coords: list[list[int]]) -> Chirotope:
                 f"degenerate configuration: zero minor on rows {tuple(i + 1 for i in subset)}"
             )
         signs.append(1 if det > 0 else -1)
-    return Chirotope(n, r, tuple(signs))
+    return Chirotope(n, r, signs)
 
 
 def random_realizable(r: int, n: int, seed: int) -> Chirotope:

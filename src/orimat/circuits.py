@@ -134,7 +134,7 @@ def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
     if chi.n == chi.r:
         none = np.zeros(0, dtype=np.uint64)
         return CircuitSet(chi.n, chi.r, none, none)
-    minus = circuit_minus(chi.r, chi.n, np.array(chi.signs, dtype=np.int8))
+    minus = circuit_minus(chi.r, chi.n, chi.signs)
     plus = _facet_table(chi.r, chi.n)[2] - minus
     plus.flags.writeable = minus.flags.writeable = False
     return CircuitSet(chi.n, chi.r, plus, minus)

@@ -25,8 +25,8 @@ from .cyclic import CValueTable
 from .errors import FormatError, OrimatError
 from .neighborly import (
     check_enumeration_size,
+    check_k,
     check_tope_graph_size,
-    m_value,
     o_vector,
     tope_graph_edges,
 )
@@ -175,7 +175,10 @@ def _cmd_ovector(args) -> int:
 def _cmd_mvalue(args) -> int:
     check_enumeration_size(args.rank, args.elements)
     cs = circuits_from_chirotope(_read_chirotope(args))
-    print(m_value(cs, args.k))
+    check_k(cs.r, args.k)
+    ov = o_vector(cs)
+    harness.check_tope_count(ov.m(0), ov.r, ov.n)
+    print(ov.m(args.k))
     return 0
 
 

@@ -110,8 +110,7 @@ class RecordBlock:
                 f"{len(ids)} records need one int8 row of signs each, not {kind} of shape {np.shape(signs)}"
             )
         if len(ids):
-            uniform = ((signs == 1) | (signs == -1)).all(axis=1)
-            check_signs(self.r, self.n, signs.shape[1], uniform, lambda row: f"record {ids[row]}: ")
+            check_signs(self.r, self.n, signs, lambda row: f"record {ids[row]}: ")
 
     def records(self) -> Iterator[DatabaseRecord]:
         """The records one at a time, built from the checked signs."""
@@ -206,7 +205,7 @@ class RowBlock:
 
     @property
     def attains(self) -> np.ndarray:
-        return self.m == _c_values(self.r, self.n)
+        return self.m == [c_value(self.r, self.n, k) for k in range((self.r + 1) // 2)]
 
     def lines(self, fmt: str = "json") -> list[str]:
         """One line per row, without its newline, as ``--format fmt``
@@ -218,21 +217,15 @@ class RowBlock:
         return self._lines[fmt]
 
 
-def _c_values(r: int, n: int) -> list[int]:
-    return [c_value(r, n, k) for k in range((r + 1) // 2)]
-
-
 def _format_rows(block: RowBlock, fmt: str) -> list[str]:
     if not len(block.ids):
         return []
     m = np.ascontiguousarray(block.m)
     keys = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    c = _c_values(block.r, block.n)
     tails = []
-    for row in m[first].tolist():
-        ovector = [a - b for a, b in zip(row, row[1:] + [0])]
-        attains = [a == b for a, b in zip(row, c)]
+    distinct = zip(block.ovector[first].tolist(), m[first].tolist(), block.attains[first].tolist())
+    for ovector, row, attains in distinct:
         if fmt == "json":
             tails.append(f'"ovector": {ovector}, "m": {row}, "attains": {str(attains).lower()}}}')
         else:
@@ -489,8 +482,7 @@ def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")
     check_k(chi.r, k)
-    r, n, elements = chi.r, chi.n, range(1, chi.n + 1)
-    signs = np.array(chi.signs, dtype=np.int8)
+    r, n, signs, elements = chi.r, chi.n, chi.signs, range(1, chi.n + 1)
     m_full = int(m_counts(r, n, signs[None], k)[0])
     index, factor = minor_gather(r, n, elements, contract=False)
     m_del = m_counts(r, n - 1, signs[index] * factor, k).tolist()

@@ -1,7 +1,10 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orimat import (
     Chirotope,
@@ -78,7 +81,7 @@ class TestReorient:
         even = alternating_chirotope(4, 6)
         assert even.reorient(range(1, 7)) == even
         odd = alternating_chirotope(3, 6)
-        assert odd.reorient(range(1, 7)).signs == tuple(-s for s in odd.signs)
+        assert tuple(odd.reorient(range(1, 7)).signs.tolist()) == tuple(-s for s in odd.signs.tolist())
 
     def test_involution(self):
         chi = random_realizable(4, 6, seed=3)
@@ -117,7 +120,8 @@ class TestDual:
         for e in (1, 4, 7):
             lhs = chi.delete(e).dual()
             rhs = chi.dual().contract(e)
-            assert lhs.signs in (rhs.signs, tuple(-s for s in rhs.signs))
+            rhs_signs = tuple(rhs.signs.tolist())
+            assert tuple(lhs.signs.tolist()) in (rhs_signs, tuple(-s for s in rhs_signs))
 
     def test_reorient_commutes_with_dual_on_circuits(self):
         chi = random_realizable(3, 6, seed=11)
@@ -139,12 +143,12 @@ class TestTableDrivenAgainstOracles:
     @pytest.mark.parametrize("r,n", [(4, 8), (5, 9), (6, 12), (7, 11)])
     def test_minors_and_reorientation(self, r, n):
         chi = random_realizable(r, n, seed=r * n)
-        assert chi.dual().signs == dual_oracle(chi)
+        assert tuple(chi.dual().signs.tolist()) == dual_oracle(chi)
         for e in range(1, n + 1):
-            assert chi.delete(e).signs == delete_oracle(chi, e), e
-            assert chi.contract(e).signs == contract_oracle(chi, e), e
+            assert tuple(chi.delete(e).signs.tolist()) == delete_oracle(chi, e), e
+            assert tuple(chi.contract(e).signs.tolist()) == contract_oracle(chi, e), e
         for r_set in [(), (1,), (2, 5), (1, 3, n), tuple(range(1, n + 1))]:
-            assert chi.reorient(r_set).signs == reorient_oracle(chi, r_set), r_set
+            assert tuple(chi.reorient(r_set).signs.tolist()) == reorient_oracle(chi, r_set), r_set
 
 
 class TestMinors:
@@ -245,3 +249,58 @@ class TestParseSerialize:
             "+" if chi.sign_of_sorted(s) > 0 else "-" for s in subsets_colex
         )
         assert parse_chirotope(colex_text, 2, 4, base_order="colex") == chi
+
+
+class TestSignArray:
+    def test_any_sequence_of_signs_gives_one_chirotope(self):
+        signs = random_realizable(4, 7, seed=2).signs.tolist()
+        chis = [Chirotope(7, 4, tuple(signs)), Chirotope(7, 4, signs), Chirotope(7, 4, np.array(signs, dtype=np.int8))]
+        assert chis[0] == chis[1] == chis[2]
+        assert len({hash(chi) for chi in chis}) == 1
+        assert all(chi.signs.dtype == np.int8 and chi.signs.tolist() == signs for chi in chis)
+
+    def test_unequal_chirotopes(self):
+        chi = alternating_chirotope(3, 4)
+        assert chi != chi.reorient([1])
+        assert alternating_chirotope(1, 4) != alternating_chirotope(3, 4)
+        assert chi != "++++"
+
+    def test_signs_read_only(self):
+        chi = alternating_chirotope(3, 5)
+        assert not chi.signs.flags.writeable
+        with pytest.raises(ValueError):
+            chi.signs[0] = -1
+
+    def test_caller_array_copied(self):
+        signs = np.ones(4, dtype=np.int8)
+        chi = Chirotope(4, 3, signs)
+        signs[0] = -1
+        assert chi.serialize() == "++++" and chi == alternating_chirotope(3, 4)
+
+    @pytest.mark.parametrize(
+        "signs,error,message",
+        [
+            ((1, 2, 1, 1), NonUniformError, r"chirotope signs must be \+1/-1 \(uniform only\)"),
+            ([1, 1, 0, -1], NonUniformError, r"chirotope signs must be \+1/-1 \(uniform only\)"),
+            (np.array([1.5, 1, 1, 1]), NonUniformError, r"chirotope signs must be \+1/-1 \(uniform only\)"),
+            (np.ones((2, 2), dtype=np.int8), DomainError, "expected 4 signs, got 2"),
+            ((1, 1, 1), DomainError, "expected 4 signs, got 3"),
+        ],
+    )
+    def test_bad_signs_refused(self, signs, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Chirotope(4, 3, signs)
+
+    def test_evaluation_returns_int(self):
+        chi = random_realizable(3, 5, seed=4)
+        assert type(chi.sign_of_sorted((1, 2, 4))) is int
+        assert type(chi.eval_basis((4, 1, 2))) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 12))), st.integers(0, 1 << 32))
+def test_text_and_tuple_round_trip(shape, seed):
+    r, n = shape
+    chi = random_realizable(r, n, seed)
+    assert parse_chirotope(chi.serialize(), r, n) == chi
+    assert Chirotope(n, r, tuple(chi.signs.tolist())) == chi

@@ -205,6 +205,16 @@ class TestMValue:
         code, out, _ = run(capsys, "mvalue", "-r", "4", "-n", "22", "--k", "1")
         assert code == 0 and int(out) == sum(o_vector_closed(4, 22, 1)) == 44
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_wrong_tope_count_refused(self, capsys, tmp_path, k):
+        # signs that are no oriented matroid: refused as ovector refuses them,
+        # not answered with a count (476 topes at k = 0, 258 at k = 1)
+        path = tmp_path / "chi.txt"
+        path.write_text(CORRUPT_7_9 + "\n")
+        code, out, err = run(capsys, "mvalue", "-r", "7", "-n", "9", "--k", k, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: tope count 476 != 494; wrong base order or corrupt data\n"
+
 
 class TestMinorsAndReorient:
     def test_dual(self, capsys):

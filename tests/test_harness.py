@@ -343,11 +343,11 @@ class TestBatchedRows:
         with pytest.raises(DomainError, match=r"^record 7: invalid rank/size \(0, 4\)$"):
             DatabaseRecord(7, 0, 4, b"\x01")
 
-    @pytest.mark.parametrize("kind", [tuple, str])
+    @pytest.mark.parametrize("kind", [np.ndarray, str])
     def test_hand_built_signs_that_are_not_bytes_refused(self, kind):
-        # a tuple of signs, as Chirotope holds them, or their text
+        # the int8 array of signs, as Chirotope holds them, or their text
         chi = random_realizable(4, 8, seed=0)
-        signs = chi.signs if kind is tuple else chi.serialize()
+        signs = chi.signs if kind is np.ndarray else chi.serialize()
         with pytest.raises(DomainError, match=f"^record 1: signs must be bytes, not {kind.__name__}$"):
             DatabaseRecord(1, 4, 8, signs)
 
