@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 import numpy as np
 
@@ -137,28 +138,25 @@ class Chirotope:
         check_element(e, self.n)
         if self.n - 1 < self.r:
             raise DomainError("deletion would collapse the rank")
-        (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=False)
-        return self._gather(self.n - 1, self.r, index, factor)
+        return self._gather(self.n - 1, self.r, *minor_gather(self.r, self.n, [e], contract=False))
 
     def contract(self, e: int) -> "Chirotope":
         """Contract e: new sign of S is chi(e, S) on original labels
-        (``minor_gather``)."""
-        check_element(e, self.n)
-        if self.r < 2:
-            raise DomainError("contraction would collapse the rank")
-        (index,), (factor,) = minor_gather(self.r, self.n, [e], contract=True)
-        return self._gather(self.n - 1, self.r - 1, index, factor)
+        (``contract_set``)."""
+        return self.contract_set([e])[0]
 
     def contract_set(self, elements) -> tuple["Chirotope", tuple[int, ...]]:
-        """Contract several elements; returns the minor and the surviving
-        original labels in order (label i+1 of the minor = labels[i])."""
-        chi = self
-        labels = list(range(1, self.n + 1))
-        for e in sorted(set(elements), reverse=True):
-            idx = labels.index(e) + 1
-            chi = chi.contract(idx)
-            labels.pop(idx - 1)
-        return chi, tuple(labels)
+        """Contract a set S of elements in one gather (``minor_gather``);
+        returns the minor and the surviving original labels in order (label
+        i+1 of the minor = labels[i])."""
+        contracted = set(elements)
+        for e in contracted:
+            check_element(e, self.n)
+        if len(contracted) >= self.r:
+            raise DomainError("contraction would collapse the rank")
+        index, factor = minor_gather(self.r, self.n, contracted, contract=True)
+        labels = tuple(e for e in range(1, self.n + 1) if e not in contracted)
+        return self._gather(len(labels), self.r - len(contracted), index, factor), labels
 
     # -- serialization -------------------------------------------------
 
@@ -207,16 +205,24 @@ def _subset_masks(r: int, n: int) -> np.ndarray:
 
 
 def minor_gather(r: int, n: int, elements, contract: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(index, factor): the lex-order signs of M \\ e, or of M / e when
-    ``contract``, for e = elements[i] are signs[index[i]] * factor[i].  The
-    r-subsets avoiding e are those of the renumbered ground set in lex
-    order.  Those holding e are e joined to its (r-1)-subsets in lex order,
-    and chi(e, S) moves e to the front past the elements below e."""
+    """(index, factor): the lex-order signs of M \\ S, or of M / S when
+    ``contract``, for the set S of ``elements`` are signs[index] * factor.
+
+    Removing S keeps lex order, so the r-subsets avoiding S are those of the
+    renumbered ground set in lex order, and the r-subsets holding S, with S
+    taken out, are its (r-|S|)-subsets in lex order.  The sign of T in M / S
+    is chi(S in descending order, T), as contracting S one element at a
+    time, the largest first, gives it: C(|S|, 2) inversions within S, and
+    per e in S the elements of T below e, whose parity is that of T & B for
+    B the xor over e of the masks below e."""
     masks = _subset_masks(r, n)
-    bits = np.uint64(1) << (np.array(elements, dtype=np.uint64) - np.uint64(1))
-    index = np.nonzero(((masks & bits[:, None]) != 0) == contract)[1].reshape(len(bits), -1)
-    below = bits - np.uint64(1) if contract else np.zeros_like(bits)
-    return index, _parity_sign(masks[index] & below[:, None])
+    contracted = set(elements)
+    held = np.uint64(sum(1 << (e - 1) for e in contracted))
+    index = np.flatnonzero((masks & held) == (held if contract else 0))
+    if not contract:
+        return index, np.ones(len(index), dtype=np.int8)
+    below = np.uint64(reduce(xor, ((1 << (e - 1)) - 1 for e in contracted), 0)) & ~held
+    return index, _parity_sign(masks[index] & below) * (-1) ** comb(len(contracted), 2)
 
 
 def _parity_sign(masks: np.ndarray) -> np.ndarray:

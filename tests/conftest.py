@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from orimat import (
     Chirotope,
@@ -18,6 +19,8 @@ from orimat import (
     neighborly,
     orthogonality_degree,
     ort,
+    parse_chirotope,
+    random_realizable,
     tope_count_uniform,
 )
 from orimat.chirotope import parse_sign_rows
@@ -315,6 +318,38 @@ def contract_oracle(chi, e):
         chi.eval_basis((e,) + tuple(x if x < e else x + 1 for x in subset))
         for subset in itertools.combinations(range(1, chi.n), chi.r - 1)
     )
+
+
+def contract_chain_oracle(chi, elements):
+    """M / S as a chain of single contractions, the largest element of S
+    first, and the surviving original labels in order."""
+    labels = list(range(1, chi.n + 1))
+    for e in sorted(set(elements), reverse=True):
+        position = labels.index(e) + 1
+        chi = chi.contract(position)
+        labels.pop(position - 1)
+    return chi, tuple(labels)
+
+
+# (7, 9) signs that are no chirotope: 476 topes, where a uniform rank-7
+# matroid on 9 elements has 494
+CORRUPT_7_9 = "-+------+-+++-+-------+-+-+-++--++--"
+
+
+@st.composite
+def minor_sources(draw):
+    """Signs to take minors of, at 2 <= r <= 7 and r+2 <= n <= 11: a
+    realizable chirotope, random +-1 signs, or the (7, 9) line that is no
+    chirotope."""
+    kind = draw(st.sampled_from(["realizable", "random", "corrupt"]))
+    if kind == "corrupt":
+        return parse_chirotope(CORRUPT_7_9, 7, 9)
+    r = draw(st.integers(2, 7))
+    n = draw(st.integers(r + 2, min(r + 5, 11)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "realizable":
+        return random_realizable(r, n, seed=seed)
+    return Chirotope(n, r, np.random.default_rng(seed).choice([-1, 1], comb(n, r)))
 
 
 def serialize_colex(chi):

@@ -20,10 +20,13 @@ from orimat import (
 )
 
 from conftest import (
+    CORRUPT_7_9,
     check_circuit_axioms,
+    contract_chain_oracle,
     contract_oracle,
     delete_oracle,
     dual_oracle,
+    minor_sources,
     reorient_oracle,
     with_antipodes,
 )
@@ -173,6 +176,34 @@ class TestMinors:
         minor, labels = chi.contract_set([2, 5])
         assert (minor.r, minor.n) == (2, 5)
         assert labels == (1, 3, 4, 6, 7)
+
+    @pytest.mark.parametrize("bad", [0, 8])
+    def test_contract_set_refuses_an_element_outside_the_ground_set(self, bad):
+        with pytest.raises(DomainError, match=rf"^element {bad} outside ground set \[1\.\.7\]$"):
+            alternating_chirotope(4, 7).contract_set([2, bad])
+
+    def test_contract_set_rank_collapse(self):
+        with pytest.raises(DomainError, match="^contraction would collapse the rank$"):
+            alternating_chirotope(4, 7).contract_set([1, 2, 3, 4])
+
+    @settings(max_examples=80, deadline=None)
+    @given(minor_sources(), st.data())
+    def test_contract_set_is_the_chain_of_single_contractions(self, chi, data):
+        size = data.draw(st.integers(0, chi.r - 1))
+        elements = data.draw(st.lists(st.integers(1, chi.n), min_size=size, max_size=size, unique=True))
+        minor, labels = chi.contract_set(elements)
+        chain, chain_labels = contract_chain_oracle(chi, elements)
+        assert (minor.n, minor.r, labels) == (chain.n, chain.r, chain_labels)
+        assert minor.signs.tobytes() == chain.signs.tobytes()
+
+    def test_contract_set_of_the_corrupt_line_is_the_chain(self):
+        # every set of up to r-1 elements of (7, 9) signs that are no chirotope
+        chi = parse_chirotope(CORRUPT_7_9, 7, 9)
+        for size in range(7):
+            for elements in itertools.combinations(range(1, 10), size):
+                minor, labels = chi.contract_set(elements)
+                chain, chain_labels = contract_chain_oracle(chi, elements)
+                assert labels == chain_labels and minor.signs.tobytes() == chain.signs.tobytes(), elements
 
 
 class TestFromPoints:

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orimat import (
     CircuitSet,
@@ -17,11 +19,14 @@ from orimat import (
     parse_chirotope,
     random_realizable,
 )
+from orimat.circuits import circuit_minus
+from orimat.harness import minor_minus
 
 from conftest import (
     check_circuit_axioms,
     circuit_masks_oracle,
     face_oracle,
+    minor_sources,
     serialize_colex,
     with_antipodes,
 )
@@ -239,3 +244,20 @@ class TestIsFace:
                 )
                 via_ort = ort(cs_base, tope) >= k + 1
                 assert via_faces == via_ort
+
+
+@settings(max_examples=80, deadline=None)
+@given(minor_sources(), st.data())
+def test_minor_masks_are_the_circuits_of_the_gathered_minors(chi, data):
+    # the audit's minor masks, taken from M's circuits, against
+    # ``circuit_minus`` of each minor's gathered signs, byte for byte, for
+    # elements in any order
+    r, n = chi.r, chi.n
+    elements = np.array(data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(1, n))])
+    minus = circuit_minus(r, n, chi.signs)
+    deleted = np.stack([chi.delete(e).signs for e in elements.tolist()])
+    contracted = np.stack([chi.contract(e).signs for e in elements.tolist()])
+    for contract, want in ((False, circuit_minus(r, n - 1, deleted)), (True, circuit_minus(r - 1, n - 1, contracted))):
+        got = minor_minus(r, n, minus, elements, contract)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), contract

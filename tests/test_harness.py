@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orimat import (
+    Chirotope,
     DomainError,
     EmptyCircuitSetError,
     FormatError,
@@ -29,6 +30,7 @@ from orimat import (
     mcmullen_report,
     neighborly,
     o_vector,
+    parse_chirotope,
     parse_database,
     random_realizable,
     report_rows,
@@ -38,6 +40,7 @@ from orimat import (
 from orimat.harness import DatabaseRecord, RowBlock, new_aggregate
 
 from conftest import (
+    CORRUPT_7_9,
     ReportRow,
     audit_oracle,
     load_checkpoint_oracle,
@@ -760,9 +763,25 @@ class TestAudit:
             got = [(t.element, t.m_full, t.m_delete, t.m_contract) for t in triples]
             assert got == audit_oracle(chi, k), k
 
+    def test_signs_that_are_no_chirotope_match_the_per_minor_oracle(self):
+        # the minors' circuits come from M's for any +-1 signs: random rows
+        # and the (7, 9) line
+        rng = np.random.default_rng(0)
+        sizes = [(2, 5), (3, 7), (4, 8), (5, 8), (6, 9), (7, 10)]
+        sources = [Chirotope(n, r, rng.choice([-1, 1], comb(n, r))) for r, n in sizes]
+        for chi in sources + [parse_chirotope(CORRUPT_7_9, 7, 9)]:
+            for k in range((chi.r - 1) // 2 + 1):
+                got = [(t.element, t.m_full, t.m_delete, t.m_contract) for t in deletion_contraction_audit(chi, k)]
+                assert got == audit_oracle(chi, k), (chi.r, chi.n, k)
+
     def test_too_few_elements(self):
         with pytest.raises(DomainError):
             deletion_contraction_audit(alternating_chirotope(3, 4), 0)
+
+    def test_over_budget_refused_before_any_circuit(self, monkeypatch):
+        monkeypatch.setattr(harness, "circuit_minus", lambda *args: pytest.fail("circuits derived"))
+        with pytest.raises(DomainError, match="exceed the enumeration budget"):
+            deletion_contraction_audit(alternating_chirotope(5, 30), 0)
 
     def test_single_levels_build_no_o_vector(self, monkeypatch):
         # the audit and the reduction's brute-force cells count one level
@@ -1051,7 +1070,7 @@ class TestCheckpoint:
             assert row.ovector == direct.entries
 
 
-INT64 = st.integers(-(2**62), 2**62)
+INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1061,14 +1080,26 @@ INT64 = st.integers(-(2**62), 2**62)
             st.just(shape),
             st.lists(st.tuples(INT64, st.lists(INT64, min_size=(shape[0] + 1) // 2, max_size=(shape[0] + 1) // 2)), max_size=6),
         )
-    )
+    ),
+    st.booleans(),
 )
-def test_to_json_is_json_dumps(case):
-    # any ids and m, valid rows or not: each line is json.dumps of its row
-    # and the csv line holds the same fields; rows sharing m share their text
+def test_to_json_is_json_dumps(case, fit):
+    # any int64 ids and m, and with ``fit`` the same m made non-negative
+    # (sign bit cleared) and sorted non-increasing: a block whose every m
+    # keeps that rule formats each line as json.dumps of its row, the csv
+    # line holds the same fields and rows sharing m share their text; any
+    # other block is refused naming its first bad row, before an o-vector
+    # entry could wrap
     (r, n), rows = case
+    if fit:
+        rows = [(row_id, sorted((x & (2**63 - 1) for x in ms), reverse=True)) for row_id, ms in rows]
     ids = [row_id for row_id, _ in rows]
     m = np.array([ms for _, ms in rows], dtype=np.int64).reshape(len(rows), (r + 1) // 2)
+    bad = [row_id for row_id, ms in rows if ms[-1] < 0 or any(a < b for a, b in zip(ms, ms[1:]))]
+    if bad:
+        with pytest.raises(DomainError, match=rf"^record {bad[0]}: m\(M,k\) \[.*\] is not non-negative"):
+            RowBlock(r, n, np.array(ids, dtype=np.int64), m)
+        return
     block = RowBlock(r, n, np.array(ids, dtype=np.int64), m)
     c = [c_value(r, n, k) for k in range((r + 1) // 2)]
     expected = [
