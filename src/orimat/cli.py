@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", "-n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--show-provenance", action="store_true")
-    p.add_argument("--cache", metavar="PATH", help="memo cache file to load/update")
 
     for name, help_text in [
         ("roudneff", "max m(M,k) over a database vs c_r(n,k)"),
@@ -221,15 +220,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cvalue(args) -> int:
-    table = CValueTable()
-    if args.cache:
-        try:
-            table.load(args.cache)
-        except FileNotFoundError:
-            pass
-    entry = table.entry(args.rank, args.elements, args.k)
-    if args.cache:  # saved first: a path that fails prints nothing
-        table.save(args.cache)
+    entry = CValueTable().entry(args.rank, args.elements, args.k)
     print(f"{entry.value} {entry.provenance}" if args.show_provenance else entry.value)
     return 0
 

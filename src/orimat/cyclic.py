@@ -8,15 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from pathlib import Path
 
-from .chirotope import alternating_chirotope, check_shape
+from .chirotope import alternating_chirotope
 from .circuits import CircuitSet, circuits_from_chirotope
-from .errors import DomainError, FormatError
+from .errors import DomainError
 from .neighborly import (
-    RECHECK_PAIRS,
     OVector,
-    _enumeration_cost,
     check_cell,
     check_enumeration_size,
     check_k,
@@ -88,8 +85,7 @@ class CValueTable:
     """Memo for c_r(n,k) = m(C_r(n), k) with per-entry provenance.
 
     Dispatch prefers exact closed forms where their hypotheses hold and falls
-    back to brute-force enumeration; entries can be persisted to a cache file
-    ("r n k value provenance" per line).
+    back to brute-force enumeration.
     """
 
     def __init__(self):
@@ -108,38 +104,6 @@ class CValueTable:
     def _compute(self, r: int, n: int, k: int) -> CEntry:
         return _formula_entry(r, n, k) or CEntry(c_value_brute(r, n, k), "brute-force")
 
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path: str | Path):
-        lines = [
-            f"{r} {n} {k} {e.value} {e.provenance}"
-            for (r, n, k), e in sorted(self._memo.items())
-        ]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-    def load(self, path: str | Path):
-        """Add the entries of a cache file; a line that ``_compute`` could
-        not have written (``_cache_error``) raises ``FormatError`` naming it."""
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"cache {path} is not UTF-8 text ({exc.reason})") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise FormatError(f"cache line {lineno}: expected 5 fields")
-            try:
-                r, n, k, value = map(int, parts[:4])
-            except ValueError:
-                raise FormatError(f"cache line {lineno}: non-integer field") from None
-            entry = CEntry(value, parts[4])
-            error = _cache_error(r, n, k, entry)
-            if error:
-                raise FormatError(f"cache line {lineno}: {error}")
-            self._memo[(r, n, k)] = entry
-
 
 def _formula_entry(r: int, n: int, k: int) -> CEntry | None:
     """The entry of a cell with a closed form or the n = r+1 formula, each
@@ -150,40 +114,6 @@ def _formula_entry(r: int, n: int, k: int) -> CEntry | None:
         return CEntry(o_vector_small(r).m(k), "n=r+1-formula")
     if n >= 2 * (r - k) + 1 and 2 * (r - k) + 1 >= r + 2:
         return CEntry(sum(o_vector_closed(r, n, k)), "closed-form")
-    return None
-
-
-def _cache_error(r: int, n: int, k: int, entry: CEntry) -> str | None:
-    """What makes a cache entry one that ``_compute`` could not have written,
-    if anything: a cell that ``entry`` refuses, a formula cell whose entry is
-    not the formula's, any other provenance than brute-force elsewhere, a
-    brute-force cell that ``c_value_brute`` refuses (an invalid (r, n) or
-    one over the enumeration budget), a brute-force value that no m(M,k)
-    at (r, n) takes (odd, or outside [0, tope count]), or, at a size within
-    RECHECK_PAIRS, one that ``c_value_brute`` does not give."""
-    try:
-        check_cell(r, n, k)
-    except DomainError as exc:
-        return str(exc)
-    formula = _formula_entry(r, n, k)
-    if formula is not None:
-        if entry != formula:
-            return f"({r}, {n}, {k}) is {formula.value} {formula.provenance}"
-        return None
-    if entry.provenance != "brute-force":
-        return f"({r}, {n}, {k}) has no {entry.provenance}"
-    try:
-        check_shape(r, n)
-        check_enumeration_size(r, n)
-    except DomainError as exc:
-        return str(exc)
-    topes = tope_count_uniform(r, n)
-    if entry.value % 2 or not 0 <= entry.value <= topes:
-        return f"brute-force value {entry.value} is odd or outside [0, {topes}]"
-    if _enumeration_cost(r, n)[0] <= RECHECK_PAIRS:
-        value = c_value_brute(r, n, k)
-        if entry.value != value:
-            return f"brute-force value {entry.value}, but enumeration gives {value}"
     return None
 
 

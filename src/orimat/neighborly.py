@@ -72,10 +72,6 @@ _BATCH_ENTRIES = 1 << 15
 # pairs and the largest candidate array.
 PAIR_BUDGET = 1 << 32
 CANDIDATE_BUDGET = 1 << 24
-# A brute-force c-value read from a cache file is enumerated again when its
-# size takes at most this many kernel pairs (under 0.1 s); a line of a larger
-# size is trusted as read.
-RECHECK_PAIRS = 1 << 24
 
 
 def ort(cs: CircuitSet, t: SignVector) -> int:

@@ -20,7 +20,7 @@ from orimat import (
     random_realizable,
     roudneff_report,
 )
-from orimat import cli, cyclic, harness, neighborly
+from orimat import cli, harness, neighborly
 from orimat.cli import main
 
 from conftest import o_vector_oracle, record_chirotope, report_oracle, serialize_colex
@@ -345,8 +345,10 @@ def test_rank_below_one_refused_as_a_rank(capsys, argv):
 
 class TestCValue:
     def test_value(self, capsys):
-        code, out, _ = run(capsys, "cvalue", "-r", "6", "-n", "9", "--k", "2")
-        assert code == 0 and out.strip() == "18"
+        # a closed-form cell and a brute-force one
+        for r, n, k, value in [(6, 9, 2, "18"), (10, 15, 1, "20096")]:
+            code, out, _ = run(capsys, "cvalue", "-r", str(r), "-n", str(n), "--k", str(k))
+            assert (code, out) == (0, value + "\n")
 
     def test_provenance(self, capsys):
         code, out, _ = run(
@@ -354,102 +356,28 @@ class TestCValue:
         )
         assert code == 0 and out.strip() == "18 closed-form"
 
-    def test_cache_file(self, capsys, tmp_path):
-        path = tmp_path / "cvalues.cache"
-        run(capsys, "cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache", str(path))
-        assert "3 5 1 2" in path.read_text()
-        code, out, _ = run(
-            capsys,
-            "cvalue", "-r", "3", "-n", "5", "--k", "1",
-            "--cache", str(path), "--show-provenance",
-        )
-        assert code == 0 and out.strip().startswith("2 ")
-
-    def test_cache_path_that_fails_prints_nothing(self, capsys, tmp_path):
-        # the cache is saved before the value is printed
-        path = tmp_path / "absent" / "c.txt"
-        code, out, err = run(capsys, "cvalue", "-r", "6", "-n", "9", "--k", "2", "--cache", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
-
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "cvalue", "-r", "3", "-n", "3", "--k", "0")
         assert code == 2 and "error" in err
 
-    def test_cache_non_integer_field(self, capsys, tmp_path):
-        path = tmp_path / "cvalues.cache"
-        path.write_text("3 5 1 x closed-form\n")
-        code, out, err = run(
-            capsys, "cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache", str(path)
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "line 1" in err and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize(
-        "line,reason",
-        [
-            ("3 5 1 999 closed-form", "is 2 closed-form"),  # the true value is 2
-            ("3 5 1 2 brute-force", "is 2 closed-form"),  # a closed-form cell
-            ("3 4 1 6 closed-form", "is 6 n=r+1-formula"),
-            ("3 5 1 2 guessed", "is 2 closed-form"),
-            ("6 8 2 32 guessed", "has no guessed"),
-            ("3 3 0 2 closed-form", "need n >= r+1"),
-            ("3 5 2 0 closed-form", "k=2 outside"),
-            ("6 8 2 32 closed-form", "has no closed-form"),  # brute force only
-            ("6 8 2 33 brute-force", "odd or outside [0, 240]"),  # 240 topes
-            ("6 8 2 242 brute-force", "odd or outside [0, 240]"),
-            ("6 8 2 -2 brute-force", "odd or outside [0, 240]"),
-            # cells that the uncached cvalue refuses, with the same message
-            ("20 30 1 2 brute-force", "exceed the enumeration budget"),
-            ("40 70 1 2 brute-force", "invalid rank/size (40, 70)"),
-        ],
-    )
-    def test_cache_entry_compute_could_not_write(self, capsys, tmp_path, line, reason):
-        path = tmp_path / "cvalues.cache"
-        path.write_text("6 9 2 18 closed-form\n" + line + "\n")
+    def test_cache_is_an_unknown_argument(self, capsys, tmp_path):
+        # every c-value is computed; no file is read or written
+        path = tmp_path / "P"
         code, out, err = run(capsys, "cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("error: cache line 2: ") and reason in err
-        assert len(err.splitlines()) == 1
-
-    def test_cache_brute_force_entry_used(self, capsys, monkeypatch, tmp_path):
-        # (10, 15) takes more than RECHECK_PAIRS kernel pairs: its line is trusted
-        assert neighborly._enumeration_cost(10, 15)[0] > neighborly.RECHECK_PAIRS
-
-        def enumerate_again(*args):
-            raise AssertionError("a cached brute-force cell was enumerated again")
-
-        monkeypatch.setattr(cyclic, "c_value_brute", enumerate_again)
-        path = tmp_path / "cvalues.cache"
-        path.write_text("10 15 1 20096 brute-force\n")
-        argv = ["cvalue", "-r", "10", "-n", "15", "--k", "1", "--cache", str(path)]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and out == "20096\n"
-
-    @pytest.mark.parametrize(
-        "line,value",
-        [
-            ("6 8 2 30 brute-force", 32),  # c_value_brute(6, 8, 2) is 32
-            ("12 16 4 1410 brute-force", 1408),  # a largest size within RECHECK_PAIRS
-        ],
-    )
-    def test_cache_forged_brute_force_value_exits_two(self, capsys, tmp_path, line, value):
-        r, n, k = line.split()[:3]
-        path = tmp_path / "cvalues.cache"
-        path.write_text("6 9 2 18 closed-form\n" + line + "\n")
-        argv = ["cvalue", "-r", r, "-n", n, "--k", k, "--cache", str(path)]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        forged = line.split()[3]
-        message = f"brute-force value {forged}, but enumeration gives {value}"
-        assert err == f"error: cache line 2: {message}\n"
-        assert path.read_text() == "6 9 2 18 closed-form\n" + line + "\n"
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cache" in err
+        assert not path.exists()
 
     def test_brute_force_size_refused_before_building(self, capsys):
-        # (20, 38, k=1) has no closed form; C(38, 20) signs would not fit in memory
-        code, out, err = run(capsys, "cvalue", "-r", "20", "-n", "38", "--k", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
+        # none of these cells has a closed form; C(38, 20) signs would not fit in memory
+        for r, n, reason in [
+            (20, 38, "exceed the enumeration budget"),
+            (20, 30, "exceed the enumeration budget"),
+            (40, 70, "invalid rank/size (40, 70)"),
+        ]:
+            code, out, err = run(capsys, "cvalue", "-r", str(r), "-n", str(n), "--k", "1")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and reason in err and len(err.splitlines()) == 1
 
 
 def colex_copy(path, r, n):
@@ -947,7 +875,6 @@ class TestUsageErrors:
             ("mcmullen", "-r", "3", "-n", "4", "--k", "1", "--file"),
             ("ovector", "-r", "3", "-n", "4", "--file"),
             ("reduce", "-r", "5", "--k", "1", "--db=4:7:"),
-            ("cvalue", "-r", "3", "-n", "5", "--k", "1", "--cache"),
         ],
     )
     def test_non_utf8_file_exits_two_naming_it(self, capsys, tmp_path, argv):

@@ -221,17 +221,6 @@ class TestCValue:
         with pytest.raises(DomainError, match="budget"):
             CValueTable().c_value(20, 38, 1)
 
-    def test_cache_round_trip(self, tmp_path):
-        table = CValueTable()
-        table.c_value(6, 9, 2)
-        table.c_value(3, 5, 1)
-        path = tmp_path / "cvalues.cache"
-        table.save(path)
-        fresh = CValueTable()
-        fresh.load(path)
-        assert fresh.entry(6, 9, 2).value == 18
-        assert fresh.entry(6, 9, 2).provenance == "closed-form"
-
 
 def literature_c1(r, n):
     """The transcribed prior-work closed form for c_r(n,1), kept as data:
