@@ -130,14 +130,19 @@ def circuit_minus(r: int, n: int, signs: np.ndarray) -> np.ndarray:
 
 def circuits_from_chirotope(chi: Chirotope) -> CircuitSet:
     """The normalized circuits of chi on every (r+1)-subset of [n]
-    (``circuit_minus``)."""
+    (``circuit_minus``).  The derivation gives lex-order supports, disjoint
+    plus and minus and a + smallest element, so the set is built without
+    ``CircuitSet``'s check."""
     if chi.n == chi.r:
-        none = np.zeros(0, dtype=np.uint64)
-        return CircuitSet(chi.n, chi.r, none, none)
-    minus = circuit_minus(chi.r, chi.n, chi.signs)
-    plus = _facet_table(chi.r, chi.n)[2] - minus
+        minus = np.zeros(0, dtype=np.uint64)
+        plus = minus
+    else:
+        minus = circuit_minus(chi.r, chi.n, chi.signs)
+        plus = _facet_table(chi.r, chi.n)[2] - minus
     plus.flags.writeable = minus.flags.writeable = False
-    return CircuitSet(chi.n, chi.r, plus, minus)
+    cs = object.__new__(CircuitSet)
+    cs.__dict__.update(n=chi.n, r=chi.r, plus=plus, minus=minus)
+    return cs
 
 
 def cocircuits(chi: Chirotope) -> CircuitSet:

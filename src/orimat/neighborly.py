@@ -23,24 +23,27 @@ are r+1 - sep.  It is used in two ways:
   m(M,t-1)/2.
 
 The enumeration (``_grow``) is a growth fold over a stack of K chirotopes
-of one (r, n), a ``CircuitSet`` being K = 1.  Every circuit has a largest
-element j, and a tope restricts to a tope of the deletion, so candidates on
-[j-1] are extended by +-j and only the circuits whose largest element is j
-are folded into their running minimum; a candidate is dropped once that
-minimum falls below the level asked for (1 for o-vectors, k+1 for m(M,k)
-and the search).  The records share their circuit supports, so their
-candidates are one flat array with a record index, and each tile repeats
-every record's circuit minus masks over its candidates.  Masks take the
-narrowest unsigned dtype that holds n bits.  ``m_values`` takes any number
-of records and owns every batch below it: table gathers of _BATCH_ENTRIES
-words, or growth groups whose largest candidate arrays fit _BATCH_ENTRIES
-together (``_group_size``), each batch's circuits derived as it runs.
+of one (r, n), a ``CircuitSet`` being K = 1.  It is seeded with one kernel
+call over every sign vector on the first j0 elements against the circuits
+inside them, j0 the largest size whose sweep fits SEED_PAIRS
+(``_seed_size``).  Then every circuit has a largest element j, and a tope
+restricts to a tope of the deletion, so candidates on [j-1] are extended by
++-j and only the circuits whose largest element is j are folded into their
+running minimum; a candidate is dropped once that minimum falls below the
+level asked for (1 for o-vectors, k+1 for m(M,k) and the search).  The
+records share their circuit supports, so their candidates are one flat
+array with a record index, and each tile repeats every record's circuit
+minus masks over its candidates.  Masks take the narrowest unsigned dtype
+that holds n bits.  ``m_values`` takes any number of records and owns
+every batch below it: table gathers of _BATCH_ENTRIES words, or growth
+groups whose largest candidate arrays fit _BATCH_ENTRIES together
+(``_group_size``), each batch's circuits derived as it runs.
 Sizes are refused before anything is allocated by closed forms for the
 kernel pairs and the largest candidate array (``_enumeration_cost``).  In
 process on 2 vCPU (Python 3.11, numpy 2.4), grown database rows come out at
-about 16k rows/s at (5,10), 4.8k at (6,11) and 1.4k at (6,12); ``o_vector``
-takes about 11 ms on C_7(14) and 18 ms on C_5(16), and the audit of a
-(6,12) chirotope 5.2, 1.8 and 0.65 ms at k = 0, 1 and 2.
+about 17k rows/s at (5,10), 5.5k at (6,11) and 1.5k at (6,12); ``o_vector``
+takes about 7 ms on C_7(14) and 11 ms on C_5(16), and the audit of a
+(6,12) chirotope 4.7, 1.5 and 0.44 ms at k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ TILE_BYTES = 1 << 17
 # every other enumeration grows.
 DENSE_PAIRS = 1 << 15
 DENSE_RANK = 7
+# The most pairs of the one kernel call that seeds every grow
+# (``_seed_size``); 2^15 ran slower on the audit's stacks.
+SEED_PAIRS = 1 << 14
 # Entries of the largest array of one ``m_values`` call: table words
 # gathered at a dense size, candidates of one growth group otherwise.
 _BATCH_ENTRIES = 1 << 15
@@ -285,13 +291,25 @@ def _check_budget(pairs: int, candidates: int):
         )
 
 
+def _seed_size(r: int, n: int) -> int:
+    """j0, the elements that ``_grow`` sweeps in one call at (r, n): the
+    largest j <= n whose full sweep is at most SEED_PAIRS pairs, and at
+    least r+1.  It depends on (r, n) only, so a stack of records grows as
+    each record does alone."""
+    j0 = r + 1
+    while j0 < n and comb(j0 + 1, r + 1) << j0 <= SEED_PAIRS:
+        j0 += 1
+    return j0
+
+
 @lru_cache(maxsize=None)
 def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     """Closed-form cost of ``_grow`` at (r, n): (kernel pairs, largest
     candidate array).
 
-    The 2^r sign vectors on the first r+1 elements meet their one circuit.
-    Level j > r+1 extends the T(j-1) survivors on [j-1], where T(m) =
+    The seed meets the 2^(j0-1) sign vectors on the first j0 elements
+    (``_seed_size``) with the C(j0, r+1) circuits inside them.  Level
+    j > j0 extends the T(j-1) survivors on [j-1], where T(m) =
     sum_{i<r} C(m-1, i) is the halved tope count of a uniform rank-r
     matroid on m elements, by +-j and folds in the C(j-1, r) circuits whose
     largest element is j.  Sign data that is not a chirotope can leave more
@@ -302,9 +320,12 @@ def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     def halved_topes(m):
         return sum(comb(m - 1, i) for i in range(r))
 
-    levels = [2 * halved_topes(j - 1) for j in range(r + 2, n + 1)]
-    pairs = (1 << r) + sum(size * comb(j - 1, r) for j, size in zip(range(r + 2, n + 1), levels))
-    return pairs, max([1 << r] + levels)
+    j0 = _seed_size(r, n)
+    levels = [2 * halved_topes(j - 1) for j in range(j0 + 1, n + 1)]
+    pairs = (comb(j0, r + 1) << (j0 - 1)) + sum(
+        size * comb(j - 1, r) for j, size in zip(range(j0 + 1, n + 1), levels)
+    )
+    return pairs, max([1 << (j0 - 1)] + levels)
 
 
 def _group_size(r: int, n: int) -> int:
@@ -334,21 +355,25 @@ def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ..
     minus masks are the rows of ``minus`` (uint64, lex order): every one
     with ort at least ``level``, and maybe some below it.
 
-    A running minimum only falls, so dropping one below ``level`` loses
-    nothing, and after element n it is the exact ort.  Each candidate is
-    followed by its copy with j negative, so a record's candidates stay
-    consecutive, but its masks are not ascending.
+    The seed is one kernel call: every record's 2^(j0-1) sign vectors on
+    the first j0 elements (``_seed_size``), in ascending order, against the
+    C(j0, r+1) circuits inside them.  Then each element j > j0 extends the
+    survivors.  A running minimum only falls, so dropping one below
+    ``level`` loses nothing, and after element n it is the exact ort.  Each
+    grown candidate is followed by its copy with j negative, so a record's
+    candidates stay consecutive, but its masks are not ascending.
     """
     pairs, candidates = _enumeration_cost(r, n)
     _check_budget(pairs, len(minus) * candidates)
     order, support = _growth_order(r, n)
     dtype = support.dtype
     stack = minus.T[order].astype(dtype)
-    records = np.repeat(np.arange(len(minus), dtype=np.min_scalar_type(len(minus) - 1)), 1 << r)
-    masks = np.tile(np.arange(1 << r, dtype=dtype) << dtype.type(1), len(minus))
-    run = _ort_masks(support[:1], stack[:1], masks, records, r + 1)
-    lo = 1
-    for j in range(r + 2, n + 1):
+    j0 = _seed_size(r, n)
+    seed, lo = 1 << (j0 - 1), comb(j0, r + 1)
+    records = np.repeat(np.arange(len(minus), dtype=np.min_scalar_type(len(minus) - 1)), seed)
+    masks = np.tile(np.arange(seed, dtype=dtype) << dtype.type(1), len(minus))
+    run = _ort_masks(support[:lo], stack[:lo], masks, records, r + 1)
+    for j in range(j0 + 1, n + 1):
         keep = run >= level
         masks, records, run = masks[keep], records[keep], run[keep]
         if not len(masks):

@@ -140,6 +140,23 @@ class TestCircuitSetMasks:
         cs = circuits_from_chirotope(random_realizable(6, 12, seed=0))
         assert CircuitSet(12, 6, cs.plus.copy(), cs.minus.copy()) == cs
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_derived_sets_keep_the_full_rule(self, data):
+        # circuits_from_chirotope skips CircuitSet's check: every set it
+        # derives, and every cocircuit set, passes that check when rebuilt
+        r = data.draw(st.integers(1, 7), label="r")
+        n = data.draw(st.integers(r, 12), label="n")
+        kind = data.draw(st.sampled_from(["random", "alternating"]), label="kind")
+        if kind == "random":
+            chi = random_realizable(r, n, seed=data.draw(st.integers(0, 999), label="seed"))
+        else:
+            chi = alternating_chirotope(r, n)
+        # rank n on n elements: no circuits, and a degenerate dual
+        for cs in [circuits_from_chirotope(chi)] + ([cocircuits(chi)] if n > r else []):
+            rebuilt = CircuitSet(cs.n, cs.r, cs.plus, cs.minus)
+            assert rebuilt == cs and not cs.plus.flags.writeable and not cs.minus.flags.writeable
+
 
 class TestCocircuits:
     def test_rank_one_dual_supports(self):

@@ -239,11 +239,21 @@ class TestGrowth:
         assert m == [2 * int((orts > k).sum()) for k in range(len(m))]
 
     def test_enumeration_cost_is_the_sum_of_levels(self):
-        # (4, 8) grown from its first 5 elements: 16 x 1 pairs, then
-        # 2 T(j-1) C(j-1, 4) at j = 6, 7, 8 with T(5, 6, 7) = 15, 26, 42
-        pairs, candidates = neighborly._enumeration_cost(4, 8)
-        assert pairs == 16 + 2 * 15 * 5 + 2 * 26 * 15 + 2 * 42 * 35
-        assert candidates == 2 * 42
+        # the seed sweeps j0 elements, C(j0, r+1) 2^(j0-1) <= 2^14 pairs;
+        # then 2 T(j-1) C(j-1, r) pairs at each j > j0, where
+        # T(m) = sum_{i<r} C(m-1, i)
+        # (4, 8): j0 = 8 = n, 56 circuits x 128 sign vectors, no level
+        assert neighborly._enumeration_cost(4, 8) == (56 * 128, 128)
+        # (4, 10): j0 = 8 (C(9, 5) 2^8 = 32256 > 2^14), then j = 9, 10
+        # with T(8, 9) = 64, 93
+        pairs, candidates = neighborly._enumeration_cost(4, 10)
+        assert pairs == 56 * 128 + 2 * 64 * 70 + 2 * 93 * 126
+        assert candidates == 2 * 93
+        # (6, 12): j0 = 9 (C(10, 7) 2^9 = 61440 > 2^14), 36 x 256, then
+        # j = 10, 11, 12 with T(9, 10, 11) = 219, 382, 638
+        pairs, candidates = neighborly._enumeration_cost(6, 12)
+        assert pairs == 36 * 256 + 2 * 219 * 84 + 2 * 382 * 210 + 2 * 638 * 462
+        assert candidates == 2 * 638
 
     def test_largest_runnable_size_per_rank(self):
         # the table in the README's "Enumeration limits"; ranks 1-3 run up
@@ -333,6 +343,56 @@ class TestRecordAxis:
             assert oracle.tolist() == got_orts[got_orts > 0].tolist()
             assert neighborly.first_index_at_least(cs, 1) == int(topes.min()) >> 1
         assert neighborly.m_counts(r, n, signs, 0).tolist() == [tope_count_uniform(r, n)] * 3
+
+
+@pytest.fixture
+def seed_bound(monkeypatch):
+    """Set SEED_PAIRS so that grows at (r, n) seed at j0; the cached closed
+    form follows the bound, so its cache is cleared on the way in and out."""
+
+    def set_seed(r, n, j0):
+        monkeypatch.setattr(neighborly, "SEED_PAIRS", comb(j0, r + 1) << (j0 - 1))
+        neighborly._enumeration_cost.cache_clear()
+        assert neighborly._seed_size(r, n) == j0
+
+    yield set_seed
+    neighborly._enumeration_cost.cache_clear()
+
+
+class TestSeed:
+    """Every grow sweeps its first j0 elements in one call.  Whatever j0 the
+    bound picks, r+1 (the one circuit inside [r+1]) up to n (the full
+    sweep), the grown candidates at ort >= level and every count are those
+    of j0 = r+1, on stacks and on single records."""
+
+    @pytest.mark.parametrize("r,n", [(1, 6), (2, 6), (3, 10), (5, 10), (6, 10)])
+    def test_every_seed_size_grows_the_same(self, seed_bound, r, n):
+        seeds = range(3)
+        signs, minus = record_stack(r, n, seeds)
+        sets = [circuits_from_chirotope(random_realizable(r, n, seed=s)) for s in seeds]
+        levels = range(1, (r + 1) // 2 + 2)
+
+        def grown():
+            stack = {}
+            for level in levels:
+                records, masks, orts = neighborly._grow(r, n, minus, level)
+                keep = orts >= level
+                stack[level] = sorted(zip(records[keep].tolist(), masks[keep].tolist(), orts[keep].tolist()))
+                for i in range(len(minus)):
+                    _, masks, orts = neighborly._grow(r, n, minus[i : i + 1], level)
+                    keep = orts >= level
+                    single = sorted((i, m, o) for m, o in zip(masks[keep].tolist(), orts[keep].tolist()))
+                    assert single == [row for row in stack[level] if row[0] == i], (level, i)
+            firsts = [[neighborly.first_index_at_least(cs, level) for level in levels] for cs in sets]
+            m_counts = [neighborly.m_counts(r, n, signs, k).tolist() for k in range((r + 1) // 2)]
+            return stack, firsts, [o_vector(cs) for cs in sets], neighborly.m_values(r, n, signs).tolist(), m_counts
+
+        # m_values grows at n = 10 and reads the level-bit table at n = 6
+        seed_bound(r, n, r + 1)
+        expected = grown()
+        for j0 in range(r + 2, n + 1):
+            seed_bound(r, n, j0)
+            assert grown() == expected, j0
 
 
 class TestSixteenBitKernel:
