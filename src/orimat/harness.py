@@ -547,7 +547,7 @@ def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     by one kernel call.  When k is inadmissible at the contractions' rank
     r-1 they are not counted and contribute 0.  In process on 2 vCPU
     (Python 3.11, numpy 2.4) the audit of a (6,12) chirotope takes about
-    4.7, 1.5 and 0.44 ms at k = 0, 1 and 2.
+    2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
     """
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")

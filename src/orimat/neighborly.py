@@ -2,25 +2,27 @@
 export.
 
 Enumerations cover the sign vectors with element 1 fixed to + (antipodal
-symmetry is exact, so every count is doubled).  ``_ort_of`` is the one
-kernel, and every ort verdict, from one sign vector to a batch of database
-records, comes from it.  It counts separations as sep =
-bitwise_count(table ^ pattern) and folds over the circuit axis as
-ort = min over circuits of min(sep, r+1 - sep): every circuit of a uniform
-rank-r matroid has r+1 elements, so its agreements with a full sign vector
-are r+1 - sep.  It is used in two ways:
+symmetry is exact, so every count is doubled).  ``_separations`` is the
+one count, and every ort verdict, from one sign vector to a batch of
+database records, comes from it: sep = bitwise_count(table ^ pattern), the
+separations of a sign vector and a circuit.  Every circuit of a uniform
+rank-r matroid has r+1 elements, so the agreements are r+1 - sep, and
+ort = min over circuits of min(sep, r+1 - sep).  It is used in two ways:
 
-- Single sign vectors and every enumeration outside the dense database
-  batches pass masks (``_ort_masks``) in tiles of about TILE_BYTES of
-  masks: table = supp(X) & M and pattern = X^-.
+- Masks, in tiles of about TILE_BYTES of masks with table = supp(X) & M
+  and pattern = X^-, give each sign vector's least separations and least
+  agreements over the circuits (``_least_counts``).  For single sign
+  vectors and the seed of every grow, ort is the lesser of the two
+  (``_ort_masks``); at a grown level they give the ort of both children of
+  each survivor (``_child_orts``).
 - Database batches at a dense size (``is_dense``: the full sweep is at most
   DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
-  read the level-bit table (``_level_table``), the bitsets of the
-  candidates whose ort against each circuit with each sign pattern is at
-  least each level.  A chirotope's counts are then one gathered row per
-  circuit, an AND over the circuits and a popcount per level
-  (``_dense_fold``): level t counts the candidates with ort at least t,
-  m(M,t-1)/2.
+  read the level-bit table (``_level_table``, built through ``_ort_of``),
+  the bitsets of the candidates whose ort against each circuit with each
+  sign pattern is at least each level.  A chirotope's counts are then one
+  gathered row per circuit, an AND over the circuits and a popcount per
+  level (``_dense_fold``): level t counts the candidates with ort at least
+  t, m(M,t-1)/2.
 
 The enumeration (``_grow``) is a growth fold over a stack of K chirotopes
 of one (r, n), a ``CircuitSet`` being K = 1.  It is seeded with one kernel
@@ -30,20 +32,23 @@ inside them, j0 the largest size whose sweep fits SEED_PAIRS
 restricts to a tope of the deletion, so candidates on [j-1] are extended by
 +-j and only the circuits whose largest element is j are folded into their
 running minimum; a candidate is dropped once that minimum falls below the
-level asked for (1 for o-vectors, k+1 for m(M,k) and the search).  The
-records share their circuit supports, so their candidates are one flat
-array with a record index, and each tile repeats every record's circuit
-minus masks over its candidates.  Masks take the narrowest unsigned dtype
-that holds n bits.  ``m_values`` takes any number of records and owns
-every batch below it: table gathers of _BATCH_ENTRIES words, or growth
-groups whose largest candidate arrays fit _BATCH_ENTRIES together
-(``_group_size``), each batch's circuits derived as it runs.
-Sizes are refused before anything is allocated by closed forms for the
-kernel pairs and the largest candidate array (``_enumeration_cost``).  In
-process on 2 vCPU (Python 3.11, numpy 2.4), grown database rows come out at
-about 17k rows/s at (5,10), 5.5k at (6,11) and 1.5k at (6,12); ``o_vector``
-takes about 7 ms on C_7(14) and 11 ms on C_5(16), and the audit of a
-(6,12) chirotope 4.7, 1.5 and 0.44 ms at k = 0, 1 and 2.
+level asked for (1 for o-vectors, k+1 for m(M,k) and the search).  Each
+circuit is oriented with its largest element positive first, so at level j
+one kernel pass over the survivors, not over their children, decides the
+verdicts of both children.  The records share their circuit supports, so
+their candidates are one flat array with a record index, and each tile
+repeats every record's circuit minus masks over its candidates.  Masks take
+the narrowest unsigned dtype that holds n bits.  ``m_values`` takes any
+number of records and owns every batch below it: table gathers of
+_BATCH_ENTRIES words, or growth groups whose largest candidate arrays fit
+_BATCH_ENTRIES together (``_group_size``), each batch's circuits derived as
+it runs.  Sizes are refused before anything is allocated by closed forms
+for the kernel pairs and the largest candidate array
+(``_enumeration_cost``).  In process on 2 vCPU (Python 3.11, numpy 2.4),
+grown database rows come out at about 32k rows/s at (5,10), 9.8k at (6,11)
+and 2.6k at (6,12); ``o_vector`` takes about 4.6 ms on C_7(14) and 7 ms on
+C_5(16), and the audit of a (6,12) chirotope 2.8, 1.1 and 0.47 ms at
+k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -94,64 +99,100 @@ def ort(cs: CircuitSet, t: SignVector) -> int:
     return int(_ort_masks(cs.plus | cs.minus, cs.minus[:, None], masks, None, cs.r + 1)[0])
 
 
-def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
-    """The kernel: minimum orthogonality degree (uint8) of each candidate
-    against circuits of ``width`` = r+1 elements each, folded over the
-    circuit axis (axis -2).
-
-    Each entry of ``separated`` is table ^ pattern, a candidate's signs on
-    one circuit's support xor that circuit's signs, bit set for -: its
-    popcount is the separations sep, and the agreements are width - sep.
-    ort = min(min sep, width - max sep) over circuits, so no second array
-    of the tile's size is built.  Any leading axis is carried through.
+def _separations(separated: np.ndarray) -> np.ndarray:
+    """The kernel's one count: the separations sep of each entry of
+    ``separated``, table ^ pattern, a candidate's signs on one circuit's
+    support xor that circuit's signs, bit set for -; sep is its popcount.
 
     numpy counts uint8 bits with SIMD but uint16 bits one element at a
     time, about 15x slower, so a uint16 tile (n = 9..16) is counted on its
     byte view and in place: each byte becomes its popcount, and the high
     byte of x * 0x0101 is the sum of the two, at most 16.  That tile, which
-    must be C-contiguous, is consumed.
+    must be C-contiguous, is consumed and returned.
     """
     if separated.dtype == np.uint16:
         pairs = separated.view(np.uint8)
         np.bitwise_count(pairs, out=pairs)
         separated *= np.uint16(0x0101)
         separated >>= np.uint16(8)
-        sep = separated
-    else:
-        sep = np.bitwise_count(separated)
+        return separated
+    return np.bitwise_count(separated)
+
+
+def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
+    """Minimum orthogonality degree (uint8) of each candidate against
+    circuits of ``width`` = r+1 elements each, folded over the circuit axis
+    (axis -2): the agreements are width - sep, so ort = min(min sep,
+    width - max sep) over circuits, and no second array of the tile's size
+    is built.  Any leading axis is carried through."""
+    sep = _separations(separated)
     return np.minimum(sep.min(axis=-2), width - sep.max(axis=-2)).astype(np.uint8, copy=False)
 
 
-def _ort_masks(
+def _least_counts(
     support: np.ndarray, minus: np.ndarray, masks: np.ndarray, records, width: int
 ) -> np.ndarray:
-    """ort (uint8) of full sign vectors, given by their minus-masks and
-    ascending record indices, against circuits of ``width`` elements with
-    the masks ``support`` and, per record, ``minus`` (circuits x records),
-    all of one dtype: each tile has table = supp(X) & M and pattern = X^- of
-    the candidate's record, as |supp(X) & (X^- xor M)| is the popcount of
-    their xor.  A record's pattern column is repeated over its consecutive
-    candidates; a single record's column broadcasts and ``records`` is not
-    read."""
+    """The least separations and the least agreements (uint8, 2 x
+    candidates) of full sign vectors, given by their minus-masks and
+    ascending record indices, with circuits whose masks are ``support`` and,
+    per record, ``minus`` (circuits x records), all of one dtype, counted on
+    ``width`` elements of each circuit: all r+1 of them, or all but j at
+    grown level j, where no survivor holds j.  The agreements are
+    width - sep, so their least is width - the most separations.
+
+    Tiles of circuits x candidates hold about TILE_BYTES of masks each:
+    table = supp(X) & M and pattern = X^- of the candidate's record, as
+    |supp(X) & (X^- xor M)| is the popcount of their xor.  A record's
+    pattern column is repeated over its consecutive candidates; a single
+    record's column broadcasts and ``records`` is not read."""
     per_tile = max(1, TILE_BYTES // masks.itemsize)
     total, stacked = len(masks), minus.shape[1] > 1
     cols = max(1, min(total, per_tile))
     rows = max(1, per_tile // cols)
-    best = np.empty(total, dtype=np.uint8)
+    least = np.empty((2, total), dtype=np.uint8)
+    low, most = least[0], least[1]
     for start in range(0, total, cols):
         chunk = masks[start : start + cols]
+        where = slice(start, start + len(chunk))
         if stacked:
-            repeats = np.bincount(records[start : start + cols], minlength=minus.shape[1])
-        run = None
+            repeats = np.bincount(records[where], minlength=minus.shape[1])
         for lo in range(0, len(support), rows):
             pattern = minus[lo : lo + rows]
             if stacked:
                 pattern = np.repeat(pattern, repeats, axis=1)
             table = support[lo : lo + rows, None] & chunk
-            low = _ort_of(np.bitwise_xor(table, pattern, out=table), width)
-            run = low if run is None else np.minimum(run, low, out=run)
-        best[start : start + len(chunk)] = run
-    return best
+            sep = _separations(np.bitwise_xor(table, pattern, out=table))
+            if lo == 0:
+                low[where] = sep.min(axis=0)
+                most[where] = sep.max(axis=0)
+            else:
+                np.minimum(low[where], sep.min(axis=0), out=low[where])
+                np.maximum(most[where], sep.max(axis=0), out=most[where])
+    np.subtract(width, most, out=most)
+    return least
+
+
+def _ort_masks(
+    support: np.ndarray, minus: np.ndarray, masks: np.ndarray, records, width: int
+) -> np.ndarray:
+    """ort (uint8) of full sign vectors against circuits of ``width``
+    elements: the lesser of their least separations and least agreements
+    (``_least_counts``)."""
+    least = _least_counts(support, minus, masks, records, width)
+    return np.minimum(least[0], least[1])
+
+
+def _child_orts(least: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """The running minimum (uint8) of both children of each survivor at a
+    grown level j, the child with j positive first, from the survivor's
+    least separations s and least agreements a (``_least_counts``) with the
+    circuits folded in at j, each holding j positive, and its own running
+    minimum ``run``: min(run, s, a+1) and min(run, s+1, a).  ``least`` is
+    consumed."""
+    np.minimum(least, run, out=least)
+    children = np.empty((len(run), 2), dtype=np.uint8)
+    np.minimum(least, (least + 1)[::-1], out=children.T)
+    return children.ravel()
 
 
 def is_dense(r: int, n: int) -> bool:
@@ -304,8 +345,8 @@ def _seed_size(r: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
-    """Closed-form cost of ``_grow`` at (r, n): (kernel pairs, largest
-    candidate array).
+    """Closed-form cost of ``_grow`` at (r, n): (sign-vector x circuit
+    pairs, largest candidate array).
 
     The seed meets the 2^(j0-1) sign vectors on the first j0 elements
     (``_seed_size``) with the C(j0, r+1) circuits inside them.  Level
@@ -314,7 +355,12 @@ def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     matroid on m elements, by +-j and folds in the C(j-1, r) circuits whose
     largest element is j.  Sign data that is not a chirotope can leave more
     survivors, but at most C(j-1, r)/2 more: they shatter no (r+1)-set, so
-    Sauer-Shelah applies.
+    Sauer-Shelah applies.  A level's pairs are its 2 T(j-1) children times
+    its circuits, though one popcount per survivor and circuit decides the
+    verdicts of both children: each circuit is negated, where needed, to
+    hold j positive, which changes no verdict as ort is symmetric under
+    C -> -C, and then the separations of the child with j negative are
+    those of the child with j positive plus one.
     """
 
     def halved_topes(m):
@@ -349,43 +395,61 @@ def _growth_order(r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, support
 
 
+@lru_cache(maxsize=32)
+def _seed_candidates(j0: int, dtype: np.dtype, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Record indices and minus-masks (read-only, masks of ``dtype``) of the
+    sign vectors that seed a grow of ``count`` records: each record's
+    2^(j0-1) sign vectors with element 1 fixed to + on its first j0
+    elements, in ascending order."""
+    seed = 1 << (j0 - 1)
+    records = np.repeat(np.arange(count, dtype=np.min_scalar_type(count - 1)), seed)
+    masks = np.tile(np.arange(0, 2 * seed, 2, dtype=dtype), count)
+    records.flags.writeable = masks.flags.writeable = False
+    return records, masks
+
+
 def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
     """Record indices, minus-masks and ort values (uint8) of sign vectors
     with element 1 fixed to + of the K chirotopes at (r, n) whose circuit
     minus masks are the rows of ``minus`` (uint64, lex order): every one
-    with ort at least ``level``, and maybe some below it.
+    with ort at least ``level``.
 
+    Each circuit is first oriented with its largest element positive: of C
+    and -C, the one with the smaller minus mask, which changes no verdict.
     The seed is one kernel call: every record's 2^(j0-1) sign vectors on
     the first j0 elements (``_seed_size``), in ascending order, against the
     C(j0, r+1) circuits inside them.  Then each element j > j0 extends the
-    survivors.  A running minimum only falls, so dropping one below
-    ``level`` loses nothing, and after element n it is the exact ort.  Each
-    grown candidate is followed by its copy with j negative, so a record's
-    candidates stay consecutive, but its masks are not ascending.
+    survivors by +-j.  A survivor does not hold j and every circuit folded
+    in at j holds j positive, so one kernel pass over the survivors
+    (``_least_counts``) gives the ort of both children (``_child_orts``).
+    A running minimum only falls, so dropping one below ``level`` loses
+    nothing, and after element n it is the exact ort.  Each grown candidate
+    is followed by its copy with j negative, so a record's candidates stay
+    consecutive, but its masks are not ascending.
     """
     pairs, candidates = _enumeration_cost(r, n)
     _check_budget(pairs, len(minus) * candidates)
     order, support = _growth_order(r, n)
     dtype = support.dtype
-    stack = minus.T[order].astype(dtype)
+    oriented = np.take(minus, order, axis=1).astype(dtype)
+    np.minimum(oriented, oriented ^ support, out=oriented)
+    stack = oriented.T
     j0 = _seed_size(r, n)
-    seed, lo = 1 << (j0 - 1), comb(j0, r + 1)
-    records = np.repeat(np.arange(len(minus), dtype=np.min_scalar_type(len(minus) - 1)), seed)
-    masks = np.tile(np.arange(seed, dtype=dtype) << dtype.type(1), len(minus))
+    lo = comb(j0, r + 1)
+    records, masks = _seed_candidates(j0, dtype, len(minus))
     run = _ort_masks(support[:lo], stack[:lo], masks, records, r + 1)
     for j in range(j0 + 1, n + 1):
-        keep = run >= level
-        masks, records, run = masks[keep], records[keep], run[keep]
-        if not len(masks):
+        keep = np.flatnonzero(run >= level)
+        if not len(keep):
             break
+        masks, records, run = masks[keep], records[keep], run[keep]
+        hi = comb(j, r + 1)
+        run = _child_orts(_least_counts(support[lo:hi], stack[lo:hi], masks, records, r), run)
         masks = masks.repeat(2)
         masks[1::2] |= dtype.type(1 << (j - 1))
         records = records.repeat(2)
-        hi = comb(j, r + 1)
-        low = _ort_masks(support[lo:hi], stack[lo:hi], masks, records, r + 1)
-        run = np.minimum(run.repeat(2), low, out=low)
         lo = hi
-    keep = run >= level
+    keep = np.flatnonzero(run >= level)
     return records[keep], masks[keep], run[keep]
 
 
@@ -405,9 +469,8 @@ def first_index_at_least(cs: CircuitSet, level: int) -> int | None:
     bit) of the first sign vector with element 1 fixed to + whose ort is at
     least ``level``; None if there is none."""
     cs.require_nonempty()
-    _, masks, orts = _grow(cs.r, cs.n, cs.minus[None], level)
-    hits = masks[orts >= level]
-    return int(hits.min()) >> 1 if hits.size else None
+    masks = _grow(cs.r, cs.n, cs.minus[None], level)[1]
+    return int(masks.min()) >> 1 if masks.size else None
 
 
 @dataclass(frozen=True)
@@ -446,9 +509,9 @@ def o_vector(cs: CircuitSet) -> OVector:
 def enumerate_topes(cs: CircuitSet):
     """Yield every tope (both antipodes), element-1-positive ones first."""
     cs.require_nonempty()
-    _, masks, orts = _grow(cs.r, cs.n, cs.minus[None], 1)
+    masks = _grow(cs.r, cs.n, cs.minus[None], 1)[1]
     full = (1 << cs.n) - 1
-    positives = [SignVector(cs.n, full & ~m, m) for m in np.sort(masks[orts > 0]).tolist()]
+    positives = [SignVector(cs.n, full & ~m, m) for m in np.sort(masks).tolist()]
     yield from positives
     yield from (-t for t in positives)
 

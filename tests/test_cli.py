@@ -124,7 +124,7 @@ class TestOVector:
         def allocate(*args):
             raise AssertionError("kernel ran before the budget check")
 
-        monkeypatch.setattr(neighborly, "_ort_of", allocate)
+        monkeypatch.setattr(neighborly, "_separations", allocate)
         code, out, err = run(capsys, "ovector", "-r", "5", "-n", "30")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "budget" in err and len(err.splitlines()) == 1
@@ -195,7 +195,7 @@ class TestMValue:
         def kernel(*args):
             raise AssertionError("the kernel ran before k was checked")
 
-        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        monkeypatch.setattr(neighborly, "_separations", kernel)
         code, out, err = run(capsys, "mvalue", "-r", "3", "-n", "5", "--k", "2")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -761,7 +761,7 @@ class TestAuditAndReduce:
 
         db = tmp_path / "db.txt"
         db.write_text("\n".join(_record_text(5, 10, s, "lex") for s in range(3)) + "\n")
-        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        monkeypatch.setattr(neighborly, "_separations", kernel)
         monkeypatch.setattr(
             neighborly, "CANDIDATE_BUDGET", neighborly._enumeration_cost(5, 10)[1] - 1
         )

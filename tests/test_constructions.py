@@ -65,7 +65,7 @@ class TestSearch:
         def allocate(*args):
             raise AssertionError("tile built before the budget check")
 
-        monkeypatch.setattr(neighborly, "_ort_of", allocate)
+        monkeypatch.setattr(neighborly, "_separations", allocate)
         with pytest.raises(DomainError, match="budget"):
             search_k_neighborly(alternating_chirotope(39, 40), 0)
 

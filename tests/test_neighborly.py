@@ -28,7 +28,7 @@ from orimat import (
     tope_graph_edges,
 )
 
-from orimat.circuits import circuit_minus
+from orimat.circuits import _facet_table, circuit_minus
 from orimat.signvec import _elements_from_mask
 
 from conftest import (
@@ -146,7 +146,7 @@ class TestOVector:
             raise AssertionError("kernel ran before the budget check")
 
         cs = alt(39, 40)
-        monkeypatch.setattr(neighborly, "_ort_of", allocate)
+        monkeypatch.setattr(neighborly, "_separations", allocate)
         with pytest.raises(DomainError, match="budget"):
             o_vector(cs)
 
@@ -395,6 +395,107 @@ class TestSeed:
             assert grown() == expected, j0
 
 
+class TestOrientation:
+    """Every grow orients each circuit with its largest element positive.
+    ort is symmetric under C -> -C, so negating any circuits of the input
+    changes no array a grow returns and no count."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_negated_circuits_grow_the_same(self, data):
+        # uint8, uint16, uint32 and uint64 masks
+        r, n = data.draw(st.sampled_from([(3, 8), (5, 12), (3, 20), (2, 40)]), label="r, n")
+        seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=3), label="seeds")
+        level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
+        k = data.draw(st.integers(0, (r - 1) // 2), label="k")
+        share = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="share negated")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="negation seed"))
+        _, minus = record_stack(r, n, seeds)
+        negated = np.where(rng.random(minus.shape) < share, minus ^ _facet_table(r, n)[2], minus)
+        assert share == 0.0 or not np.array_equal(negated, minus)
+        stacks = [(minus, negated)] + [(minus[i : i + 1], negated[i : i + 1]) for i in range(len(seeds))]
+        for given_minus, given_negated in stacks:
+            grown = neighborly._grow(r, n, given_minus, level)
+            assert grown[1].dtype == np.min_scalar_type((1 << n) - 1)
+            for a, b in zip(grown, neighborly._grow(r, n, given_negated, level)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        counts = [neighborly.m_counts_of(r, n, len(seeds), lambda rows, m=m: m[rows], k) for m in (minus, negated)]
+        assert counts[0].tobytes() == counts[1].tobytes()
+
+
+class TestChildStep:
+    """At a grown level j, one kernel pass over the survivors gives the ort
+    of both children: with every circuit folded in at j oriented with j
+    positive, a survivor's least separations s and least agreements a on
+    the circuits' other r elements give min(run, s, a+1) for its child
+    with j positive and min(run, s+1, a) for its child with j negative."""
+
+    @pytest.mark.parametrize(
+        "chi,last",
+        [
+            # every circuit of C_5(n) reads + - + - + -: its largest element is -
+            (alternating_chirotope(5, 11), True),
+            # every circuit of C_4(n) reads + - + - +: its largest element is +
+            (alternating_chirotope(4, 10), False),
+            (random_realizable(6, 12, seed=5), None),
+        ],
+        ids=["C_5(11)", "C_4(10)", "random(6,12)"],
+    )
+    def test_both_children_match_the_scalar_oracle(self, chi, last):
+        r, n = chi.r, chi.n
+        cs = circuits_from_chirotope(chi)
+        full = (1 << n) - 1
+        dtype = np.min_scalar_type(full)
+        for j in (neighborly._seed_size(r, n) + 1, n):
+            top = 1 << (j - 1)
+            inner = [x for x in cs.members if x.plus | x.minus < top]
+            folded = [x for x in cs.members if top <= x.plus | x.minus < 2 * top]
+            assert len(folded) == comb(j - 1, r)
+            negative = [bool(x.minus & top) for x in folded]
+            assert (any(negative) and not all(negative)) if last is None else set(negative) == {last}
+            oriented = [-x if x.minus & top else x for x in folded]
+            support = np.array([x.plus | x.minus for x in oriented], dtype=dtype)
+            minus = np.array([[x.minus] for x in oriented], dtype=dtype)
+            # random sign vectors on [j-1] with element 1 positive, 48 topes of
+            # M|[j-1] and 16 others, and their running minimum: their ort
+            # against the circuits inside [j-1]
+            drawn = (np.random.default_rng(j).integers(0, 1 << (j - 2), size=512) << 1).tolist()
+            run = {m: ort_oracle(inner, SignVector(n, full & ~m, m)) for m in drawn}
+            picked = [m for m in run if run[m]][:48] + [m for m in run if not run[m]][:16]
+            masks = np.array(picked, dtype=dtype)
+            run = np.array([run[m] for m in picked], dtype=np.uint8)
+            assert len(picked) == 64 and len(set(run.tolist())) > 2
+            expected = [
+                ort_oracle(inner + folded, SignVector(n, full & ~child, child))
+                for m in masks.tolist()
+                for child in (m, m | top)
+            ]
+            got = neighborly._child_orts(neighborly._least_counts(support, minus, masks, None, r), run)
+            assert got.dtype == np.uint8 and got.tolist() == expected, j
+            # a running minimum held lower is kept: both children take it
+            cap = np.minimum(run, np.random.default_rng(j).integers(0, 3, size=len(run), dtype=np.uint8))
+            got = neighborly._child_orts(neighborly._least_counts(support, minus, masks, None, r), cap)
+            assert got.tolist() == np.minimum(expected, cap.repeat(2)).tolist(), j
+
+    @pytest.mark.parametrize("r,n", [(4, 10), (5, 12), (6, 13)])
+    def test_one_pass_over_the_survivors_per_level(self, monkeypatch, r, n):
+        # one seed call over the 2^(j0-1) sign vectors on [j0]; an o-vector
+        # grows at level 1, so the survivors that reach level j are the
+        # topes with element 1 positive of the uniform matroid on [j-1]:
+        # each level counts them once against its C(j-1, r) circuits
+        calls, kernel = [], neighborly._least_counts
+
+        def counted(support, minus, masks, records, width):
+            calls.append((len(support), len(masks)))
+            return kernel(support, minus, masks, records, width)
+
+        monkeypatch.setattr(neighborly, "_least_counts", counted)
+        assert o_vector(alt(r, n)).entries == o_vector_closed(r, n, 0)
+        j0 = neighborly._seed_size(r, n)
+        levels = [(comb(j - 1, r), tope_count_uniform(r, j - 1) // 2) for j in range(j0 + 1, n + 1)]
+        assert calls == [(comb(j0, r + 1), 1 << (j0 - 1))] + levels
+
+
 class TestSixteenBitKernel:
     """uint16 tiles (n = 9..16) are counted on their byte view, in place."""
 
@@ -468,7 +569,7 @@ class TestGrowthGroups:
             raise AssertionError("the kernel ran before the budget check")
 
         signs, _ = record_stack(5, 10, range(2))
-        monkeypatch.setattr(neighborly, "_ort_of", kernel)
+        monkeypatch.setattr(neighborly, "_separations", kernel)
         monkeypatch.setattr(
             neighborly, "CANDIDATE_BUDGET", neighborly._enumeration_cost(5, 10)[1] - 1
         )
