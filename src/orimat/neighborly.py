@@ -20,9 +20,9 @@ ort = min over circuits of min(sep, r+1 - sep).  It is used in two ways:
   read the level-bit table (``_level_table``, built through ``_ort_of``),
   the bitsets of the candidates whose ort against each circuit with each
   sign pattern is at least each level.  A chirotope's counts are then one
-  gathered row per circuit, an AND over the circuits and a popcount per
-  level (``_dense_fold``): level t counts the candidates with ort at least
-  t, m(M,t-1)/2.
+  gathered row per circuit, an AND over the circuits, a slice of circuits
+  at a time, and a popcount per level (``_dense_fold``): level t counts the
+  candidates with ort at least t, m(M,t-1)/2.
 
 The enumeration (``_grow``) is a growth fold over a stack of K chirotopes
 of one (r, n), a ``CircuitSet`` being K = 1.  It is seeded with one kernel
@@ -39,16 +39,21 @@ verdicts of both children.  The records share their circuit supports, so
 their candidates are one flat array with a record index, and each tile
 repeats every record's circuit minus masks over its candidates.  Masks take
 the narrowest unsigned dtype that holds n bits.  ``m_values`` takes any
-number of records and owns every batch below it: table gathers of
-_BATCH_ENTRIES words, or growth groups whose largest candidate arrays fit
-_BATCH_ENTRIES together (``_group_size``), each batch's circuits derived as
-it runs.  Sizes are refused before anything is allocated by closed forms
-for the kernel pairs and the largest candidate array
-(``_enumeration_cost``).  In process on 2 vCPU (Python 3.11, numpy 2.4),
-grown database rows come out at about 32k rows/s at (5,10), 9.8k at (6,11)
-and 2.6k at (6,12); ``o_vector`` takes about 4.6 ms on C_7(14) and 7 ms on
-C_5(16), and the audit of a (6,12) chirotope 2.8, 1.1 and 0.47 ms at
-k = 0, 1 and 2.
+number of records and owns every batch below it: at a dense size, batches
+of as many records as fit _BATCH_ENTRIES circuit patterns (585 at (4,8)
+and 390 at (5,9), so a block of 256 is one batch), each folded in gathers
+of at most _BATCH_ENTRIES table words (for 256 records, 2 slices of up to
+32 circuits at (4,8) and 9 of up to 10 at (5,9)); otherwise growth groups
+whose largest candidate arrays fit _BATCH_ENTRIES together
+(``_group_size``); each batch's circuits derived as it runs.  Sizes are
+refused before anything is allocated by closed forms for the kernel pairs
+and the largest candidate array (``_enumeration_cost``).  In process on 2
+vCPU (Python 3.11, numpy 2.4), grown database rows come out at about 32k
+rows/s at (5,10), 9.8k at (6,11) and 2.6k at (6,12); the m-values of 2000
+(4,8) records in blocks of 256 take a median of 1.08 ms and of 500 (5,9)
+records 0.75 ms, against 1.33 and 1.18 ms when each fold gathered every
+circuit of at most 146 and 32 records; ``o_vector`` takes about 4.6 ms on C_7(14) and 7 ms on C_5(16), and the
+audit of a (6,12) chirotope 2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ DENSE_RANK = 7
 # The most pairs of the one kernel call that seeds every grow
 # (``_seed_size``); 2^15 ran slower on the audit's stacks.
 SEED_PAIRS = 1 << 14
-# Entries of the largest array of one ``m_values`` call: table words
-# gathered at a dense size, candidates of one growth group otherwise.
+# Entries of the largest array of one ``m_values`` call: circuit patterns of
+# a batch and table words of one gather at a dense size, candidates of one
+# growth group otherwise.
 _BATCH_ENTRIES = 1 << 15
 # Limits on an enumeration, checked before anything is allocated: kernel
 # pairs and the largest candidate array.
@@ -202,10 +208,10 @@ def is_dense(r: int, n: int) -> bool:
     return 1 <= r <= DENSE_RANK and r < n and comb(n, r + 1) << (n - 1) <= DENSE_PAIRS
 
 
-def _dense_words(r: int, n: int) -> int:
-    """uint64 words that one record gathers from the level-bit table at a
-    dense size: one row of levels x words per circuit."""
-    return comb(n, r + 1) * ((r + 1) // 2) * -(-(1 << (n - 1)) // 64)
+def _row_words(r: int, n: int) -> int:
+    """uint64 words of one row of the level-bit table at a dense size:
+    levels x words."""
+    return ((r + 1) // 2) * -(-(1 << (n - 1)) // 64)
 
 
 @lru_cache(maxsize=32)
@@ -243,22 +249,33 @@ def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
     """The AND over circuits of the level-bit table rows that the circuit
     patterns (records x circuits, uint8, bit 0 clear) select: per record,
     the bitsets (levels x words, flattened) of the candidates whose ort is at
-    least each level."""
-    rows = (np.arange(patterns.shape[-1]) << r) + (patterns >> 1)
-    return np.bitwise_and.reduce(np.take(_level_table(r, n), rows.T, axis=0), axis=0)
+    least each level.  The rows are gathered and ANDed a slice of circuits
+    at a time, as many circuits as fit _BATCH_ENTRIES words over all the
+    records (at least one), and each slice's AND is ANDed into the first."""
+    table = _level_table(r, n)
+    rows = (np.arange(patterns.shape[-1])[:, None] << r) + (patterns.T >> 1)
+    step = max(1, _BATCH_ENTRIES // (max(1, len(patterns)) * table.shape[1]))
+    fold = np.bitwise_and.reduce(np.take(table, rows[:step], axis=0), axis=0)
+    for lo in range(step, len(rows), step):
+        part = np.bitwise_and.reduce(np.take(table, rows[lo : lo + step], axis=0), axis=0)
+        np.bitwise_and(fold, part, out=fold)
+    return fold
 
 
 def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
     chirotopes whose lex-order signs are the rows of the int8 array
-    ``signs``, any K: level-bit table folds of _BATCH_ENTRIES gathered words
-    at a dense size, otherwise the tail sums of the ort counts grown at
-    level 1 (``_grown_counts``), circuits derived a batch at a time."""
+    ``signs``, any K, circuits derived a batch at a time.  At a dense size
+    a batch is as many records as fit _BATCH_ENTRIES circuit patterns, and
+    _BATCH_ENTRIES words of one table row each (at least one record),
+    folded over the level-bit table (``_dense_fold``); otherwise m is the
+    tail sums of the ort counts grown at level 1 (``_grown_counts``)."""
     require_circuits(r, n)
     if not is_dense(r, n):
         counts = _grown_counts(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), 1)
         return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    levels, size = (r + 1) // 2, max(1, _BATCH_ENTRIES // _dense_words(r, n))
+    levels = (r + 1) // 2
+    size = max(1, _BATCH_ENTRIES // max(comb(n, r + 1), _row_words(r, n)))
     weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
     m = []
     for batch in np.split(signs, range(size, len(signs), size)):

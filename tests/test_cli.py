@@ -3,6 +3,7 @@ import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -657,11 +658,11 @@ class TestReports:
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
-        # (4, 8): 56 circuits x 2 levels x 2 words per record, 146 records
+        # (4, 8): 56 circuit patterns per record, 2^15 // 56 = 585 records
         # per fold; 295 records are blocks of 256 and 39, one ``m_values``
-        # call each, and folds of 146, 110 and 39
-        per_fold = neighborly._BATCH_ENTRIES // neighborly._dense_words(4, 8)
-        count = 2 * per_fold + 3
+        # call and one fold each
+        per_fold = neighborly._BATCH_ENTRIES // comb(8, 5)
+        count = 295
         db = tmp_path / "db.txt"
         db.write_text(
             "\n".join(random_realizable(4, 8, seed=s).serialize() for s in range(count)) + "\n"
@@ -682,7 +683,7 @@ class TestReports:
         ]
         assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
         assert blocks == [harness.BLOCK_LINES, count - harness.BLOCK_LINES] == [256, 39]
-        assert calls == [per_fold, 256 - per_fold, 39] == [146, 110, 39]
+        assert per_fold == 585 and calls == blocks
 
     @pytest.mark.parametrize("command,m", [("roudneff", 18), ("mcmullen", 0)])
     def test_forged_consistent_checkpoint_row_exits_two(self, capsys, tmp_path, command, m):

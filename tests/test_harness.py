@@ -286,8 +286,9 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
     def test_group_sizes_around_the_cap(self, monkeypatch, count):
-        # a cap of 4 records: groups of 1, cap-1, cap+1, 2 caps, 2 caps + 1
-        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * neighborly._dense_words(4, 7))
+        # a cap of 4 records, 4 x 21 circuit patterns: groups of 1, cap-1,
+        # cap+1, 2 caps, 2 caps + 1
+        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * comb(7, 5))
         calls = fold_calls(monkeypatch)
         recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
         rows = rows_of(compute_rows(recs))
@@ -987,6 +988,46 @@ class TestCheckpoint:
                 load_checkpoint(path, 3, 6, np.array([4, 2, 9]))
             assert path.read_bytes() == data.encode()
 
+    # line 2 of a (3, 6) checkpoint that holds some numbers of a row, each
+    # beside the id of the record at that place, which the numbers would
+    # give if read one by one
+    @pytest.mark.parametrize(
+        "line,row_id",
+        [
+            ('{"id":1,"ovector":[30,2],"m":[32,2],"attains":[true,true]}', 1),
+            ('{"id":  1, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 1),
+            ('{"id": 1, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]} ', 1),
+            ('{"id": 1e2, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 100),
+            ('{"id": +3, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 3),
+            ('{"id": 07, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 7),
+            ('{"id": -0, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 0),
+            ('{"id": 1, "ovector": [30, 2], "m": [32, 2e0], "attains": [true, true]}', 1),
+            ('{"ovector": [30, 2], "id": 1, "m": [32, 2], "attains": [true, true]}', 1),
+            ('{"id": 1, "m": [32, 2], "ovector": [30, 2], "attains": [true, true]}', 1),
+            ('{"id": 1, "ovector": [30, 2], "m": [32, 2], "attains": [true, true], "k": 1}', 1),
+            ('{"id": 1, "ovector": [30, 2, 0], "m": [32, 2, 0], "attains": [true, true]}', 1),
+            ('{"id": 1, "ovector": [30, 2], "m": [32, 2, 0], "attains": [true, true]}', 1),
+            ('{"id": 9223372036854775808, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 1),
+            ('{"id": \u0661, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}', 1),
+            ('{"id": 1, "ovector": [30, 2], "m": [\u0663\u0662, 2], "attains": [true, true]}', 1),
+            ('{"id": 1, "ovector": [30, 2], "m": [32, 2], "attains": [true, true]}\r', 1),
+        ],
+    )
+    def test_line_not_written_by_a_run_refused(self, tmp_path, line, row_id):
+        # only the exact text of a run's line is a row, whatever numbers
+        # the line holds; the file, torn final line included, is left as it
+        # was, whether the line is checked in a block or alone
+        first, last = json.dumps(dict(self.FITS, id=4)), json.dumps(dict(self.FITS, id=9))
+        data = f"{first}\n{line}\n{last}\n" + '{"id": 3, "ov'
+        path = tmp_path / "ckpt.jsonl"
+        path.write_bytes(data.encode())
+        for block_lines in (harness.BLOCK_LINES, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "BLOCK_LINES", block_lines)
+                with pytest.raises(FormatError, match=rf"^checkpoint line 2: {NOT_A_RUN_LINE}$"):
+                    load_checkpoint(path, 3, 6, np.array([4, row_id, 9]))
+            assert path.read_bytes() == data.encode()
+
     def test_duplicate_id_raises(self, tmp_path):
         # a repeated id is a row out of place: line 2 is the row of record 2
         path = tmp_path / "ckpt.jsonl"
@@ -1111,10 +1152,11 @@ def test_to_json_is_json_dumps(case, fit):
 
 
 @st.composite
-def fitting_rows(draw):
-    """A row that fits its (r, n): non-negative entries summing to the tope
-    count, m their tail sums, attains against the c-values."""
-    r, n = draw(st.sampled_from([(1, 3), (3, 6), (4, 8), (5, 9), (6, 12), (3, 40)]))
+def fitting_rows(draw, shape=None):
+    """A row that fits its (r, n), ``shape`` or drawn: non-negative entries
+    summing to the tope count, m their tail sums, attains against the
+    c-values."""
+    r, n = shape or draw(st.sampled_from([(1, 3), (3, 6), (4, 8), (5, 9), (6, 12), (3, 40)]))
     width, topes = (r - 1) // 2 + 1, tope_count_uniform(r, n)
     cuts = sorted(draw(st.lists(st.integers(0, topes), min_size=width - 1, max_size=width - 1)))
     entries = [b - a for a, b in zip([0] + cuts, cuts + [topes])]
@@ -1139,6 +1181,33 @@ def test_checkpoint_round_trip(case, flip):
             message = rf"^checkpoint line 1: not a line a run writes at \(r, n\) = \({r}, {n}\)$"
             with pytest.raises(FormatError, match=message):
                 load_checkpoint(path, r, n, np.array([row.id]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fitting_rows().flatmap(
+        lambda case: st.tuples(
+            st.just(case[:2]),
+            st.lists(fitting_rows(case[:2]), max_size=5).map(lambda more: [case[2]] + [row for _, _, row in more]),
+            st.lists(INT64, min_size=6, max_size=6, unique=True),
+            st.integers(1, 3),
+        )
+    )
+)
+def test_checkpoint_reads_back_what_was_appended(case):
+    # any int64 ids and rows that fit (r, n), appended a block at a time
+    # and read back in blocks of two lines: the same ids and m
+    (r, n), rows, ids, per_append = case
+    ids = np.array(ids[: len(rows)], dtype=np.int64)
+    m = np.array([row.m for row in rows], dtype=np.int64)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_LINES", 2)
+        path = Path(tmp) / "ckpt.jsonl"
+        for lo in range(0, len(ids), per_append):
+            append_checkpoint(path, RowBlock(r, n, ids[lo : lo + per_append], m[lo : lo + per_append]))
+        blocks = load_checkpoint(path, r, n, ids)
+    assert np.concatenate([block.ids for block in blocks]).tolist() == ids.tolist()
+    assert np.concatenate([block.m for block in blocks]).tolist() == m.tolist()
 
 
 # how a stored (3, 6) row's line can differ from the line append_checkpoint

@@ -211,13 +211,29 @@ class TestGrowth:
         assert tope_count(cs) == 2 * len(topes) == sum(entries)
 
     def test_database_sizes_take_the_dense_call(self):
-        # (4,8) and (5,9) sweep 7168 and 21504 pairs and fold 146 and 32
-        # records per table gather; (6,12) sweeps about 1.6e6 and grows 25
-        # records at a time, 2^15 // 1276 candidates
-        assert neighborly.is_dense(4, 8) and neighborly.is_dense(5, 9)
+        # (4,8) and (5,9) sweep 7168 and 21504 pairs; a batch holds
+        # 2^15 // 56 = 585 and 2^15 // 84 = 390 records, so a block of 256
+        # is one fold, gathered over slices of 2^15 // (256 x 4) = 32
+        # circuits (rows of 2 levels x 2 words) and 2^15 // (256 x 12) = 10
+        # (3 levels x 4 words), and no gather exceeds 2^15 words
+        cases = {(4, 8): (585, [32, 24]), (5, 9): (390, [10] * 8 + [4])}
+        for (r, n), (batch, slices) in cases.items():
+            assert neighborly.is_dense(r, n)
+            assert neighborly._BATCH_ENTRIES // comb(n, r + 1) == batch
+            signs, _ = record_stack(r, n, range(256))
+            singles = [neighborly.m_values(r, n, signs[i : i + 1])[0].tolist() for i in range(256)]
+            with pytest.MonkeyPatch.context() as mp:
+                folds, takes = dense_calls(mp)
+                m = neighborly.m_values(r, n, signs)
+            assert folds == [256]
+            assert takes == [size * 256 * neighborly._row_words(r, n) for size in slices]
+            assert max(takes) <= neighborly._BATCH_ENTRIES
+            assert m.tolist() == singles
+
+    def test_grown_database_size(self):
+        # (6,12) sweeps about 1.6e6 pairs and grows 25 records at a time,
+        # 2^15 // 1276 candidates
         assert not neighborly.is_dense(6, 12)
-        assert neighborly._BATCH_ENTRIES // neighborly._dense_words(4, 8) == 146
-        assert neighborly._BATCH_ENTRIES // neighborly._dense_words(5, 9) == 32
         assert neighborly._enumeration_cost(6, 12)[1] == 1276
         assert neighborly._group_size(6, 12) == 25
 
@@ -578,10 +594,46 @@ class TestGrowthGroups:
                 count()
 
 
+LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
+
+
+class CountedTakes:
+    """numpy as ``neighborly`` sees it, with the size of each ``take``
+    result recorded in ``sizes``."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, *args, **kwargs):
+        out = np.take(*args, **kwargs)
+        self.sizes.append(out.size)
+        return out
+
+
+def dense_calls(monkeypatch):
+    """The records of each ``_dense_fold`` call and the words of each table
+    gather from now on, as two growing lists."""
+    folds, numpy = [], CountedTakes()
+    fold = neighborly._dense_fold
+
+    def counted(r, n, patterns):
+        folds.append(len(patterns))
+        return fold(r, n, patterns)
+
+    monkeypatch.setattr(neighborly, "_dense_fold", counted)
+    monkeypatch.setattr(neighborly, "np", numpy)
+    return folds, numpy.sizes
+
+
 class TestMValuesBatches:
-    """``m_values`` takes any K records and batches the kernel itself: table
-    gathers of _BATCH_ENTRIES words at a dense size, growth groups at any
-    other, each batch's circuits derived on their own."""
+    """``m_values`` takes any K records and batches the kernel itself: at a
+    dense size, batches of as many records as fit _BATCH_ENTRIES circuit
+    patterns, each folded in table gathers of at most _BATCH_ENTRIES words;
+    growth groups at any other size; each batch's circuits derived on their
+    own."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 6, 7])
     @pytest.mark.parametrize("r,n", [(4, 8), (5, 10)])
@@ -592,8 +644,8 @@ class TestMValuesBatches:
         singles = [neighborly.m_values(r, n, signs[i : i + 1]) for i in range(count)]
         dense = neighborly.is_dense(r, n)
         assert dense == (n == 8)
-        if dense:
-            monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 3 * neighborly._dense_words(r, n))
+        if dense:  # 3 records of 56 circuits, and slices of 168 // (3 x 4) = 14
+            monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 3 * comb(n, r + 1))
         else:
             monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * neighborly._enumeration_cost(r, n)[1])
         derived, kernel = [], []
@@ -621,14 +673,46 @@ class TestMValuesBatches:
             assert m[i].tolist() == singles[i][0].tolist() == expected, i
         assert neighborly.m_values(r, n, signs[:0]).shape == (0, (r + 1) // 2)
 
+    @pytest.mark.parametrize("r,n", LEVEL_SIZES)
+    def test_slices_and_batches_match_the_grown_engine(self, monkeypatch, r, n):
+        # a random record and the alternating one, in one batch or split in
+        # two, each batch folded over slices of one circuit, of several
+        # with a short last slice, and of every circuit at once
+        signs = np.array(
+            [random_realizable(r, n, seed=16 * r + n).signs, alternating_chirotope(r, n).signs], dtype=np.int8
+        )
+        grown = np.stack([neighborly.m_counts(r, n, signs, k) for k in range((r + 1) // 2)], axis=1)
+        circuits, words = comb(n, r + 1), neighborly._row_words(r, n)
+        folds, takes = dense_calls(monkeypatch)
+        fold = neighborly._dense_fold
+        for batch in (1, 2):
+            for per_slice in sorted({1, circuits // 2 + 1, circuits}):
+                entries = batch * max(circuits, words)
+
+                def sliced(r, n, patterns):
+                    # the fold reads the patterns of one batch over slices of
+                    # per_slice circuits; the batch was cut from ``entries``
+                    monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", per_slice * len(patterns) * words)
+                    try:
+                        return fold(r, n, patterns)
+                    finally:
+                        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", entries)
+
+                monkeypatch.setattr(neighborly, "_dense_fold", sliced)
+                monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", entries)
+                del folds[:], takes[:]
+                m = neighborly.m_values(r, n, signs)
+                assert m.tolist() == grown.tolist(), (batch, per_slice)
+                assert folds == [batch] * (2 // batch)
+                cuts = list(range(0, circuits, per_slice))
+                sizes = [min(per_slice, circuits - lo) * batch * words for lo in cuts]
+                assert takes == sizes * (2 // batch), (batch, per_slice)
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_no_circuits_refused(self, r):
         signs = np.ones((2, 1), dtype=np.int8)
         with pytest.raises(EmptyCircuitSetError, match=f"rank {r} on {r} elements has no circuits"):
             neighborly.m_values(r, r, signs)
-
-
-LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
 
 
 class TestLevelTable:
@@ -641,7 +725,7 @@ class TestLevelTable:
         levels = (r + 1) // 2
         table = neighborly._level_table(r, n)
         assert table.dtype == np.uint64 and table.shape[0] == supports * patterns == supports << r
-        assert table.nbytes == 8 * neighborly._dense_words(r, n) << r
+        assert table.nbytes == 8 * supports * neighborly._row_words(r, n) << r
         bits = np.unpackbits(
             table.view(np.uint8).reshape(supports, patterns, levels, -1), axis=-1, bitorder="little"
         )
@@ -678,7 +762,7 @@ class TestLevelTable:
 
     def test_database_sizes(self):
         # 29 KB at (4, 8), 258 KB at (5, 9), 1.5 MB at (7, 10), the largest
-        sizes = {(r, n): 8 * neighborly._dense_words(r, n) << r for r, n in LEVEL_SIZES}
+        sizes = {(r, n): 8 * comb(n, r + 1) * neighborly._row_words(r, n) << r for r, n in LEVEL_SIZES}
         assert (sizes[4, 8], sizes[5, 9]) == (28672, 258048)
         assert max(sizes.values()) == sizes[7, 10] == 1474560
 
