@@ -97,10 +97,12 @@ def _facet_table(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return table
 
 
-def circuit_negatives(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+def circuit_negatives(r: int, n: int, signs: np.ndarray, count: int | None = None) -> np.ndarray:
     """Which elements of each circuit are -, from lex-order chirotope signs
     (int8, C(n, r) on the last axis): bool, one row of r+1 per support
-    B = b_1 < ... < b_{r+1} in lex order, leading axes carried through.
+    B = b_1 < ... < b_{r+1} in lex order, leading axes carried through; only
+    the first ``count`` supports if it is given (the first C(n-1, r) are
+    those that hold element 1).
 
     The recurrence X_{b_{i+1}} = -X_{b_i} * chi(B - b_i) * chi(B - b_{i+1}),
     seeded with X_{b_1} = +, telescopes to X_{b_i} = (-1)^(i-1) *
@@ -109,7 +111,7 @@ def circuit_negatives(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     every circuit at once.
     """
     facets, _, _, alternating = _facet_table(r, n)
-    h = signs[..., facets] * alternating
+    h = signs[..., facets[:count]] * alternating
     return h != h[..., :1]
 
 

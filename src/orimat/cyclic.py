@@ -1,6 +1,7 @@
 """Analytics for the alternating (cyclic) matroid C_r(n): the closed-form
-o-vector, the n = r+1 formula, the exact tope count, the brute-force o-vector
-and c-value, and the memoized c_r(n,k) dispatcher.
+o-vector, the n = r+1 formula, the exact tope count (``tope_count_uniform``,
+from ``neighborly``), the brute-force o-vector and c-value, and the memoized
+c_r(n,k) dispatcher.
 """
 
 from __future__ import annotations
@@ -19,19 +20,13 @@ from .neighborly import (
     check_k,
     m_value,
     o_vector,
+    tope_count_uniform,
 )
 
 
 @lru_cache(maxsize=None)
 def alternating_circuits(r: int, n: int) -> CircuitSet:
     return circuits_from_chirotope(alternating_chirotope(r, n))
-
-
-def tope_count_uniform(r: int, n: int) -> int:
-    """2 * sum_{i<r} C(n-1, i): tope count of every uniform rank-r matroid."""
-    if n < r:
-        raise DomainError(f"need n >= r, got (r={r}, n={n})")
-    return 2 * sum(comb(n - 1, i) for i in range(r))
 
 
 def o_vector_closed(r: int, n: int, k: int) -> tuple[int, ...]:

@@ -51,9 +51,9 @@ import numpy as np
 
 from .chirotope import Chirotope, check_signs, parse_sign_rows
 from .circuits import _facet_table, circuit_minus
-from .cyclic import c_value, c_value_brute, o_vector_closed, tope_count_uniform
+from .cyclic import c_value, c_value_brute, o_vector_closed
 from .errors import DomainError, FormatError
-from .neighborly import check_enumeration_size, check_k, m_counts, m_counts_of, m_values
+from .neighborly import check_enumeration_size, check_k, m_counts, m_counts_of, m_values, tope_count_uniform
 
 # The lines of a block: database lines that ``parse_database`` checks
 # together, records that ``compute_rows`` counts in one ``m_values`` call,
@@ -461,9 +461,11 @@ def _records_after(blocks: list[RecordBlock], stored: int) -> Iterator[RecordBlo
 def _recount_named(agg, blocks: list[RecordBlock], ids: np.ndarray, m: np.ndarray, stored: int):
     """Refuse a failing verdict unless each record it names, its signs
     gathered from ``blocks``, counts again to the m(M,k) of its row.
-    ``m_counts`` grows at level k+1: at a dense size another engine than
-    the table fold that made the rows, and at any size a check that a
-    stored row belongs to its record.  A mismatch raises naming the record
+    ``m_counts`` grows at level k+1 over every circuit: at a dense size
+    another engine than the table fold that made the rows, and one that
+    does not rest on the fold's lemma that the circuits through element 1
+    give m of an oriented matroid; at any size a check that a stored row
+    belongs to its record.  A mismatch raises naming the record
     and, for one of the first ``stored`` records, whose rows came from the
     checkpoint, its line."""
     k = agg.k

@@ -18,11 +18,38 @@ ort = min over circuits of min(sep, r+1 - sep).  It is used in two ways:
 - Database batches at a dense size (``is_dense``: the full sweep is at most
   DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
   read the level-bit table (``_level_table``, built through ``_ort_of``),
-  the bitsets of the candidates whose ort against each circuit with each
-  sign pattern is at least each level.  A chirotope's counts are then one
-  gathered row per circuit, an AND over the circuits, a slice of circuits
-  at a time, and a popcount per level (``_dense_fold``): level t counts the
-  candidates with ort at least t, m(M,t-1)/2.
+  the bitsets of the candidates whose ort against each circuit through
+  element 1 with each sign pattern is at least each level.  A chirotope's
+  counts are then one gathered row per circuit through element 1, an AND
+  over those circuits, a slice of circuits at a time, and a popcount per
+  level (``_dense_fold``): level t counts the candidates with ort at least
+  t, m(M,t-1)/2.
+
+The dense fold reads C(n-1, r) circuits, not C(n, r+1), by this lemma: in
+a uniform oriented matroid M of rank r on [n], for every full sign vector X
+and every element e, ort(X) is the minimum over the circuits whose support
+holds e.
+
+Proof (a rank-2 dual rotation, as in Björner et al., Oriented Matroids,
+7.1): let C attain ort(X) = t with e not in C, and reorient M by X, which
+changes no ort, so that X is all + and t is the size of the smaller side
+of C.  The restriction M|(C ∪ e) is uniform of rank r on r+2 elements, and
+its circuits are those of M inside C ∪ e.  Its dual has rank 2 and, as
+every rank-2 oriented matroid, is realized by r+2 vectors v_f in the
+plane, no two parallel.  Its circuits are the dual's cocircuits: for each
+g, the sides of the other vectors of the line through v_g.  C is the line
+through v_e, with t vectors on its smaller side.  Rotate that line about
+the origin, in the sense that carries v_e to the larger side, until it
+first meets another vector v_g.  No vector crosses the line on the way, so
+the circuit (C ∪ e) - g holds e, and its smaller side holds at most the t
+vectors of C's, less g if g was one of them: it has at most t elements on
+one side, and ort(X) is attained by a circuit through e.
+
+The lemma needs an oriented matroid, and a database row need not be one.
+The fold checks each row's m(M,0) against the tope count of a uniform
+matroid, which every oriented matroid meets, and a row that misses it is
+counted again over every circuit (``m_values``), so its refusal reads the
+same tope count as on every other engine.
 
 The enumeration (``_grow``) is a growth fold over a stack of K chirotopes
 of one (r, n), a ``CircuitSet`` being K = 1.  It is seeded with one kernel
@@ -40,20 +67,22 @@ their candidates are one flat array with a record index, and each tile
 repeats every record's circuit minus masks over its candidates.  Masks take
 the narrowest unsigned dtype that holds n bits.  ``m_values`` takes any
 number of records and owns every batch below it: at a dense size, batches
-of as many records as fit _BATCH_ENTRIES circuit patterns (585 at (4,8)
-and 390 at (5,9), so a block of 256 is one batch), each folded in gathers
-of at most _BATCH_ENTRIES table words (for 256 records, 2 slices of up to
-32 circuits at (4,8) and 9 of up to 10 at (5,9)); otherwise growth groups
-whose largest candidate arrays fit _BATCH_ENTRIES together
-(``_group_size``); each batch's circuits derived as it runs.  Sizes are
-refused before anything is allocated by closed forms for the kernel pairs
-and the largest candidate array (``_enumeration_cost``).  In process on 2
-vCPU (Python 3.11, numpy 2.4), grown database rows come out at about 32k
-rows/s at (5,10), 9.8k at (6,11) and 2.6k at (6,12); the m-values of 2000
-(4,8) records in blocks of 256 take a median of 1.08 ms and of 500 (5,9)
-records 0.75 ms, against 1.33 and 1.18 ms when each fold gathered every
-circuit of at most 146 and 32 records; ``o_vector`` takes about 4.6 ms on C_7(14) and 7 ms on C_5(16), and the
-audit of a (6,12) chirotope 2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
+of as many records as fit _BATCH_ENTRIES patterns of circuits through
+element 1 (936 at (4,8) and 585 at (5,9), so a block of 256 is one batch),
+each folded in gathers of at most _BATCH_ENTRIES table words (for 256
+records, 2 slices of up to 32 circuits at (4,8) and 6 of up to 10 at
+(5,9)); otherwise growth groups whose largest candidate arrays fit
+_BATCH_ENTRIES together (``_group_size``); each batch's circuits derived as
+it runs.  Sizes are refused before anything is allocated by closed forms
+for the kernel pairs and the largest candidate array
+(``_enumeration_cost``).  In process on 2 vCPU (Python 3.11, numpy 2.4),
+grown database rows come out at about 32k rows/s at (5,10), 9.8k at
+(6,11) and 2.6k at (6,12); the m-values of 2000 (4,8) records in blocks of
+256 take a median of 0.74-0.80 ms, of 500 (5,9) records 0.46-0.51 ms and
+of 500 (7,10) records 0.68-0.71 ms, against 1.09-1.17, 0.93-0.95 and
+0.87-0.91 ms when the fold read every circuit; ``o_vector`` takes about
+4.6 ms on C_7(14) and 7 ms on C_5(16), and the audit of a (6,12)
+chirotope 2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -218,9 +247,10 @@ def _row_words(r: int, n: int) -> int:
 def _level_table(r: int, n: int) -> np.ndarray:
     """The level-bit table of a dense size, built on first use.
 
-    Row c * 2^r + (p >> 1) belongs to circuit c (lex order of supports, as
-    ``circuit_negatives`` gives them) with pattern p, its r+1 signs
-    packed by ``pack_signs``; bit 0 of p, the smallest element, is always +.
+    Row c * 2^r + (p >> 1) belongs to circuit c, one of the C(n-1, r)
+    circuits through element 1 (the first in lex order of supports, as
+    ``circuit_negatives`` gives them), with pattern p, its r+1 signs
+    packed by ``pack_signs``; bit 0 of p, element 1, is always +.
     The row holds one bitset per level t = 1..floor((r+1)/2), each of
     ceil(2^(n-1) / 64) uint64 words: bit j % 8 of its byte j // 8 is set iff
     candidate j (minus-mask 2j, element 1 fixed to +) has ort at least t
@@ -228,7 +258,7 @@ def _level_table(r: int, n: int) -> np.ndarray:
     ``_ort_of``, one circuit at a time, so the build needs little memory
     beyond the table itself.
     """
-    bits = _facet_table(r, n)[1]
+    bits = _facet_table(r, n)[1][: comb(n - 1, r)]
     weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
     masks = np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)
     patterns = np.arange(0, 1 << (r + 1), 2, dtype=np.uint8)[:, None, None]
@@ -247,11 +277,12 @@ def _level_table(r: int, n: int) -> np.ndarray:
 
 def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
     """The AND over circuits of the level-bit table rows that the circuit
-    patterns (records x circuits, uint8, bit 0 clear) select: per record,
-    the bitsets (levels x words, flattened) of the candidates whose ort is at
-    least each level.  The rows are gathered and ANDed a slice of circuits
-    at a time, as many circuits as fit _BATCH_ENTRIES words over all the
-    records (at least one), and each slice's AND is ANDed into the first."""
+    patterns (records x circuits through element 1, uint8, bit 0 clear)
+    select: per record, the bitsets (levels x words, flattened) of the
+    candidates whose ort against those circuits is at least each level.
+    The rows are gathered and ANDed a slice of circuits at a time, as many
+    circuits as fit _BATCH_ENTRIES words over all the records (at least
+    one), and each slice's AND is ANDed into the first."""
     table = _level_table(r, n)
     rows = (np.arange(patterns.shape[-1])[:, None] << r) + (patterns.T >> 1)
     step = max(1, _BATCH_ENTRIES // (max(1, len(patterns)) * table.shape[1]))
@@ -265,24 +296,40 @@ def _dense_fold(r: int, n: int, patterns: np.ndarray) -> np.ndarray:
 def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     """m(M,k) for k = 0..floor((r-1)/2) (K x levels, int64) of the K
     chirotopes whose lex-order signs are the rows of the int8 array
-    ``signs``, any K, circuits derived a batch at a time.  At a dense size
-    a batch is as many records as fit _BATCH_ENTRIES circuit patterns, and
-    _BATCH_ENTRIES words of one table row each (at least one record),
-    folded over the level-bit table (``_dense_fold``); otherwise m is the
-    tail sums of the ort counts grown at level 1 (``_grown_counts``)."""
+    ``signs``, any K, circuits derived a batch at a time.
+
+    At a dense size only the C(n-1, r) circuits through element 1 are
+    derived and folded over the level-bit table (``_dense_fold``), which by
+    the lemma of the module docstring gives m of an oriented matroid.  A
+    batch is as many records as fit _BATCH_ENTRIES circuit patterns, and
+    _BATCH_ENTRIES words of one table row each (at least one record).  A
+    record whose folded m(M,0) is not the tope count of a uniform matroid
+    is no oriented matroid, and its row is counted again over every
+    circuit (``_grown_m_values``), so that its tope count is the one every
+    engine gives.  At any other size every row is grown."""
     require_circuits(r, n)
     if not is_dense(r, n):
-        counts = _grown_counts(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), 1)
-        return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    levels = (r + 1) // 2
-    size = max(1, _BATCH_ENTRIES // max(comb(n, r + 1), _row_words(r, n)))
+        return _grown_m_values(r, n, signs)
+    levels, circuits = (r + 1) // 2, comb(n - 1, r)
+    size = max(1, _BATCH_ENTRIES // max(circuits, _row_words(r, n)))
     weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
     m = []
     for batch in np.split(signs, range(size, len(signs), size)):
-        fold = _dense_fold(r, n, pack_signs(circuit_negatives(r, n, batch), weights))
+        fold = _dense_fold(r, n, pack_signs(circuit_negatives(r, n, batch, circuits), weights))
         at_least = np.bitwise_count(fold).reshape(len(batch), levels, fold.shape[-1] // levels)
         m.append(at_least.sum(axis=-1, dtype=np.int64))
-    return 2 * np.concatenate(m)
+    m = 2 * np.concatenate(m)
+    wrong = np.flatnonzero(m[:, 0] != tope_count_uniform(r, n))
+    if len(wrong):
+        m[wrong] = _grown_m_values(r, n, signs[wrong])
+    return m
+
+
+def _grown_m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
+    """``m_values`` over every circuit: the tail sums of the ort counts
+    grown at level 1 (``_grown_counts``)."""
+    counts = _grown_counts(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), 1)
+    return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
 
 
 def m_counts(r: int, n: int, signs: np.ndarray, k: int) -> np.ndarray:
@@ -309,6 +356,13 @@ def _grown_counts(r: int, n: int, count: int, minus_of, level: int) -> np.ndarra
     size = _group_size(r, n)
     starts = range(0, max(count, 1), size)
     return np.concatenate([_ort_counts(r, n, minus_of(slice(lo, lo + size)), level) for lo in starts])
+
+
+def tope_count_uniform(r: int, n: int) -> int:
+    """2 * sum_{i<r} C(n-1, i): tope count of every uniform rank-r matroid."""
+    if n < r:
+        raise DomainError(f"need n >= r, got (r={r}, n={n})")
+    return 2 * sum(comb(n - 1, i) for i in range(r))
 
 
 def check_k(r: int, k: int, lo: int = 0):
@@ -369,7 +423,7 @@ def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     (``_seed_size``) with the C(j0, r+1) circuits inside them.  Level
     j > j0 extends the T(j-1) survivors on [j-1], where T(m) =
     sum_{i<r} C(m-1, i) is the halved tope count of a uniform rank-r
-    matroid on m elements, by +-j and folds in the C(j-1, r) circuits whose
+    matroid on m elements (``tope_count_uniform``), by +-j and folds in the C(j-1, r) circuits whose
     largest element is j.  Sign data that is not a chirotope can leave more
     survivors, but at most C(j-1, r)/2 more: they shatter no (r+1)-set, so
     Sauer-Shelah applies.  A level's pairs are its 2 T(j-1) children times
@@ -379,12 +433,8 @@ def _enumeration_cost(r: int, n: int) -> tuple[int, int]:
     C -> -C, and then the separations of the child with j negative are
     those of the child with j positive plus one.
     """
-
-    def halved_topes(m):
-        return sum(comb(m - 1, i) for i in range(r))
-
     j0 = _seed_size(r, n)
-    levels = [2 * halved_topes(j - 1) for j in range(j0 + 1, n + 1)]
+    levels = [tope_count_uniform(r, j - 1) for j in range(j0 + 1, n + 1)]
     pairs = (comb(j0, r + 1) << (j0 - 1)) + sum(
         size * comb(j - 1, r) for j, size in zip(range(j0 + 1, n + 1), levels)
     )

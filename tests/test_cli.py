@@ -658,10 +658,10 @@ class TestReports:
         assert err.startswith("error: record 2: ") and len(err.splitlines()) == 1
 
     def test_rows_batched_per_kernel_call(self, capsys, monkeypatch, tmp_path):
-        # (4, 8): 56 circuit patterns per record, 2^15 // 56 = 585 records
-        # per fold; 295 records are blocks of 256 and 39, one ``m_values``
-        # call and one fold each
-        per_fold = neighborly._BATCH_ENTRIES // comb(8, 5)
+        # (4, 8): 35 circuit patterns per record, those through element 1,
+        # 2^15 // 35 = 936 records per fold; 295 records are blocks of 256
+        # and 39, one ``m_values`` call and one fold each
+        per_fold = neighborly._BATCH_ENTRIES // comb(7, 4)
         count = 295
         db = tmp_path / "db.txt"
         db.write_text(
@@ -683,7 +683,7 @@ class TestReports:
         ]
         assert [tuple(json.loads(line)["ovector"]) for line in out.splitlines()] == oracle
         assert blocks == [harness.BLOCK_LINES, count - harness.BLOCK_LINES] == [256, 39]
-        assert per_fold == 585 and calls == blocks
+        assert per_fold == 936 and calls == blocks
 
     @pytest.mark.parametrize("command,m", [("roudneff", 18), ("mcmullen", 0)])
     def test_forged_consistent_checkpoint_row_exits_two(self, capsys, tmp_path, command, m):

@@ -286,9 +286,9 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("count", [1, 3, 5, 8, 9])
     def test_group_sizes_around_the_cap(self, monkeypatch, count):
-        # a cap of 4 records, 4 x 21 circuit patterns: groups of 1, cap-1,
-        # cap+1, 2 caps, 2 caps + 1
-        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * comb(7, 5))
+        # a cap of 4 records, 4 x 15 patterns of the circuits through
+        # element 1: groups of 1, cap-1, cap+1, 2 caps, 2 caps + 1
+        monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 4 * comb(6, 4))
         calls = fold_calls(monkeypatch)
         recs = records_of([(4, 7, random_realizable(4, 7, seed=s)) for s in range(count)])
         rows = rows_of(compute_rows(recs))

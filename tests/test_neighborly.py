@@ -21,6 +21,7 @@ from orimat import (
     o_vector,
     o_vector_closed,
     ort,
+    parse_chirotope,
     random_realizable,
     search_k_neighborly,
     tope_count,
@@ -32,6 +33,7 @@ from orimat.circuits import _facet_table, circuit_minus
 from orimat.signvec import _elements_from_mask
 
 from conftest import (
+    CORRUPT_7_9,
     all_full_vectors,
     ball_oracle,
     first_index_oracle,
@@ -211,15 +213,17 @@ class TestGrowth:
         assert tope_count(cs) == 2 * len(topes) == sum(entries)
 
     def test_database_sizes_take_the_dense_call(self):
-        # (4,8) and (5,9) sweep 7168 and 21504 pairs; a batch holds
-        # 2^15 // 56 = 585 and 2^15 // 84 = 390 records, so a block of 256
-        # is one fold, gathered over slices of 2^15 // (256 x 4) = 32
-        # circuits (rows of 2 levels x 2 words) and 2^15 // (256 x 12) = 10
-        # (3 levels x 4 words), and no gather exceeds 2^15 words
-        cases = {(4, 8): (585, [32, 24]), (5, 9): (390, [10] * 8 + [4])}
+        # (4,8) and (5,9) sweep 7168 and 21504 pairs; the fold reads the
+        # C(7, 4) = 35 and C(8, 5) = 56 circuits through element 1, so a
+        # batch holds 2^15 // 35 = 936 and 2^15 // 56 = 585 records and a
+        # block of 256 is one fold, gathered over slices of
+        # 2^15 // (256 x 4) = 32 circuits (rows of 2 levels x 2 words) and
+        # 2^15 // (256 x 12) = 10 (3 levels x 4 words), and no gather
+        # exceeds 2^15 words
+        cases = {(4, 8): (936, [32, 3]), (5, 9): (585, [10] * 5 + [6])}
         for (r, n), (batch, slices) in cases.items():
             assert neighborly.is_dense(r, n)
-            assert neighborly._BATCH_ENTRIES // comb(n, r + 1) == batch
+            assert neighborly._BATCH_ENTRIES // comb(n - 1, r) == batch
             signs, _ = record_stack(r, n, range(256))
             singles = [neighborly.m_values(r, n, signs[i : i + 1])[0].tolist() for i in range(256)]
             with pytest.MonkeyPatch.context() as mp:
@@ -644,17 +648,17 @@ class TestMValuesBatches:
         singles = [neighborly.m_values(r, n, signs[i : i + 1]) for i in range(count)]
         dense = neighborly.is_dense(r, n)
         assert dense == (n == 8)
-        if dense:  # 3 records of 56 circuits, and slices of 168 // (3 x 4) = 14
-            monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 3 * comb(n, r + 1))
+        if dense:  # 3 records of 35 circuits through element 1, and slices of 105 // (3 x 4) = 8
+            monkeypatch.setattr(neighborly, "_BATCH_ENTRIES", 3 * comb(n - 1, r))
         else:
             monkeypatch.setattr(neighborly, "CANDIDATE_BUDGET", 3 * neighborly._enumeration_cost(r, n)[1])
         derived, kernel = [], []
         derive = neighborly.circuit_negatives if dense else neighborly.circuit_minus
         run = neighborly._dense_fold if dense else neighborly._grow
 
-        def derived_per_batch(r, n, batch):
+        def derived_per_batch(r, n, batch, *count):
             derived.append(len(batch))
-            return derive(r, n, batch)
+            return derive(r, n, batch, *count)
 
         def kernel_per_batch(r, n, batch, *level):
             kernel.append(len(batch))
@@ -682,7 +686,7 @@ class TestMValuesBatches:
             [random_realizable(r, n, seed=16 * r + n).signs, alternating_chirotope(r, n).signs], dtype=np.int8
         )
         grown = np.stack([neighborly.m_counts(r, n, signs, k) for k in range((r + 1) // 2)], axis=1)
-        circuits, words = comb(n, r + 1), neighborly._row_words(r, n)
+        circuits, words = comb(n - 1, r), neighborly._row_words(r, n)
         folds, takes = dense_calls(monkeypatch)
         fold = neighborly._dense_fold
         for batch in (1, 2):
@@ -708,6 +712,41 @@ class TestMValuesBatches:
                 sizes = [min(per_slice, circuits - lo) * batch * words for lo in cuts]
                 assert takes == sizes * (2 // batch), (batch, per_slice)
 
+    @pytest.mark.parametrize("r,n", LEVEL_SIZES)
+    def test_rows_that_are_no_oriented_matroid_are_counted_over_every_circuit(self, monkeypatch, r, n):
+        # realizable rows, the same with one or two signs flipped, and
+        # random +-1 rows: the fold over the circuits through element 1,
+        # with its recount over every circuit where m(M,0) is wrong, reads
+        # as the grown engine at every k; realizable rows are never recounted
+        rng = np.random.default_rng(16 * r + n)
+        realizable, _ = record_stack(r, n, range(100 * n + r, 100 * n + r + 6))
+        one, two = realizable.copy(), realizable.copy()
+        width = realizable.shape[1]
+        for i in range(len(realizable)):
+            one[i, rng.integers(width)] *= -1
+            two[i, rng.choice(width, size=min(2, width), replace=False)] *= -1
+        signs = np.concatenate([realizable, one, two, rng.choice(np.array([-1, 1], dtype=np.int8), size=(6, width))])
+        grown = np.stack([neighborly.m_counts(r, n, signs, k) for k in range((r + 1) // 2)], axis=1)
+        recounted, recount = [], neighborly._grown_m_values
+
+        def counted(r, n, rows):
+            recounted.append(rows.copy())
+            return recount(r, n, rows)
+
+        monkeypatch.setattr(neighborly, "_grown_m_values", counted)
+        assert neighborly.m_values(r, n, signs).tolist() == grown.tolist()
+        again = np.concatenate([np.zeros((0, width), dtype=np.int8)] + recounted)
+        assert not (again[:, None] == realizable).all(axis=-1).any()
+        wrong = signs[grown[:, 0] != tope_count_uniform(r, n)]
+        assert (wrong[:, None] == again).all(axis=-1).any(axis=1).all()
+
+    def test_corrupt_row_is_counted_over_every_circuit(self):
+        # 476 topes over every circuit, not the 494 of a uniform (7, 9)
+        signs = np.array([parse_chirotope(CORRUPT_7_9, 7, 9).signs], dtype=np.int8)
+        m = neighborly.m_values(7, 9, signs)
+        assert m[0, 0] == 476 != tope_count_uniform(7, 9) == 494
+        assert m.tolist() == [[neighborly.m_counts(7, 9, signs, k)[0] for k in range(4)]]
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_no_circuits_refused(self, r):
         signs = np.ones((2, 1), dtype=np.int8)
@@ -720,7 +759,9 @@ class TestLevelTable:
 
     @pytest.mark.parametrize("r,n", LEVEL_SIZES)
     def test_every_bit_matches_the_oracle(self, r, n):
-        orts = pattern_orts_oracle(r, n)
+        # the table holds the circuits through element 1, the first
+        # C(n-1, r) supports in lex order
+        orts = pattern_orts_oracle(r, n)[: comb(n - 1, r)]
         supports, patterns, candidates = orts.shape
         levels = (r + 1) // 2
         table = neighborly._level_table(r, n)
@@ -756,15 +797,17 @@ class TestLevelTable:
 
         monkeypatch.setattr(neighborly, "_ort_of", counted)
         table = neighborly._level_table.__wrapped__(4, 8)
-        # one circuit per call: its 2^4 patterns against the 128 candidates
-        assert calls == [(16, 1, 128)] * comb(8, 5)
+        # one circuit through element 1 per call: its 2^4 patterns against
+        # the 128 candidates
+        assert calls == [(16, 1, 128)] * comb(7, 4)
         assert np.array_equal(table, neighborly._level_table(4, 8))
 
     def test_database_sizes(self):
-        # 29 KB at (4, 8), 258 KB at (5, 9), 1.5 MB at (7, 10), the largest
-        sizes = {(r, n): 8 * comb(n, r + 1) * neighborly._row_words(r, n) << r for r, n in LEVEL_SIZES}
-        assert (sizes[4, 8], sizes[5, 9]) == (28672, 258048)
-        assert max(sizes.values()) == sizes[7, 10] == 1474560
+        # 18 KB at (4, 8), 172 KB at (5, 9), 1.2 MB at (7, 10), the largest
+        sizes = {(r, n): 8 * comb(n - 1, r) * neighborly._row_words(r, n) << r for r, n in LEVEL_SIZES}
+        assert (sizes[4, 8], sizes[5, 9]) == (17920, 172032)
+        assert max(sizes.values()) == sizes[7, 10] == 1179648
+        assert all(neighborly._level_table(r, n).nbytes == sizes[r, n] for r, n in [(4, 8), (5, 9)])
 
 
 class TestMValue:
@@ -843,6 +886,18 @@ class TestTopeGraph:
 
 
 class TestStructuralLemmas:
+    @pytest.mark.parametrize("r,n", [(r, n) for n in range(2, 9) for r in range(1, min(5, n - 1) + 1)])
+    def test_ort_is_attained_through_every_element(self, r, n):
+        # the lemma behind the dense fold: in a uniform oriented matroid,
+        # the circuits through any one element e give ort(X) for every X
+        for chi in [alternating_chirotope(r, n)] + [random_realizable(r, n, seed=s) for s in (2 * n, 2 * n + 1)]:
+            members = circuits_from_chirotope(chi).members
+            for t in all_full_vectors(n):
+                expected = ort_oracle(members, t)
+                for e in range(n):
+                    through = [x for x in members if (x.plus | x.minus) >> e & 1]
+                    assert ort_oracle(through, t) == expected, (chi.serialize(), t, e + 1)
+
     @pytest.mark.parametrize("r,n", [(3, 6), (3, 9), (5, 8), (5, 9)])
     def test_odd_rank_isolation(self, r, n):
         # max-ort topes have all single-flip neighbors at ort (r-1)/2
