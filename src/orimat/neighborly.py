@@ -17,13 +17,13 @@ ort = min over circuits of min(sep, r+1 - sep).  It is used in two ways:
   each survivor (``_child_orts``).
 - Database batches at a dense size (``is_dense``: the full sweep is at most
   DENSE_PAIRS pairs and r <= DENSE_RANK = 7; 37 sizes, all with n <= 10)
-  read the level-bit table (``_level_table``, built through ``_ort_of``),
-  the bitsets of the candidates whose ort against each circuit through
-  element 1 with each sign pattern is at least each level.  A chirotope's
-  counts are then one gathered row per circuit through element 1, an AND
-  over those circuits, a slice of circuits at a time, and a popcount per
-  level (``_dense_fold``): level t counts the candidates with ort at least
-  t, m(M,t-1)/2.
+  read the level-bit table (``_level_table``, built one ``_separations``
+  call per circuit), the bitsets of the candidates whose ort against each
+  circuit through element 1 with each sign pattern is at least each
+  level.  A chirotope's counts are then one gathered row per circuit
+  through element 1, an AND over those circuits, a slice of circuits at a
+  time, and a popcount per level (``_dense_fold``): level t counts the
+  candidates with ort at least t, m(M,t-1)/2.
 
 The dense fold reads C(n-1, r) circuits, not C(n, r+1), by this lemma: in
 a uniform oriented matroid M of rank r on [n], for every full sign vector X
@@ -65,8 +65,11 @@ one kernel pass over the survivors, not over their children, decides the
 verdicts of both children.  The records share their circuit supports, so
 their candidates are one flat array with a record index, and each tile
 repeats every record's circuit minus masks over its candidates.  Masks take
-the narrowest unsigned dtype that holds n bits.  ``m_values`` takes any
-number of records and owns every batch below it: at a dense size, batches
+the narrowest unsigned dtype that holds n bits.  Every grown m(M,k), of
+``o_vector``, ``m_value``, ``m_counts``, the audit and the grown rows of
+``m_values``, comes from ``grown_m_values``, the one function that turns
+``_grow`` output into counts.  ``m_values`` takes any number of records
+and owns every batch below it: at a dense size, batches
 of as many records as fit _BATCH_ENTRIES patterns of circuits through
 element 1 (936 at (4,8) and 585 at (5,9), so a block of 256 is one batch),
 each folded in gathers of at most _BATCH_ENTRIES table words (for 256
@@ -152,16 +155,6 @@ def _separations(separated: np.ndarray) -> np.ndarray:
         separated >>= np.uint16(8)
         return separated
     return np.bitwise_count(separated)
-
-
-def _ort_of(separated: np.ndarray, width: int) -> np.ndarray:
-    """Minimum orthogonality degree (uint8) of each candidate against
-    circuits of ``width`` = r+1 elements each, folded over the circuit axis
-    (axis -2): the agreements are width - sep, so ort = min(min sep,
-    width - max sep) over circuits, and no second array of the tile's size
-    is built.  Any leading axis is carried through."""
-    sep = _separations(separated)
-    return np.minimum(sep.min(axis=-2), width - sep.max(axis=-2)).astype(np.uint8, copy=False)
 
 
 def _least_counts(
@@ -254,20 +247,21 @@ def _level_table(r: int, n: int) -> np.ndarray:
     The row holds one bitset per level t = 1..floor((r+1)/2), each of
     ceil(2^(n-1) / 64) uint64 words: bit j % 8 of its byte j // 8 is set iff
     candidate j (minus-mask 2j, element 1 fixed to +) has ort at least t
-    against that circuit.  Padding bits are 0.  Every verdict comes from
-    ``_ort_of``, one circuit at a time, so the build needs little memory
-    beyond the table itself.
+    against that circuit.  Padding bits are 0.  Every verdict is
+    min(sep, r+1 - sep) of one ``_separations`` call per circuit, so the
+    build needs little memory beyond the table itself.
     """
     bits = _facet_table(r, n)[1][: comb(n - 1, r)]
     weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
     masks = np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)
-    patterns = np.arange(0, 1 << (r + 1), 2, dtype=np.uint8)[:, None, None]
+    patterns = np.arange(0, 1 << (r + 1), 2, dtype=np.uint8)[:, None]
     levels = np.arange(1, (r + 1) // 2 + 1, dtype=np.uint8)[:, None]
     words = -(-len(masks) // 64)
     table = np.zeros((len(bits) << r, len(levels), 8 * words), dtype=np.uint8)
     for c, circuit in enumerate(bits):
         signs = pack_signs((masks[:, None] & circuit) != 0, weights)
-        orts = _ort_of(signs[None] ^ patterns, r + 1)
+        sep = _separations(signs ^ patterns)
+        orts = np.minimum(sep, r + 1 - sep)
         at_least = np.packbits(orts[:, None] >= levels, axis=-1, bitorder="little")
         table[c << r : (c + 1) << r, :, : at_least.shape[-1]] = at_least
     table = table.view(np.uint64).reshape(len(table), -1)
@@ -305,11 +299,12 @@ def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     _BATCH_ENTRIES words of one table row each (at least one record).  A
     record whose folded m(M,0) is not the tope count of a uniform matroid
     is no oriented matroid, and its row is counted again over every
-    circuit (``_grown_m_values``), so that its tope count is the one every
-    engine gives.  At any other size every row is grown."""
+    circuit, grown at level 1 (``grown_m_values``), so that its tope count
+    is the one every engine gives.  At any other size every row is grown
+    at level 1."""
     require_circuits(r, n)
     if not is_dense(r, n):
-        return _grown_m_values(r, n, signs)
+        return grown_m_values(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), 1)
     levels, circuits = (r + 1) // 2, comb(n - 1, r)
     size = max(1, _BATCH_ENTRIES // max(circuits, _row_words(r, n)))
     weights = np.uint8(1) << np.arange(r + 1, dtype=np.uint8)
@@ -321,41 +316,37 @@ def m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
     m = 2 * np.concatenate(m)
     wrong = np.flatnonzero(m[:, 0] != tope_count_uniform(r, n))
     if len(wrong):
-        m[wrong] = _grown_m_values(r, n, signs[wrong])
+        m[wrong] = grown_m_values(r, n, len(wrong), lambda rows: circuit_minus(r, n, signs[wrong[rows]]), 1)
     return m
-
-
-def _grown_m_values(r: int, n: int, signs: np.ndarray) -> np.ndarray:
-    """``m_values`` over every circuit: the tail sums of the ort counts
-    grown at level 1 (``_grown_counts``)."""
-    counts = _grown_counts(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), 1)
-    return 2 * counts[:, :0:-1].cumsum(axis=1)[:, ::-1]
 
 
 def m_counts(r: int, n: int, signs: np.ndarray, k: int) -> np.ndarray:
     """m(M,k) (int64) of each of the K chirotopes whose lex-order signs are
-    the rows of the int8 array ``signs`` (``m_counts_of``, circuits derived a
-    growth group at a time)."""
-    return m_counts_of(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), k)
-
-
-def m_counts_of(r: int, n: int, count: int, minus_of, k: int) -> np.ndarray:
-    """m(M,k) (int64) of ``count`` chirotopes at (r, n), grown at level k+1
-    (``_grown_counts``); ``minus_of(rows)`` gives the circuit minus masks
-    of the records in the slice ``rows``.  k is checked before any
-    enumeration."""
+    the rows of the int8 array ``signs``, grown at level k+1 over every
+    circuit (``grown_m_values``, circuits derived a growth group at a
+    time).  k is checked before any enumeration."""
     check_k(r, k)
-    return 2 * _grown_counts(r, n, count, minus_of, k + 1)[:, k + 1 :].sum(axis=1)
+    return grown_m_values(r, n, len(signs), lambda rows: circuit_minus(r, n, signs[rows]), k + 1)[:, 0]
 
 
-def _grown_counts(r: int, n: int, count: int, minus_of, level: int) -> np.ndarray:
-    """``_ort_counts`` of ``count`` records, one growth group
-    (``_group_size``) at a time, each group's circuit minus masks from
-    ``minus_of(rows)``; an over-budget size is refused before ``minus_of``
-    is called.  No records make one empty group."""
+def grown_m_values(r: int, n: int, count: int, minus_of, level: int) -> np.ndarray:
+    """m(M,k) for k = level-1..floor((r-1)/2) (int64, count x columns) of
+    ``count`` chirotopes at (r, n), grown at ``level`` one growth group
+    (``_group_size``) at a time: ``minus_of(rows)`` gives the circuit minus
+    masks of the records in the slice ``rows``, ``_grow`` keeps their sign
+    vectors with ort at least ``level``, and m(M,k) is twice the number
+    with ort above k, a reversed cumulative sum of their ort counts.  An
+    over-budget size is refused before ``minus_of`` is called."""
     size = _group_size(r, n)
-    starts = range(0, max(count, 1), size)
-    return np.concatenate([_ort_counts(r, n, minus_of(slice(lo, lo + size)), level) for lo in starts])
+    width = (r + 1) // 2 + 1 - level
+    m = np.empty((count, width), dtype=np.int64)
+    for lo in range(0, count, size):
+        minus = minus_of(slice(lo, lo + size))
+        records, _, orts = _grow(r, n, minus, level)
+        cells = records.astype(np.intp) * width + (orts - level)
+        counts = np.bincount(cells, minlength=len(minus) * width).reshape(len(minus), width)
+        m[lo : lo + len(minus)] = 2 * counts[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return m
 
 
 def tope_count_uniform(r: int, n: int) -> int:
@@ -520,17 +511,6 @@ def _grow(r: int, n: int, minus: np.ndarray, level: int) -> tuple[np.ndarray, ..
     return records[keep], masks[keep], run[keep]
 
 
-def _ort_counts(r: int, n: int, minus: np.ndarray, level: int) -> np.ndarray:
-    """Per record, the sign vectors with element 1 fixed to + of each ort
-    (int64, K x (floor((r+1)/2) + 1); the fold caps ort at the last
-    column), exact from ``level`` up: one ``_grow`` of the K records whose
-    circuit minus masks are the rows of ``minus``."""
-    width = (r + 1) // 2 + 1
-    records, _, orts = _grow(r, n, minus, level)
-    cells = records.astype(np.intp) * width + orts
-    return np.bincount(cells, minlength=len(minus) * width).reshape(len(minus), width)
-
-
 def first_index_at_least(cs: CircuitSet, level: int) -> int | None:
     """Enumeration index (minus-mask over elements 2..n, shifted down by one
     bit) of the first sign vector with element 1 fixed to + whose ort is at
@@ -566,11 +546,12 @@ class OVector:
 
 
 def o_vector(cs: CircuitSet) -> OVector:
-    """Count topes by exact ort over the halved enumeration space; entries are
-    doubled for the antipodal half."""
+    """Count topes by exact ort over the halved enumeration space: entry k is
+    m(M,k) - m(M,k+1), the differences of the m-values grown at level 1
+    (``grown_m_values``), which are doubled for the antipodal half."""
     cs.require_nonempty()
-    counts = _ort_counts(cs.r, cs.n, cs.minus[None], 1)[0]
-    return OVector(cs.r, cs.n, tuple((2 * counts[1:]).tolist()))
+    m = grown_m_values(cs.r, cs.n, 1, lambda rows: cs.minus[None], 1)[0]
+    return OVector(cs.r, cs.n, tuple((m - np.append(m[1:], 0)).tolist()))
 
 
 def enumerate_topes(cs: CircuitSet):
@@ -592,7 +573,7 @@ def m_value(cs: CircuitSet, k: int) -> int:
     least k+1, grown at that level.  k is checked before any enumeration."""
     check_k(cs.r, k)
     cs.require_nonempty()
-    return int(2 * _ort_counts(cs.r, cs.n, cs.minus[None], k + 1)[0, k + 1 :].sum())
+    return int(grown_m_values(cs.r, cs.n, 1, lambda rows: cs.minus[None], k + 1)[0, 0])
 
 
 def check_tope_graph_size(n: int):

@@ -314,11 +314,16 @@ class TestRecordAxis:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_stack_matches_single_records_and_oracle(self, data):
-        r = data.draw(st.integers(1, 6), label="r")
-        n = data.draw(st.integers(r + 1, min(r + 5, 11)), label="n")
-        level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
-        seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4), label="seeds")
+        # a tile of 3 or 7 bytes holds 1-7 candidates, and the kernel loops
+        # over its tiles one circuit at a time, so tiny tiles stop at n = 9
+        # (uint8 and uint16 masks) and stacks of 2 records; the larger tiles
+        # go on to n = 11 and 4 records
         tile = data.draw(st.sampled_from([3, 7, 64, neighborly.TILE_BYTES]), label="tile")
+        tiny = tile < 64
+        r = data.draw(st.integers(1, 6), label="r")
+        n = data.draw(st.integers(r + 1, min(r + 5, 9 if tiny else 11)), label="n")
+        level = data.draw(st.integers(1, (r + 1) // 2 + 1), label="level")
+        seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=2 if tiny else 4), label="seeds")
         signs, minus = record_stack(r, n, seeds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighborly, "TILE_BYTES", tile)
@@ -439,7 +444,9 @@ class TestOrientation:
             assert grown[1].dtype == np.min_scalar_type((1 << n) - 1)
             for a, b in zip(grown, neighborly._grow(r, n, given_negated, level)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        counts = [neighborly.m_counts_of(r, n, len(seeds), lambda rows, m=m: m[rows], k) for m in (minus, negated)]
+        counts = [
+            neighborly.grown_m_values(r, n, len(seeds), lambda rows, m=m: m[rows], k + 1) for m in (minus, negated)
+        ]
         assert counts[0].tobytes() == counts[1].tobytes()
 
 
@@ -530,11 +537,12 @@ class TestSixteenBitKernel:
         entries = np.concatenate([values & np.uint16(s) for s in supports])
         entries = np.random.default_rng(width).permutation(entries)
         table = np.resize(entries, (2, rows, -(-len(entries) // (2 * rows))))
-        sep = np.bitwise_count(table).astype(np.int64)
-        expected = np.minimum(sep.min(axis=-2), width - sep.max(axis=-2))
+        expected = np.bitwise_count(table)
         for dtype in (np.uint16, np.uint32, np.uint64):
-            got = neighborly._ort_of(table.astype(dtype), width)
-            assert got.dtype == np.uint8 and np.array_equal(got, expected), dtype
+            tile = table.astype(dtype)
+            got = neighborly._separations(tile)
+            assert np.array_equal(got, expected), dtype
+            assert (got is tile) == (dtype == np.uint16), dtype  # a uint16 tile is consumed
 
     @pytest.mark.parametrize("r,n", [(6, 12), (7, 12)])
     def test_grown_sizes_match_the_full_sweep(self, r, n):
@@ -596,6 +604,38 @@ class TestGrowthGroups:
         for count in (lambda: neighborly.m_values(5, 10, signs), lambda: neighborly.m_counts(5, 10, signs, 0)):
             with pytest.raises(DomainError, match="budget"):
                 count()
+
+    @pytest.mark.parametrize("count,group", [(0, None), (1, None), (5, 2)])
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_grown_columns_from_each_level(self, count, group, data):
+        # grown_m_values at level L gives m(M,k) for k = L-1..floor((r-1)/2),
+        # one column each, equal to m_counts and to the full-sweep oracle:
+        # for no records, for one growth group, and for groups of 2 records
+        # (5 records in 3 groups); past the last level it has no columns
+        r = data.draw(st.integers(1, 6), label="r")
+        n = data.draw(st.integers(r + 1, min(r + 4, 9)), label="n")
+        signs, minus = (a[:count] for a in record_stack(r, n, range(max(count, 1))))
+        kmax = (r - 1) // 2
+        per_k = np.stack([neighborly.m_counts(r, n, signs, k) for k in range(kmax + 1)], axis=1)
+        sweeps = [full_sweep_orts(circuits_from_chirotope(random_realizable(r, n, seed=s))) for s in range(count)]
+        oracle = [[2 * int((orts > k).sum()) for k in range(kmax + 1)] for orts in sweeps]
+        with pytest.MonkeyPatch.context() as mp:
+            if group:
+                mp.setattr(neighborly, "CANDIDATE_BUDGET", group * neighborly._enumeration_cost(r, n)[1])
+            size = neighborly._group_size(r, n)
+            assert size == group or count <= size
+            for level in range(1, (r + 1) // 2 + 2):
+                groups = []
+
+                def minus_of(rows):
+                    groups.append((rows.start, rows.stop))
+                    return minus[rows]
+
+                m = neighborly.grown_m_values(r, n, count, minus_of, level)
+                assert m.dtype == np.int64 and m.shape == (count, (r + 1) // 2 - level + 1)
+                assert m.tolist() == per_k[:, level - 1 :].tolist() == [row[level - 1 :] for row in oracle]
+                assert groups == [(lo, lo + size) for lo in range(0, count, size)]
 
 
 LEVEL_SIZES = [(r, n) for n in range(2, 11) for r in range(1, n) if neighborly.is_dense(r, n)]
@@ -727,13 +767,15 @@ class TestMValuesBatches:
             two[i, rng.choice(width, size=min(2, width), replace=False)] *= -1
         signs = np.concatenate([realizable, one, two, rng.choice(np.array([-1, 1], dtype=np.int8), size=(6, width))])
         grown = np.stack([neighborly.m_counts(r, n, signs, k) for k in range((r + 1) // 2)], axis=1)
-        recounted, recount = [], neighborly._grown_m_values
+        # the fold derives circuits through element 1 (circuit_negatives),
+        # so every circuit_minus call is a recount over every circuit
+        recounted, derive = [], neighborly.circuit_minus
 
         def counted(r, n, rows):
             recounted.append(rows.copy())
-            return recount(r, n, rows)
+            return derive(r, n, rows)
 
-        monkeypatch.setattr(neighborly, "_grown_m_values", counted)
+        monkeypatch.setattr(neighborly, "circuit_minus", counted)
         assert neighborly.m_values(r, n, signs).tolist() == grown.tolist()
         again = np.concatenate([np.zeros((0, width), dtype=np.int8)] + recounted)
         assert not (again[:, None] == realizable).all(axis=-1).any()
@@ -789,17 +831,17 @@ class TestLevelTable:
 
     def test_built_one_circuit_at_a_time_through_the_kernel(self, monkeypatch):
         calls = []
-        kernel = neighborly._ort_of
+        kernel = neighborly._separations
 
-        def counted(separated, width):
+        def counted(separated):
             calls.append(separated.shape)
-            return kernel(separated, width)
+            return kernel(separated)
 
-        monkeypatch.setattr(neighborly, "_ort_of", counted)
+        monkeypatch.setattr(neighborly, "_separations", counted)
         table = neighborly._level_table.__wrapped__(4, 8)
         # one circuit through element 1 per call: its 2^4 patterns against
         # the 128 candidates
-        assert calls == [(16, 1, 128)] * comb(7, 4)
+        assert calls == [(16, 128)] * comb(7, 4)
         assert np.array_equal(table, neighborly._level_table(4, 8))
 
     def test_database_sizes(self):
