@@ -548,9 +548,9 @@ def deletion_contraction_audit(chi: Chirotope, k: int) -> list[AuditTriple]:
     signs are gathered, and each stack is counted by the grown engine at
     level k+1, a growth group at a time (``grown_m_values``, its first
     column), each grow seeded by one kernel call.  When k is inadmissible
-    at the contractions' rank r-1 they are not counted and contribute 0.  In process on 2 vCPU
-    (Python 3.11, numpy 2.4) the audit of a (6,12) chirotope takes about
-    2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
+    at the contractions' rank r-1 they are not counted and contribute 0.
+    In process on 2 vCPU (Python 3.11, numpy 2.4) the audit of a (6,12)
+    chirotope takes about 2.8, 1.1 and 0.47 ms at k = 0, 1 and 2.
     """
     if chi.n < chi.r + 2:
         raise DomainError("audit needs n >= r+2 so both minors keep circuits")
